@@ -9,12 +9,10 @@ invariants.
 from .lattice import (
     ForwardModel,
     Lattice,
-    PathBundle,
     TimeGrid,
     build_lattice,
     lattice_expectation,
     sample_node_paths,
-    simulate_paths,
 )
 from .penalty import PenalizationTrace, check_uniform_bound, run_sweep, solve_penalized
 from .pde import (
@@ -22,14 +20,12 @@ from .pde import (
     PdeField,
     PdeGrid,
     chi_supersolution_check,
-    chi_value,
     feynman_kac_check,
     growth_class_check,
     solve_pde_penalized,
     solve_pde_projected,
 )
 from .problem import (
-    LpExponent,
     ProblemSpec,
     SolutionTriple,
     ValidationReport,
@@ -44,19 +40,16 @@ from .snell import (
     SnellOutput,
     brute_force_stopping_value,
     estimate_z,
-    optimal_stopping_time,
     solve_snell,
 )
 
 __all__ = [
     "ForwardModel",
     "Lattice",
-    "PathBundle",
     "TimeGrid",
     "build_lattice",
     "lattice_expectation",
     "sample_node_paths",
-    "simulate_paths",
     "PenalizationTrace",
     "check_uniform_bound",
     "run_sweep",
@@ -65,12 +58,10 @@ __all__ = [
     "PdeField",
     "PdeGrid",
     "chi_supersolution_check",
-    "chi_value",
     "feynman_kac_check",
     "growth_class_check",
     "solve_pde_penalized",
     "solve_pde_projected",
-    "LpExponent",
     "ProblemSpec",
     "SolutionTriple",
     "ValidationReport",
@@ -83,7 +74,6 @@ __all__ = [
     "SnellOutput",
     "brute_force_stopping_value",
     "estimate_z",
-    "optimal_stopping_time",
     "solve_snell",
 ]
 

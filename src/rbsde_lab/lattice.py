@@ -1,11 +1,10 @@
-"""Discrete-time forward models: recombining lattices and Euler-Maruyama paths.
+"""Discrete-time forward models on recombining lattices.
 
 The forward diffusion dX_t = b(t,X_t) dt + sigma(t,X_t) dB_t is approximated
-two ways:
-
-* a recombining binomial lattice with exact one-step conditional expectations
-  (arithmetic and geometric Brownian models only), and
-* Monte Carlo path bundles (Euler-Maruyama, any of the supported models).
+by a recombining binomial lattice with exact one-step conditional
+expectations (arithmetic and geometric Brownian models). Monte Carlo paths
+are node-index paths drawn from the lattice's own branch law
+(``sample_node_paths``, numpy's PCG64 generator).
 
 Driving noise is one-dimensional; multi-dimensional drivers are a documented
 extension point, not built.
@@ -53,8 +52,8 @@ class ForwardModel:
     * ``arithmetic``: dX = b0 dt + sigma0 dB (coeffs ``drift_coeff``/``vol_coeff``)
     * ``geometric``:  dX = mu X dt + sigma X dB
 
-    ``start_time`` places the model at an absolute time t0, so a lattice or a
-    path bundle built on a grid with horizon ``T - t0`` covers [t0, T].
+    ``start_time`` places the model at an absolute time t0, so a lattice
+    built on a grid with horizon ``T - t0`` covers [t0, T].
     """
 
     kind: str
@@ -178,16 +177,12 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     return Lattice(grid, model, times, tuple(nodes), tuple(up_prob))
 
 
-def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int | None = None) -> np.ndarray:
+def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np.ndarray:
     """One-step conditional expectation: map values at step k+1 back to step k.
 
     ``out[j] = p[k][j] * values_next[j+1] + (1 - p[k][j]) * values_next[j]``.
-    The target step is inferred from the input length (k + 2 values) unless
-    given explicitly.
     """
     values_next = np.asarray(values_next, dtype=float)
-    if k is None:
-        k = values_next.shape[0] - 2
     if not 0 <= k < lattice.n_steps:
         raise ValueError(f"step index {k} outside [0, {lattice.n_steps - 1}]")
     if values_next.shape != (k + 2,):
@@ -196,60 +191,6 @@ def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int | None
         )
     p = lattice.up_prob[k]
     return p * values_next[1:] + (1.0 - p) * values_next[:-1]
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Euler-Maruyama sample paths with their Brownian increments.
-
-    ``states`` has shape (n_paths, n_steps+1) and ``brownian_increments``
-    (n_paths, n_steps). Bundles are a pure function of
-    (model, grid, n_paths, seed); the generator is numpy's PCG64.
-    """
-
-    model: ForwardModel
-    grid: TimeGrid
-    states: np.ndarray
-    brownian_increments: np.ndarray
-    seed: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.model.start_time + self.grid.dt * np.arange(self.grid.n_steps + 1)
-
-
-def simulate_paths(model: ForwardModel, grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
-    """Simulate Euler-Maruyama paths of the forward model (seed-deterministic).
-
-    For the arithmetic kind the scheme is written in accumulated form
-    x0 + b0*t + sigma0*W_t (pointwise exact, identical in law to the
-    stepwise recursion); the geometric kind uses the stepwise recursion.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    n = grid.n_steps
-    dt = grid.dt
-    rng = np.random.Generator(np.random.PCG64(seed))
-    dw = rng.standard_normal((n_paths, n)) * math.sqrt(dt)
-    states = np.empty((n_paths, n + 1))
-    states[:, 0] = model.x0
-    if model.kind == ARITHMETIC:
-        elapsed = dt * np.arange(1, n + 1)
-        states[:, 1:] = (
-            model.x0 + model.drift_coeff * elapsed + model.vol_coeff * np.cumsum(dw, axis=1)
-        )
-    else:
-        times = model.start_time + dt * np.arange(n + 1)
-        for k in range(n):
-            x = states[:, k]
-            states[:, k + 1] = (
-                x + model.drift(times[k], x) * dt + model.vol(times[k], x) * dw[:, k]
-            )
-    return PathBundle(model, grid, states, dw, seed)
 
 
 def sample_node_paths(lattice: Lattice, n_paths: int, seed: int) -> np.ndarray:
@@ -272,22 +213,3 @@ def states_along(lattice: Lattice, node_paths: np.ndarray) -> np.ndarray:
     for k in range(lattice.n_steps + 1):
         out[:, k] = lattice.nodes[k][node_paths[:, k]]
     return out
-
-
-def lattice_to_csv(lattice: Lattice, path) -> None:
-    """Write the lattice as columnar CSV with header ``step,node,value``."""
-    with open(path, "w") as fh:
-        fh.write("step,node,value\n")
-        for k, layer in enumerate(lattice.nodes):
-            for j, v in enumerate(layer):
-                fh.write(f"{k},{j},{float(v)!r}\n")
-
-
-def paths_to_csv(bundle: PathBundle, path) -> None:
-    """Write a path bundle as columnar CSV with header ``step,path,value``."""
-    with open(path, "w") as fh:
-        fh.write("step,path,value\n")
-        for k in range(bundle.grid.n_steps + 1):
-            col = bundle.states[:, k]
-            for i, v in enumerate(col):
-                fh.write(f"{k},{i},{float(v)!r}\n")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
-from .problem import ProblemSpec
-from .snell import _require_contraction, solve_snell
+from .problem import ProblemSpec, check_terminal_dominates
+from .snell import _require_contraction, fixed_point, solve_snell
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
@@ -35,6 +35,7 @@ PSOR_TOL = 1e-12
 PSOR_MAX_ITER = 10_000
 OUTER_MAX_ITER = 100
 EXP_SATURATION = 700.0
+EXERCISE_TIE_TOL = 1e-8
 
 
 class PsorConvergenceError(RuntimeError):
@@ -179,7 +180,7 @@ def _penalized_sor(lower, diag, upper, rhs, floor, weight, start, omega, tol, ma
     )
 
 
-def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel, x_bnd: float):
+def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     """Dirichlet data at a frozen boundary state, one value per time index.
 
     The state is held at the boundary (the lateral operator is not available
@@ -198,24 +199,14 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel, x_bnd
     values[n] = float(spec.terminal(xb)[0])
     for k in range(n - 1, -1, -1):
         h_b = float(spec.obstacle(times[k], xb)[0]) if reflect else -math.inf
-        v = max(values[k + 1], h_b)
-        for _ in range(OUTER_MAX_ITER):
-            fval = float(np.asarray(spec.generator(times[k], xb, np.array([v]), np.zeros(1)))[0])
-            v_new = max(values[k + 1] + dt * fval, h_b)
-            if abs(v_new - v) <= 1e-14 * (1.0 + abs(v_new)):
-                v = v_new
-                break
-            v = v_new
-        values[k] = v
+        v_next = values[k + 1]
+
+        def update(v):
+            fval = np.asarray(spec.generator(times[k], xb, v, np.zeros(1)), dtype=float)
+            return np.maximum(h_b, v_next + dt * fval)
+
+        values[k] = fixed_point(update, np.maximum(h_b, np.array([v_next])))[0]
     return values
-
-
-def _boundary_values(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel):
-    """Dirichlet data (left[k], right[k]) for every time index."""
-    return (
-        _carry_boundary(grid, spec, model, grid.x_min),
-        _carry_boundary(grid, spec, model, grid.x_max),
-    )
 
 
 def _step_matrix(grid: PdeGrid, model: ForwardModel, t: float):
@@ -243,12 +234,14 @@ def _backward_solve(grid, spec, model, inner_solver, omega, psor_tol, max_sweeps
     """Shared backward time loop for the projected and penalized schemes."""
     _require_contraction(spec, grid.time.dt)
     xs = grid.xs()
+    times = grid.times()
+    check_terminal_dominates(spec, times[-1], xs)
     x_int = xs[1:-1]
     dx = grid.dx
     dt = grid.time.dt
     n = grid.time.n_steps
-    times = grid.times()
-    left, right = _boundary_values(grid, spec, model)
+    left = _carry_boundary(grid, spec, grid.x_min)
+    right = _carry_boundary(grid, spec, grid.x_max)
 
     u = np.empty((n + 1, grid.m_nodes))
     u[n] = np.asarray(spec.terminal(xs), dtype=float)
@@ -271,7 +264,6 @@ def _backward_solve(grid, spec, model, inner_solver, omega, psor_tol, max_sweeps
         full_prev = u[k + 1].copy()
         full_prev[0], full_prev[-1] = left[k], right[k]
         y_lag = full_prev[1:-1].copy()
-        v = y_lag
         for _ in range(OUTER_MAX_ITER):
             z_lag = sig_int * _gradient(full_prev, dx)
             fval = np.asarray(spec.generator(t, x_int, y_lag, z_lag), dtype=float)
@@ -279,10 +271,16 @@ def _backward_solve(grid, spec, model, inner_solver, omega, psor_tol, max_sweeps
             v = inner_solver(
                 lower_in, diag, upper_in, rhs, h_int, y_lag, omega, psor_tol, max_sweeps
             )
-            if float(np.max(np.abs(v - y_lag))) <= 10.0 * psor_tol:
+            lag_change = float(np.max(np.abs(v - y_lag)))
+            if lag_change <= 10.0 * psor_tol:
                 break
             y_lag = v
             full_prev[1:-1] = v
+        else:
+            raise PsorConvergenceError(
+                f"lagged generator iteration did not converge within {OUTER_MAX_ITER} "
+                f"inner solves at step {k}; last max |v - y_lag| = {lag_change:.3e}"
+            )
 
         u[k, 1:-1] = v
         u[k, 0] = left[k]
@@ -446,22 +444,6 @@ def log_bump(x) -> np.ndarray:
     return (0.5 * np.log1p(x * x) + 1.0) ** 2
 
 
-@dataclass(frozen=True)
-class ChiValue:
-    value: float
-    saturated: bool
-
-
-def chi_value(t: float, x: float, params: ChiParams) -> ChiValue:
-    """Evaluate the comparison function; exponents beyond ~700 saturate."""
-    expo = (params.time_slope * (params.horizon - t) + params.terminal_weight) * float(
-        log_bump(x)
-    )
-    if expo > EXP_SATURATION:
-        return ChiValue(math.exp(EXP_SATURATION), True)
-    return ChiValue(math.exp(expo), False)
-
-
 C_SCAN_GRID = tuple(float(2**i) for i in range(11))
 
 
@@ -586,8 +568,11 @@ def growth_class_check(values, weight: float, radii) -> GrowthReport:
     return GrowthReport(tuple(rs), tuple(factors), passed)
 
 
-def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path, tie_tol: float = 1e-8) -> None:
-    """CSV export with header ``t,x,u,u_minus_h,exercised``."""
+def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
+    """CSV export with header ``t,x,u,u_minus_h,exercised``.
+
+    A cell counts as exercised where u - h <= EXERCISE_TIE_TOL.
+    """
     xs = field.grid.xs()
     times = field.grid.times()
     with open(path, "w") as fh:
@@ -597,5 +582,5 @@ def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path, tie_tol: float = 
             gap = field.u[k] - h_row
             for i, x in enumerate(xs):
                 fh.write(
-                    f"{float(t)!r},{float(x)!r},{float(field.u[k, i])!r},{float(gap[i])!r},{int(gap[i] <= tie_tol)}\n"
+                    f"{float(t)!r},{float(x)!r},{float(field.u[k, i])!r},{float(gap[i])!r},{int(gap[i] <= EXERCISE_TIE_TOL)}\n"
                 )

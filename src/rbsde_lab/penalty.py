@@ -1,8 +1,9 @@
 """Penalization scheme: reflection replaced by the driver term n * (y - h)^-.
 
 ``solve_penalized`` runs the same backward induction as the reflected solver
-but never clips to the obstacle; the constraint is enforced only through the
-penalty, and the pushing increment is read off as dK = n * dt * (y - h)^-.
+(``snell.backward_induction``) with another one-step map: it never clips to
+the obstacle; the constraint is enforced only through the penalty, and the
+pushing increment is read off as dK = n * dt * (y - h)^-.
 The penalty is handled implicitly inside the one-step solve (unconditionally
 stable in n); the scalar equation
 
@@ -22,57 +23,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, lattice_expectation
+from .lattice import Lattice
 from .problem import (
     ProblemSpec,
     SolutionTriple,
-    check_terminal_dominates,
     lattice_accumulation_moment,
     lattice_sup_moment,
     obstacle_values,
-    terminal_values,
 )
-from .snell import FP_MAX_ITER, FP_TOL, ContractionError, _require_contraction, estimate_z, solve_snell
+from .snell import backward_induction, fixed_point, solve_snell
 
 
-def _penalized_step(spec, t, x, cond, z, h_layer, dt, n):
+def _penalized_step(f, cond, h_layer, dt, n):
     """Exact root of the piecewise one-step equation; returns (y, dk)."""
-
-    def f(y):
-        return np.asarray(spec.generator(t, x, y, z), dtype=float)
-
-    def settled(y_new, y_old):
-        # Relative stop test: the absolute target sits below float noise
-        # whenever the branch iterates at a large scale.
-        return float(np.max(np.abs(y_new - y_old))) <= FP_TOL * (
-            1.0 + float(np.max(np.abs(y_new)))
-        )
-
     # Branch y >= h: plain implicit step.
-    y_plus = cond.copy()
-    for _ in range(FP_MAX_ITER):
-        y_new = cond + dt * f(y_plus)
-        if settled(y_new, y_plus):
-            y_plus = y_new
-            break
-        y_plus = y_new
-    else:
-        raise ContractionError("penalized branch solve (y >= h) did not converge")
-
+    y_plus = fixed_point(lambda y: cond + dt * f(y), cond)
     if n == 0.0:
         return y_plus, np.zeros_like(y_plus)
 
     # Branch y < h: penalty active, contraction factor kappa*dt / (1 + n*dt).
     scale = 1.0 + n * dt
-    y_minus = (cond + n * dt * h_layer) / scale
-    for _ in range(FP_MAX_ITER):
-        y_new = (cond + dt * f(y_minus) + n * dt * h_layer) / scale
-        if settled(y_new, y_minus):
-            y_minus = y_new
-            break
-        y_minus = y_new
-    else:
-        raise ContractionError("penalized branch solve (y < h) did not converge")
+    y_minus = fixed_point(
+        lambda y: (cond + dt * f(y) + n * dt * h_layer) / scale,
+        (cond + n * dt * h_layer) / scale,
+    )
 
     take_plus = y_plus >= h_layer
     # The selected branch must be self-consistent; with kappa*dt < 1 the
@@ -89,26 +63,17 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, n: float) -> SolutionTr
     """Backward induction with penalty intensity n >= 0 (n = 0: no reflection)."""
     if n < 0.0:
         raise ValueError("penalty intensity must be >= 0")
-    _require_contraction(spec, lattice.dt)
-    check_terminal_dominates(spec, lattice)
-    steps = lattice.n_steps
-    dt = lattice.dt
-    h = obstacle_values(spec, lattice)
+    n = float(n)
 
-    y_layers = [None] * (steps + 1)
-    z_layers = [None] * steps
-    dk_layers = [None] * steps
-    y_layers[steps] = terminal_values(spec, lattice)
-    for k in range(steps - 1, -1, -1):
-        z = estimate_z(lattice, y_layers[k + 1], k)
-        cond = lattice_expectation(lattice, y_layers[k + 1], k)
-        y, dk = _penalized_step(
-            spec, lattice.times[k], lattice.nodes[k], cond, z, h[k], dt, float(n)
-        )
-        y_layers[k] = y
-        z_layers[k] = z
-        dk_layers[k] = dk
-    return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
+    def step(k, cond, z, h_k):
+        t, x = lattice.times[k], lattice.nodes[k]
+
+        def f(y):
+            return np.asarray(spec.generator(t, x, y, z), dtype=float)
+
+        return _penalized_step(f, cond, h_k, lattice.dt, n)
+
+    return backward_induction(lattice, spec, step)
 
 
 @dataclass(frozen=True)

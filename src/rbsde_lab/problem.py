@@ -31,27 +31,13 @@ import numpy as np
 
 from .lattice import Lattice, lattice_expectation
 
-P_RANGE_MESSAGE = "p must lie in (1,2)"
 
-
-@dataclass(frozen=True)
-class LpExponent:
-    """Integrability exponent p in (1, 2) with its conjugate q = p/(p-1)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 1.0 < self.p < 2.0:
-            raise ValueError(P_RANGE_MESSAGE)
-
-    @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def quadratic_coefficient(self) -> float:
-        """p(p-1)/2, the weight of the quadratic-variation term at exponent p."""
-        return self.p * (self.p - 1.0) / 2.0
+def _check_exponent(p: float) -> float:
+    """The integrability exponent as a float; raises unless 1 < p < 2."""
+    p = float(p)
+    if not 1.0 < p < 2.0:
+        raise ValueError("p must lie in (1,2)")
+    return p
 
 
 @dataclass(frozen=True)
@@ -67,12 +53,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.lipschitz_kappa < 0.0:
             raise ValueError("lipschitz_kappa must be >= 0")
-        if not 1.0 < self.p_exponent < 2.0:
-            raise ValueError(P_RANGE_MESSAGE)
-
-    @property
-    def lp(self) -> LpExponent:
-        return LpExponent(self.p_exponent)
+        _check_exponent(self.p_exponent)
 
 
 def obstacle_values(spec: ProblemSpec, lattice: Lattice) -> list:
@@ -87,10 +68,10 @@ def terminal_values(spec: ProblemSpec, lattice: Lattice) -> np.ndarray:
     return np.asarray(spec.terminal(lattice.nodes[-1]), dtype=float)
 
 
-def check_terminal_dominates(spec: ProblemSpec, lattice: Lattice, tol: float = 0.0) -> float:
-    """Max violation of g >= h(T, .) over terminal nodes; raises beyond tol."""
-    g = terminal_values(spec, lattice)
-    h_T = np.asarray(spec.obstacle(lattice.times[-1], lattice.nodes[-1]), dtype=float)
+def check_terminal_dominates(spec: ProblemSpec, t_end: float, states, tol: float = 0.0) -> float:
+    """Max violation of g >= h(t_end, .) over the terminal states; raises beyond tol."""
+    g = np.asarray(spec.terminal(states), dtype=float)
+    h_T = np.asarray(spec.obstacle(t_end, states), dtype=float)
     violation = float(np.max(h_T - g, initial=0.0))
     if violation > tol:
         raise ValueError(
@@ -191,23 +172,19 @@ def make_obstacle(name: str) -> Callable:
 # Empirical norms on path arrays
 # ---------------------------------------------------------------------------
 
-def _exponent(p) -> float:
-    return p.p if isinstance(p, LpExponent) else LpExponent(float(p)).p
-
-
-def sp_norm(process_paths: np.ndarray, p) -> float:
+def sp_norm(process_paths: np.ndarray, p: float) -> float:
     """Empirical sup-norm: (mean over paths of sup_k |value|^p)^(1/p)."""
     a = np.asarray(process_paths, dtype=float)
     if a.size == 0:
         raise ValueError("sp_norm of an empty path array")
     if a.ndim == 1:
         a = a[None, :]
-    pw = _exponent(p)
+    pw = _check_exponent(p)
     sup = np.max(np.abs(a), axis=1)
     return float(np.mean(sup**pw) ** (1.0 / pw))
 
 
-def mp_norm(z_paths: np.ndarray, dt: float, p) -> float:
+def mp_norm(z_paths: np.ndarray, dt: float, p: float) -> float:
     """Empirical quadratic-integral norm: (mean of (sum_k z_k^2 dt)^(p/2))^(1/p)."""
     a = np.asarray(z_paths, dtype=float)
     if a.size == 0:
@@ -216,7 +193,7 @@ def mp_norm(z_paths: np.ndarray, dt: float, p) -> float:
         raise ValueError("dt must be > 0")
     if a.ndim == 1:
         a = a[None, :]
-    pw = _exponent(p)
+    pw = _check_exponent(p)
     quad = np.sum(a**2, axis=1) * dt
     return float(np.mean(quad ** (pw / 2.0)) ** (1.0 / pw))
 
@@ -225,25 +202,26 @@ def mp_norm(z_paths: np.ndarray, dt: float, p) -> float:
 # Noise-free lattice functionals
 # ---------------------------------------------------------------------------
 
-def _forward_conditional(lattice: Lattice, combine, initial) -> list:
+def _forward_conditional(lattice: Lattice, initial, carry, settle) -> list:
     """Propagate a per-node statistic forward, averaging over incoming branches.
 
-    ``combine(stat_at_k, k)`` returns the (down, up) contributions carried
-    along the two branches; the statistic at an unreachable node (weight 0)
-    is set to 0.
+    ``carry(stat_at_k, k)`` is the value carried along both branches out of
+    layer k; the probability-weighted average arriving at a node of layer
+    k+1 is passed through ``settle(average, k + 1)``. The average at an
+    unreachable node (weight 0) is 0.
     """
     weights = lattice.node_weights()
     stats = [np.asarray(initial, dtype=float)]
     for k in range(lattice.n_steps):
         p = lattice.up_prob[k]
         w = weights[k]
-        moved = combine(stats[k], k)
+        moved = carry(stats[k], k)
         num = np.zeros(k + 2)
-        num[1:] += w * p * moved[1]
-        num[:-1] += w * (1.0 - p) * moved[0]
+        num[1:] += w * p * moved
+        num[:-1] += w * (1.0 - p) * moved
         denom = weights[k + 1]
         nxt = np.divide(num, denom, out=np.zeros(k + 2), where=denom > 0.0)
-        stats.append(nxt)
+        stats.append(settle(nxt, k + 1))
     return stats
 
 
@@ -255,36 +233,26 @@ def accumulated_along(lattice: Lattice, addends: list) -> list:
     the terminal layer; p-th moments use the same layer (conditionally
     averaged, hence deterministic and exact for node-measurable totals).
     """
-
-    def combine(stat, k):
-        a = np.asarray(addends[k], dtype=float)
-        s = stat + a
-        return s, s  # identical along down- and up-branches
-
-    return _forward_conditional(lattice, combine, [0.0])
-
-
-def running_sup_along(lattice: Lattice, values: list) -> list:
-    """Node-conditioned running supremum M[k][j] of |values| along paths."""
-    v0 = float(np.abs(np.asarray(values[0], dtype=float))[0])
-    weights = lattice.node_weights()
-    stats = [np.array([v0])]
-    for k in range(lattice.n_steps):
-        p = lattice.up_prob[k]
-        w = weights[k]
-        num = np.zeros(k + 2)
-        num[1:] += w * p * stats[k]
-        num[:-1] += w * (1.0 - p) * stats[k]
-        denom = weights[k + 1]
-        carried = np.divide(num, denom, out=np.zeros(k + 2), where=denom > 0.0)
-        layer = np.abs(np.asarray(values[k + 1], dtype=float))
-        stats.append(np.maximum(carried, layer))
-    return stats
+    return _forward_conditional(
+        lattice,
+        [0.0],
+        carry=lambda stat, k: stat + np.asarray(addends[k], dtype=float),
+        settle=lambda avg, k: avg,
+    )
 
 
 def lattice_sup_moment(lattice: Lattice, values: list, power: float) -> float:
     """E[(sup_k |values_k|)^power] with lattice weights (node-conditioned sup)."""
-    sups = running_sup_along(lattice, values)
+
+    def magnitude(k):
+        return np.abs(np.asarray(values[k], dtype=float))
+
+    sups = _forward_conditional(
+        lattice,
+        magnitude(0),
+        carry=lambda stat, k: stat,
+        settle=lambda avg, k: np.maximum(avg, magnitude(k)),
+    )
     w = lattice.node_weights()[-1]
     return float(np.sum(w * sups[-1] ** power))
 
@@ -342,38 +310,6 @@ class SolutionTriple:
     def expected_k_total(self) -> float:
         """Exact E[K_T]."""
         return lattice_expected_total(self.lattice, list(self.dk))
-
-
-def triple_to_csv(sol: SolutionTriple, path) -> None:
-    """Serialize a solution triple as CSV (k, j, Y, Z, dK); terminal Z/dK rows are 0."""
-    with open(path, "w") as fh:
-        fh.write("k,j,Y,Z,dK\n")
-        n = sol.n_steps
-        for k in range(n + 1):
-            zc = sol.z[k] if k < n else np.zeros(k + 1)
-            dkc = sol.dk[k] if k < n else np.zeros(k + 1)
-            for j in range(k + 1):
-                fh.write(f"{k},{j},{float(sol.y[k][j])!r},{float(zc[j])!r},{float(dkc[j])!r}\n")
-
-
-def triple_from_csv(path, lattice: Lattice) -> SolutionTriple:
-    """Rebuild a solution triple written by ``triple_to_csv``."""
-    n = lattice.n_steps
-    y = [np.zeros(k + 1) for k in range(n + 1)]
-    z = [np.zeros(k + 1) for k in range(n)]
-    dk = [np.zeros(k + 1) for k in range(n)]
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "k,j,Y,Z,dK":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            ks, js, ys, zs, dks = line.strip().split(",")
-            k, j = int(ks), int(js)
-            y[k][j] = float(ys)
-            if k < n:
-                z[k][j] = float(zs)
-                dk[k][j] = float(dks)
-    return SolutionTriple(tuple(y), tuple(z), tuple(dk), lattice)
 
 
 @dataclass(frozen=True)

@@ -77,20 +77,46 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     return slope * sigma
 
 
-def _implicit_reflected_step(spec, t, x, cond, z, h_layer, dt):
-    """Fixed point of y -> max(h, cond + dt * f(t, x, y, z)); returns (y, c)."""
-    y = np.maximum(h_layer, cond)
+def fixed_point(update, y0):
+    """Iterate y <- update(y) from y0 until successive iterates settle.
+
+    The stop test is relative to the iterate scale, above the float noise
+    floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|). Returns the last
+    iterate; raises ContractionError after FP_MAX_ITER updates.
+    """
+    y = y0
     for _ in range(FP_MAX_ITER):
-        c = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
-        y_new = np.maximum(h_layer, c)
-        # Stop test relative to the iterate scale, above the float noise floor.
-        if float(np.max(np.abs(y_new - y))) <= FP_TOL * (1.0 + float(np.max(np.abs(y_new)))):
-            return y_new, c
+        y_new = update(y)
+        delta = float(np.max(np.abs(y_new - y)))
+        if delta <= FP_TOL * (1.0 + float(np.max(np.abs(y_new)))):
+            return y_new
         y = y_new
     raise ContractionError(
-        "implicit one-step solve did not converge; lipschitz_kappa * dt < 1 "
-        "must hold for the fixed point to contract"
+        f"implicit one-step solve did not converge in {FP_MAX_ITER} iterations "
+        f"(last change {delta:.3e}); lipschitz_kappa * dt must lie well below 1 "
+        f"for the fixed point to contract"
     )
+
+
+def backward_induction(lattice: Lattice, spec: ProblemSpec, step) -> SolutionTriple:
+    """Backward recursion shared by the reflected and the penalized solvers.
+
+    Starting from the terminal payoff, each layer k estimates z from the
+    next layer, takes the conditional expectation cond = E_k[Y_{k+1}], and
+    calls ``step(k, cond, z, h_k)``, which returns the layer's (y, dk).
+    """
+    _require_contraction(spec, lattice.dt)
+    check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
+    n = lattice.n_steps
+    h = obstacle_values(spec, lattice)
+    y_layers = [None] * n + [terminal_values(spec, lattice)]
+    z_layers = [None] * n
+    dk_layers = [None] * n
+    for k in range(n - 1, -1, -1):
+        z_layers[k] = estimate_z(lattice, y_layers[k + 1], k)
+        cond = lattice_expectation(lattice, y_layers[k + 1], k)
+        y_layers[k], dk_layers[k] = step(k, cond, z_layers[k], h[k])
+    return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -102,53 +128,34 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     dK = (h - c)^+. By construction Y >= h exactly, dK >= 0, dK > 0 only
     where Y = h, and the one-step backward equation holds to solver tolerance.
     """
-    _require_contraction(spec, lattice.dt)
-    check_terminal_dominates(spec, lattice)
-    n = lattice.n_steps
     dt = lattice.dt
-    h = obstacle_values(spec, lattice)
+    cont_layers = [None] * (lattice.n_steps + 1)
+    exercised = [None] * (lattice.n_steps + 1)
 
-    y_layers = [None] * (n + 1)
-    z_layers = [None] * n
-    dk_layers = [None] * n
-    cont_layers = [None] * (n + 1)
-    exercised = [None] * (n + 1)
+    def step(k, cond, z, h_k):
+        t, x = lattice.times[k], lattice.nodes[k]
 
-    g = terminal_values(spec, lattice)
-    y_layers[n] = g
-    cont_layers[n] = g
-    exercised[n] = np.abs(g - h[n]) <= TIE_TOL
+        def reflect(y):
+            # Keep the continuation behind the newest iterate: the converged
+            # y is exactly max(h, c), so dK = (h - c)^+ splits it exactly.
+            cont_layers[k] = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
+            return np.maximum(h_k, cont_layers[k])
 
-    for k in range(n - 1, -1, -1):
-        z = estimate_z(lattice, y_layers[k + 1], k)
-        cond = lattice_expectation(lattice, y_layers[k + 1], k)
-        y, c = _implicit_reflected_step(
-            spec, lattice.times[k], lattice.nodes[k], cond, z, h[k], dt
-        )
-        z_layers[k] = z
-        cont_layers[k] = c
-        y_layers[k] = np.maximum(h[k], c)
-        dk_layers[k] = np.maximum(h[k] - c, 0.0)
-        exercised[k] = h[k] >= c - TIE_TOL
+        y = fixed_point(reflect, np.maximum(h_k, cond))
+        c = cont_layers[k]
+        exercised[k] = h_k >= c - TIE_TOL
+        return y, np.maximum(h_k - c, 0.0)
 
-    triple = SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
+    triple = backward_induction(lattice, spec, step)
+    g = triple.y[-1]
+    h_T = np.asarray(spec.obstacle(lattice.times[-1], lattice.nodes[-1]), dtype=float)
+    cont_layers[-1] = g
+    exercised[-1] = np.abs(g - h_T) <= TIE_TOL
     return SnellOutput(triple, tuple(cont_layers), tuple(exercised))
 
 
-def optimal_stopping_time(out: SnellOutput, node_path: np.ndarray) -> int:
-    """First step at which the path enters the exercise region, else n_steps."""
-    node_path = np.asarray(node_path, dtype=np.int64)
-    n = out.triple.n_steps
-    if node_path.shape != (n + 1,):
-        raise ValueError(f"node path must have {n + 1} entries")
-    for k in range(n + 1):
-        if out.exercise_region[k][node_path[k]]:
-            return k
-    return n
-
-
 def optimal_stopping_times(out: SnellOutput, node_paths: np.ndarray) -> np.ndarray:
-    """Vectorized ``optimal_stopping_time`` over a batch of node-index paths."""
+    """First step at which each node-index path enters the exercise region, else n_steps."""
     node_paths = np.asarray(node_paths, dtype=np.int64)
     n = out.triple.n_steps
     stops = np.full(node_paths.shape[0], n, dtype=np.int64)

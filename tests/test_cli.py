@@ -148,6 +148,22 @@ def test_pde_command(tmp_path, capsys):
     assert json.loads((out / "pde_report.json").read_text())["complementarity"] <= 1e-8
 
 
+def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys):
+    # kappa * dt = 0.9: the lagged generator loop cannot settle
+    path = write_config(tmp_path, "pde", generator="linear_discount:9", kappa="9", n_steps="10")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pde: lagged generator iteration did not converge")
+    assert "at step 9" in err
+
+
+@pytest.mark.parametrize("command", ["pde", "crosscheck"])
+def test_pde_commands_require_terminal_domination(tmp_path, capsys, command):
+    path = write_config(tmp_path, command, terminal="zero")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "terminal payoff must dominate the obstacle at maturity" in capsys.readouterr().err
+
+
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
     path = write_config(tmp_path, "penalize")
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,7 @@ from rbsde_lab.lattice import (
     TimeGrid,
     build_lattice,
     lattice_expectation,
-    lattice_to_csv,
-    paths_to_csv,
     sample_node_paths,
-    simulate_paths,
     states_along,
 )
 
@@ -119,42 +114,6 @@ def test_expectation_length_mismatch():
         lattice_expectation(lat, np.zeros(5), 1)
 
 
-def test_noiseless_paths_hit_the_drift_target():
-    bundle = simulate_paths(ForwardModel.arithmetic(2.0, 0.0, 0.0), TimeGrid(10, 1.0), 7, seed=5)
-    assert np.all(bundle.states[:, -1] == 2.0)
-
-
-def test_paths_are_seed_deterministic():
-    model = ForwardModel.geometric(0.05, 0.2, 100.0)
-    grid = TimeGrid(50, 1.0)
-    a = simulate_paths(model, grid, 64, seed=123)
-    b = simulate_paths(model, grid, 64, seed=123)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.brownian_increments, b.brownian_increments)
-    c = simulate_paths(model, grid, 64, seed=124)
-    assert not np.array_equal(a.states, c.states)
-
-
-def test_lognormal_mean_within_monte_carlo_error():
-    model = ForwardModel.geometric(0.05, 0.2, 100.0)
-    bundle = simulate_paths(model, TimeGrid(100, 1.0), 100_000, seed=2024)
-    terminal = bundle.states[:, -1]
-    target = 100.0 * math.exp(0.05)  # closed-form lognormal mean
-    se = terminal.std(ddof=1) / math.sqrt(terminal.shape[0])
-    assert abs(terminal.mean() - target) <= 3.0 * se
-
-
-def test_increment_moments():
-    grid = TimeGrid(40, 2.0)
-    bundle = simulate_paths(ForwardModel.arithmetic(0.0, 1.0, 0.0), grid, 4000, seed=9)
-    dw = bundle.brownian_increments.ravel()
-    dt = grid.dt
-    se_mean = math.sqrt(dt) / math.sqrt(dw.size)
-    assert abs(dw.mean()) <= 5.0 * se_mean
-    se_var = dt * math.sqrt(2.0 / (dw.size - 1))
-    assert abs(dw.var(ddof=1) - dt) <= 5.0 * se_var
-
-
 def test_node_path_sampler_is_deterministic_and_consistent():
     lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(30, 1.0))
     a = sample_node_paths(lat, 100, seed=7)
@@ -165,22 +124,3 @@ def test_node_path_sampler_is_deterministic_and_consistent():
     states = states_along(lat, a)
     assert states.shape == a.shape
     assert np.all(states[:, 0] == 36.0)
-
-
-def test_csv_exports(tmp_path):
-    lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(3, 1.0))
-    lattice_path = tmp_path / "lattice.csv"
-    lattice_to_csv(lat, lattice_path)
-    lines = lattice_path.read_text().splitlines()
-    assert lines[0] == "step,node,value"
-    assert len(lines) == 1 + sum(k + 1 for k in range(4))
-
-    bundle = simulate_paths(ForwardModel.arithmetic(1.0, 0.0, 0.0), TimeGrid(2, 1.0), 3, seed=1)
-    paths_path = tmp_path / "paths.csv"
-    paths_to_csv(bundle, paths_path)
-    lines = paths_path.read_text().splitlines()
-    assert lines[0] == "step,path,value"
-    assert len(lines) == 1 + 3 * 3
-    # values round-trip through float parsing
-    step, path_idx, value = lines[-1].split(",")
-    assert float(value) == bundle.states[int(path_idx), int(step)]

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from rbsde_lab.pde import (
     PdeGrid,
     PsorConvergenceError,
     chi_supersolution_check,
-    chi_value,
     feynman_kac_check,
     growth_class_check,
     pde_field_to_csv,
@@ -21,6 +19,7 @@ from rbsde_lab.pde import (
     solve_pde_projected,
 )
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
+from rbsde_lab.snell import ContractionError
 
 
 def frozen_model():
@@ -152,6 +151,38 @@ def test_psor_failure_carries_diagnostics(put_spec, put_fwd):
         solve_pde_projected(grid, put_spec, put_fwd, max_sweeps=1)
 
 
+def fast_discount_spec(terminal, obstacle):
+    # kappa * dt = 0.9 on a 10-step grid: below 1, yet too close to 1 for
+    # the fixed-point iterations to settle within their caps
+    return ProblemSpec(
+        make_generator("linear_discount:9"), make_terminal(terminal), make_obstacle(obstacle), 9.0
+    )
+
+
+def test_boundary_flow_rejects_unconverged_fixed_point():
+    grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
+    with pytest.raises(ContractionError, match="did not converge"):
+        solve_pde_projected(grid, fast_discount_spec("constant:1", "zero"), put_model())
+
+
+def test_lagged_generator_iteration_rejects_unconverged_step():
+    grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
+    with pytest.raises(PsorConvergenceError, match=r"at step 9; last max \|v - y_lag\|"):
+        solve_pde_projected(grid, fast_discount_spec("put_payoff:40", "put_payoff:40"), put_model())
+
+
+def test_pde_requires_terminal_domination():
+    grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
+    spec = ProblemSpec(
+        make_generator("linear_discount:0.06"), make_terminal("zero"),
+        make_obstacle("put_payoff:40"), 0.06,
+    )
+    with pytest.raises(ValueError, match="dominate the obstacle"):
+        solve_pde_projected(grid, spec, put_model())
+    with pytest.raises(ValueError, match="dominate the obstacle"):
+        solve_pde_penalized(grid, spec, put_model(), 100.0)
+
+
 def test_feynman_kac_terminal_probe_is_exact(put_pde_field, put_fwd, put_spec):
     report = feynman_kac_check(put_pde_field, put_fwd, put_spec, [(1.0, 36.0)], lattice_steps=8)
     assert report.max_abs_error == 0.0
@@ -181,30 +212,6 @@ def test_probe_outside_grid_rejected(put_pde_field, put_fwd, put_spec):
 
 
 # -- comparison function and growth diagnostics ----------------------------
-
-
-def test_chi_at_origin():
-    params = ChiParams(terminal_weight=1.0, time_slope=2.0, horizon=1.0)
-    # psi(0) = 1, so only the time ramp remains
-    assert chi_value(1.0, 0.0, params).value == pytest.approx(math.exp(1.0), rel=1e-15)
-    assert chi_value(0.5, 0.0, params).value == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert not chi_value(0.5, 0.0, params).saturated
-
-
-def test_chi_against_high_precision_evaluation():
-    getcontext().prec = 60
-    a, c, horizon, t, x = 1, 2, 1, Decimal("0.5"), Decimal(3)
-    psi = (Decimal(x * x + 1).ln() / 2 + 1) ** 2
-    expected = ((c * (horizon - t) + a) * psi).exp()
-    got = chi_value(0.5, 3.0, ChiParams(1.0, 2.0, 1.0)).value
-    assert got == pytest.approx(float(expected), rel=1e-12)
-
-
-def test_chi_saturates_instead_of_overflowing():
-    params = ChiParams(terminal_weight=500.0, time_slope=1.0, horizon=1.0)
-    out = chi_value(0.0, 1e9, params)
-    assert out.saturated
-    assert math.isfinite(out.value)
 
 
 def test_chi_params_validation():

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, put_model, put_problem
+from helpers import far_obstacle, put_problem
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.problem import (
-    LpExponent,
     ProblemSpec,
     SolutionTriple,
     check_terminal_dominates,
@@ -20,23 +19,18 @@ from rbsde_lab.problem import (
     mp_norm,
     sampled_lipschitz_ratio,
     sp_norm,
-    triple_from_csv,
-    triple_to_csv,
     validate_solution,
 )
 from rbsde_lab.snell import solve_snell
 
 
-def test_exponent_conjugacy():
-    lp = LpExponent(1.5)
-    assert 1.0 / lp.p + 1.0 / lp.q == pytest.approx(1.0, abs=1e-15)
-    assert lp.quadratic_coefficient == pytest.approx(1.5 * 0.5 / 2.0)
-
-
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 0.3])
 def test_exponent_range(p):
+    paths = np.ones((2, 3))
     with pytest.raises(ValueError, match=r"p must lie in \(1,2\)"):
-        LpExponent(p)
+        sp_norm(paths, p)
+    with pytest.raises(ValueError, match=r"p must lie in \(1,2\)"):
+        mp_norm(paths, 0.1, p)
 
 
 def test_problem_spec_validation():
@@ -77,12 +71,12 @@ def test_registry_rejects_bad_forms(factory, name):
 def test_terminal_domination_check():
     lat = build_lattice(ForwardModel.geometric(0.0, 0.2, 36.0), TimeGrid(8, 1.0))
     ok = put_problem()
-    assert check_terminal_dominates(ok, lat) == 0.0
+    assert check_terminal_dominates(ok, lat.times[-1], lat.nodes[-1]) == 0.0
     bad = ProblemSpec(
         make_generator("zero"), make_terminal("zero"), make_obstacle("constant:1"), 0.0
     )
     with pytest.raises(ValueError, match="dominate the obstacle"):
-        check_terminal_dominates(bad, lat)
+        check_terminal_dominates(bad, lat.times[-1], lat.nodes[-1])
 
 
 def test_sampled_lipschitz_ratio_bounded_by_declared_kappa():
@@ -99,7 +93,7 @@ def test_sampled_lipschitz_ratio_bounded_by_declared_kappa():
 
 def test_sp_norm_constant_process():
     paths = np.full((11, 5), 3.0)
-    assert sp_norm(paths, LpExponent(1.5)) == pytest.approx(3.0, abs=1e-14)
+    assert sp_norm(paths, 1.5) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_sp_norm_single_path_sup():
@@ -121,7 +115,7 @@ def test_sp_norm_matches_independent_accumulation():
 def test_norms_are_positively_homogeneous(lam):
     rng = np.random.default_rng(7)
     paths = rng.normal(size=(50, 9))
-    p = LpExponent(1.7)
+    p = 1.7
     assert sp_norm(lam * paths, p) == pytest.approx(lam * sp_norm(paths, p), rel=1e-12)
     assert mp_norm(lam * paths, 0.1, p) == pytest.approx(lam * mp_norm(paths, 0.1, p), rel=1e-12)
 
@@ -197,20 +191,6 @@ def test_validate_solution_shape_mismatch():
     y = [np.zeros(1), np.zeros(2)]
     with pytest.raises(ValueError):
         validate_solution(SolutionTriple(tuple(y), (np.zeros(1),), (np.zeros(1),), lat), spec, lat)
-
-
-def test_triple_round_trips_through_csv(tmp_path):
-    model = put_model(sigma=0.3)
-    lat = build_lattice(model, TimeGrid(16, 1.0))
-    spec = put_problem()
-    sol = solve_snell(lat, spec).triple
-    path = tmp_path / "triple.csv"
-    triple_to_csv(sol, path)
-    back = triple_from_csv(path, lat)
-    before = validate_solution(sol, spec, lat).to_dict()
-    after = validate_solution(back, spec, lat).to_dict()
-    assert before == after
-    assert after["all_pass"]
 
 
 def test_no_obstacle_solution_is_plain_backward_equation():

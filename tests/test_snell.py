@@ -25,7 +25,7 @@ from rbsde_lab.snell import (
     ContractionError,
     brute_force_stopping_value,
     estimate_z,
-    optimal_stopping_time,
+    fixed_point,
     optimal_stopping_times,
     snell_to_csv,
     solve_snell,
@@ -140,8 +140,7 @@ def test_stopping_time_never_fires_without_obstacle():
     )
     out = solve_snell(lat, spec)
     paths = sample_node_paths(lat, 50, seed=3)
-    for row in paths:
-        assert optimal_stopping_time(out, row) == 12
+    assert np.all(optimal_stopping_times(out, paths) == 12)
 
 
 def test_stopping_time_immediate_when_obstacle_dominates():
@@ -150,7 +149,8 @@ def test_stopping_time_immediate_when_obstacle_dominates():
         make_generator("zero"), make_terminal("constant:5"), make_obstacle("constant:5"), 0.0
     )
     out = solve_snell(lat, spec)
-    assert optimal_stopping_time(out, np.zeros(7, dtype=int)) == 0
+    paths = sample_node_paths(lat, 20, seed=5)
+    assert np.all(optimal_stopping_times(out, paths) == 0)
 
 
 def test_stopping_replay_recovers_root_value(put_snell_512, put_lattice_512):
@@ -236,6 +236,14 @@ def test_contraction_guard():
     spec = ProblemSpec(make_generator("zero"), make_terminal("zero"), make_obstacle("zero"), 2.1)
     with pytest.raises(ContractionError, match="lipschitz_kappa \\* dt < 1"):
         solve_snell(lat, spec)
+
+
+def test_fixed_point_settles_or_raises():
+    y = fixed_point(lambda y: 1.0 - 0.5 * y, np.zeros(3))
+    assert np.allclose(y, 2.0 / 3.0, rtol=0.0, atol=1e-14)
+    # contraction factor 0.9: 0.9^100 is far above the relative stop test
+    with pytest.raises(ContractionError, match="did not converge"):
+        fixed_point(lambda y: 1.0 - 0.9 * y, np.zeros(1))
 
 
 def test_snell_csv_export(tmp_path, put_snell_512):
