@@ -96,6 +96,8 @@ def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
             "u0": u0,
             "complementarity": field.complementarity,
             "min_operator_residual": field.min_operator_residual,
+            "max_policy_iterations": field.max_policy_iterations,
+            "max_lag_iterations": field.max_lag_iterations,
         },
         out / "pde_report.json",
     )

@@ -9,12 +9,18 @@ lattice value started at (t, x), a supersolution witness scan for the
 exponential comparison function used in uniqueness arguments, and growth
 class checks at large |x|.
 
-Two schemes are provided. The projected scheme solves each implicit step as
-a linear complementarity problem with red-black projected SOR (the obstacle
-is enforced exactly). The penalized scheme replaces the constraint by the
-driver term n * (u - h)^- and never projects. In both, f is coupled through
-a lagged outer iteration: y and z = sigma * u_x are taken from the previous
-sweep iterate, so each inner solve stays linear (or piecewise linear).
+Two schemes are provided, and one kernel solves each implicit step of
+both: policy (Howard) iteration on the active set {v < h}, one tridiagonal
+Thomas solve per iteration, until the active set stops changing. The
+projected scheme solves the step's linear complementarity problem exactly:
+active rows are pinned to the obstacle, v = h. The penalized scheme replaces
+the constraint by the driver term n * (u - h)^- and never projects: active
+rows carry n * dt on the diagonal and n * dt * h on the right-hand side,
+which makes each iteration a Newton step for the piecewise-linear equation.
+The active set is warm-started from the previous solve, so most solves take
+one iteration. In both schemes f is coupled through a lagged generator
+iteration run by ``snell.fixed_point``: y and z = sigma * u_x are taken from
+the previous iterate, so each inner solve stays (piecewise) linear.
 """
 
 from __future__ import annotations
@@ -26,20 +32,18 @@ import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import _require_contraction, fixed_point, solve_snell
+from .snell import FP_TOL, _require_contraction, fixed_point, solve_snell
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
 
-PSOR_TOL = 1e-12
-PSOR_MAX_ITER = 10_000
-OUTER_MAX_ITER = 100
+POLICY_MAX_ITER = 100
 EXP_SATURATION = 700.0
 EXERCISE_TIE_TOL = 1e-8
 
 
-class PsorConvergenceError(RuntimeError):
-    """Raised when the relaxation sweeps fail to reach tolerance."""
+class LcpConvergenceError(RuntimeError):
+    """Raised when policy iteration on the active set does not settle."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,9 @@ class PdeField:
 
     For the projected method ``complementarity`` is the worst nodewise
     product residual * (u - h) observed over all time steps and
-    ``min_operator_residual`` the most negative operator residual.
+    ``min_operator_residual`` the most negative operator residual. Both
+    methods count the most policy iterations one LCP solve took and the
+    most lagged generator solves one time step took.
     """
 
     u: np.ndarray
@@ -95,6 +101,8 @@ class PdeField:
     penalty_n: float | None = None
     complementarity: float = 0.0
     min_operator_residual: float = 0.0
+    max_policy_iterations: int = 0
+    max_lag_iterations: int = 0
 
     def interpolate(self, t: float, x: float) -> float:
         """Bilinear interpolation of u at an interior point (t, x)."""
@@ -117,69 +125,6 @@ class PdeField:
         )
 
 
-def _psor(lower, diag, upper, rhs, floor, start, omega, tol, max_iter):
-    """Projected SOR with red-black ordering on a tridiagonal system.
-
-    Solves the complementarity problem A v >= rhs, v >= floor,
-    (A v - rhs) * (v - floor) = 0 (floor=None solves A v = rhs). ``lower``
-    and ``upper`` carry zeros in their boundary entries; Dirichlet data must
-    already be folded into ``rhs``.
-    """
-    v = start.copy()
-    m = v.shape[0]
-    colors = (np.arange(m) % 2 == 0, np.arange(m) % 2 == 1)
-    for sweep in range(max_iter):
-        delta = 0.0
-        for mask in colors:
-            left = np.concatenate(([0.0], v[:-1]))
-            right = np.concatenate((v[1:], [0.0]))
-            gs = (rhs - lower * left - upper * right) / diag
-            cand = (1.0 - omega) * v + omega * gs
-            if floor is not None:
-                cand = np.maximum(cand, floor)
-            delta = max(delta, float(np.max(np.abs(cand[mask] - v[mask]))))
-            v[mask] = cand[mask]
-        if delta <= tol:
-            return v, sweep + 1
-    left = np.concatenate(([0.0], v[:-1]))
-    right = np.concatenate((v[1:], [0.0]))
-    resid = lower * left + diag * v + upper * right - rhs
-    worst = int(np.argmax(np.abs(resid)))
-    raise PsorConvergenceError(
-        f"PSOR did not converge within {max_iter} sweeps; "
-        f"worst node index {worst}, value {v[worst]:.6g}, residual {resid[worst]:.3e}"
-    )
-
-
-def _penalized_sor(lower, diag, upper, rhs, floor, weight, start, omega, tol, max_iter):
-    """Nonlinear red-black SOR for A v = rhs + weight * (floor - v)^+.
-
-    Each nodewise update solves its scalar piecewise-linear equation exactly
-    (branch v >= floor vs v < floor) before relaxation; no projection is
-    applied, so v may end below the floor by O(1/weight).
-    """
-    v = start.copy()
-    m = v.shape[0]
-    colors = (np.arange(m) % 2 == 0, np.arange(m) % 2 == 1)
-    for sweep in range(max_iter):
-        delta = 0.0
-        for mask in colors:
-            left = np.concatenate(([0.0], v[:-1]))
-            right = np.concatenate((v[1:], [0.0]))
-            gathered = rhs - lower * left - upper * right
-            cand_free = gathered / diag
-            cand_pen = (gathered + weight * floor) / (diag + weight)
-            cand = np.where(cand_free >= floor, cand_free, cand_pen)
-            cand = (1.0 - omega) * v + omega * cand
-            delta = max(delta, float(np.max(np.abs(cand[mask] - v[mask]))))
-            v[mask] = cand[mask]
-        if delta <= tol:
-            return v, sweep + 1
-    raise PsorConvergenceError(
-        f"penalized SOR did not converge within {max_iter} sweeps"
-    )
-
-
 def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     """Dirichlet data at a frozen boundary state, one value per time index.
 
@@ -197,6 +142,7 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     reflect = grid.boundary_mode == BOUNDARY_OBSTACLE
     values = np.empty(n + 1)
     values[n] = float(spec.terminal(xb)[0])
+    what = f"boundary flow at x = {x_bnd!r}"
     for k in range(n - 1, -1, -1):
         h_b = float(spec.obstacle(times[k], xb)[0]) if reflect else -math.inf
         v_next = values[k + 1]
@@ -205,18 +151,21 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
             fval = np.asarray(spec.generator(times[k], xb, v, np.zeros(1)), dtype=float)
             return np.maximum(h_b, v_next + dt * fval)
 
-        values[k] = fixed_point(update, np.maximum(h_b, np.array([v_next])))[0]
+        values[k] = fixed_point(update, np.maximum(h_b, np.array([v_next])), k, what)[0]
     return values
 
 
-def _step_matrix(grid: PdeGrid, model: ForwardModel, t: float):
-    """Tridiagonal rows of I - dt*L at the interior nodes (boundary entries zeroed)."""
-    xs = grid.xs()
-    x_int = xs[1:-1]
+def _step_matrix(grid: PdeGrid, model: ForwardModel):
+    """Tridiagonal rows of I - dt*L at the interior nodes.
+
+    The model's coefficients are constant in time, so one matrix serves
+    every time step.
+    """
+    x_int = grid.xs()[1:-1]
     dx = grid.dx
     dt = grid.time.dt
-    sig = np.asarray(model.vol(t, x_int), dtype=float)
-    drift = np.asarray(model.drift(t, x_int), dtype=float)
+    sig = np.asarray(model.vol(0.0, x_int), dtype=float)
+    drift = np.asarray(model.drift(0.0, x_int), dtype=float)
     a = 0.5 * sig**2 / dx**2
     c = drift / (2.0 * dx)
     lower = -dt * (a - c)
@@ -230,122 +179,166 @@ def _gradient(full_u: np.ndarray, dx: float) -> np.ndarray:
     return (full_u[2:] - full_u[:-2]) / (2.0 * dx)
 
 
-def _backward_solve(grid, spec, model, inner_solver, omega, psor_tol, max_sweeps):
-    """Shared backward time loop for the projected and penalized schemes."""
-    _require_contraction(spec, grid.time.dt)
+def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by elimination without pivoting.
+
+    ``lower[0]`` must be zero and ``upper[-1]`` is not read. Stable for the
+    strictly diagonally dominant rows of an implicit step.
+    """
+    c_rows, d_rows = [], []
+    c_prev = d_prev = 0.0
+    for a, b, c, d in zip(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()):
+        beta = b - a * c_prev
+        c_prev = c / beta
+        d_prev = (d - a * d_prev) / beta
+        c_rows.append(c_prev)
+        d_rows.append(d_prev)
+    x = d_rows[-1]
+    out = [x]
+    for c, d in zip(reversed(c_rows[:-1]), reversed(d_rows[:-1])):
+        x = d - c * x
+        out.append(x)
+    out.reverse()
+    return np.array(out)
+
+
+def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
+    """Policy (Howard) iteration for one implicit step on the active set.
+
+    With A the tridiagonal matrix (lower, diag, upper), lower[0] = upper[-1]
+    = 0, this solves min(A v - rhs, v - h) = 0 when ``weight`` is None
+    (projected) and A v = rhs + weight * (h - v)^+ otherwise (penalized).
+    Each iteration is one Thomas solve in which the active rows are replaced:
+    the projected scheme pins v = h there, the penalized scheme adds
+    ``weight`` to the diagonal and weight * h to the right-hand side. A row
+    joins the active set where v < h and leaves it where A v - rhs (the
+    multiplier, or the penalty force) falls below the float noise floor of
+    the row, -FP_TOL * (1 + |rhs| + (|lower| + diag + |upper|) * |h|), so
+    rows tied at the obstacle cannot cycle.
+    ``active`` is the warm start. Returns (v, A v - rhs, active set,
+    iterations); rows are interior grid nodes, so row i is node i + 1 in the
+    error raised after POLICY_MAX_ITER solves.
+    """
+    row_norm = np.abs(lower) + diag + np.abs(upper)
+    noise = -FP_TOL * (1.0 + np.abs(rhs) + row_norm * np.abs(h))
+    for iteration in range(1, POLICY_MAX_ITER + 1):
+        if weight is None:
+            v = _thomas(
+                np.where(active, 0.0, lower),
+                np.where(active, 1.0, diag),
+                np.where(active, 0.0, upper),
+                np.where(active, h, rhs),
+            )
+        else:
+            v = _thomas(lower, diag + weight * active, upper, rhs + weight * h * active)
+        resid = diag * v - rhs
+        resid[1:] += lower[1:] * v[:-1]
+        resid[:-1] += upper[:-1] * v[1:]
+        settled = np.where(active, resid >= noise, v < h)
+        if np.array_equal(settled, active):
+            return v, resid, active, iteration
+        active, previous = settled, active
+    gap = np.minimum(resid, v - h)
+    moving = np.flatnonzero(active != previous)
+    worst = int(moving[np.argmax(np.abs(gap[moving]))])
+    raise LcpConvergenceError(
+        f"policy iteration did not settle in {POLICY_MAX_ITER} iterations at step {step}; "
+        f"worst node {worst + 1}, value {v[worst]:.6g}, "
+        f"residual min(Av - b, v - h) = {gap[worst]:.3e}"
+    )
+
+
+def _backward_solve(grid, spec, model, n):
+    """Backward time loop shared by the projected (n None) and penalized schemes.
+
+    Each step runs the lagged generator iteration through ``fixed_point`` on
+    full space rows (the boundary entries stay at the Dirichlet data); each
+    lagged update is one ``_policy_lcp`` call, warm-started from the active
+    set of the previous call.
+    """
+    dt = grid.time.dt
+    _require_contraction(spec, dt)
+    if model.start_time != 0.0:
+        raise ValueError(
+            f"the PDE grid covers [0, horizon], so the model must start at 0; "
+            f"got start_time = {model.start_time!r}"
+        )
     xs = grid.xs()
     times = grid.times()
     check_terminal_dominates(spec, times[-1], xs)
     x_int = xs[1:-1]
     dx = grid.dx
-    dt = grid.time.dt
-    n = grid.time.n_steps
     left = _carry_boundary(grid, spec, grid.x_min)
     right = _carry_boundary(grid, spec, grid.x_max)
+    lower, diag, upper = _step_matrix(grid, model)
+    edge_lower, edge_upper = lower[0], upper[-1]
+    lower[0] = upper[-1] = 0.0
+    sig_int = np.asarray(model.vol(0.0, x_int), dtype=float)
+    weight = None if n is None else n * dt
 
-    u = np.empty((n + 1, grid.m_nodes))
-    u[n] = np.asarray(spec.terminal(xs), dtype=float)
-
-    worst_comp = 0.0
-    worst_resid = 0.0
-    for k in range(n - 1, -1, -1):
+    u = np.empty((grid.time.n_steps + 1, grid.m_nodes))
+    u[-1] = np.asarray(spec.terminal(xs), dtype=float)
+    active = np.zeros(x_int.shape, dtype=bool)
+    resid = None
+    worst_comp = worst_resid = 0.0
+    max_policy = max_lag = 0
+    for k in range(grid.time.n_steps - 1, -1, -1):
         t = times[k]
         h_int = np.asarray(spec.obstacle(t, x_int), dtype=float)
-        lower, diag, upper = _step_matrix(grid, model, t)
         bc = np.zeros_like(x_int)
-        bc[0] -= lower[0] * left[k]
-        bc[-1] -= upper[-1] * right[k]
-        lower_in = lower.copy()
-        upper_in = upper.copy()
-        lower_in[0] = 0.0
-        upper_in[-1] = 0.0
+        bc[0] -= edge_lower * left[k]
+        bc[-1] -= edge_upper * right[k]
+        lag = 0
 
-        sig_int = np.asarray(model.vol(t, x_int), dtype=float)
-        full_prev = u[k + 1].copy()
-        full_prev[0], full_prev[-1] = left[k], right[k]
-        y_lag = full_prev[1:-1].copy()
-        for _ in range(OUTER_MAX_ITER):
-            z_lag = sig_int * _gradient(full_prev, dx)
-            fval = np.asarray(spec.generator(t, x_int, y_lag, z_lag), dtype=float)
+        def lagged_solve(row):
+            nonlocal active, resid, lag, max_policy
+            z = sig_int * _gradient(row, dx)
+            fval = np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
             rhs = u[k + 1][1:-1] + dt * fval + bc
-            v = inner_solver(
-                lower_in, diag, upper_in, rhs, h_int, y_lag, omega, psor_tol, max_sweeps
+            v, resid, active, iterations = _policy_lcp(
+                lower, diag, upper, rhs, h_int, weight, active, k
             )
-            lag_change = float(np.max(np.abs(v - y_lag)))
-            if lag_change <= 10.0 * psor_tol:
-                break
-            y_lag = v
-            full_prev[1:-1] = v
-        else:
-            raise PsorConvergenceError(
-                f"lagged generator iteration did not converge within {OUTER_MAX_ITER} "
-                f"inner solves at step {k}; last max |v - y_lag| = {lag_change:.3e}"
-            )
+            lag += 1
+            max_policy = max(max_policy, iterations)
+            new_row = row.copy()
+            new_row[1:-1] = v
+            return new_row
 
-        u[k, 1:-1] = v
-        u[k, 0] = left[k]
-        u[k, -1] = right[k]
-
-        vleft = np.concatenate(([0.0], v[:-1]))
-        vright = np.concatenate((v[1:], [0.0]))
-        resid = lower_in * vleft + diag * v + upper_in * vright - rhs
+        start = u[k + 1].copy()
+        start[0], start[-1] = left[k], right[k]
+        u[k] = fixed_point(lagged_solve, start, k, "lagged generator iteration")
+        max_lag = max(max_lag, lag)
+        gap = u[k][1:-1] - h_int
         worst_resid = min(worst_resid, float(np.min(resid)))
-        worst_comp = max(worst_comp, float(np.max(np.abs(resid * (v - h_int)))))
-    return u, worst_comp, worst_resid
+        worst_comp = max(worst_comp, float(np.max(np.abs(resid * gap))))
+
+    counts = {"max_policy_iterations": max_policy, "max_lag_iterations": max_lag}
+    if n is None:
+        return PdeField(
+            u, grid, "projected", complementarity=worst_comp,
+            min_operator_residual=worst_resid, **counts,
+        )
+    return PdeField(u, grid, "penalized", n, **counts)
 
 
-def solve_pde_projected(
-    grid: PdeGrid,
-    spec: ProblemSpec,
-    model: ForwardModel,
-    omega: float = 1.5,
-    psor_tol: float = PSOR_TOL,
-    max_sweeps: int = PSOR_MAX_ITER,
-) -> PdeField:
-    """Implicit scheme with the obstacle enforced by projection (PSOR steps).
+def solve_pde_projected(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel) -> PdeField:
+    """Implicit scheme with the obstacle enforced by projection.
 
     Each backward step solves the linear complementarity problem of the
-    discretized operator; generator arguments are lagged. The solution
-    dominates the obstacle exactly at every grid point.
+    discretized operator exactly by policy iteration; generator arguments
+    are lagged. The solution dominates the obstacle exactly at every grid
+    point.
     """
-
-    def inner(lower, diag, upper, rhs, floor, start, om, tol, sweeps):
-        start_proj = np.maximum(start, floor)
-        v, _ = _psor(lower, diag, upper, rhs, floor, start_proj, om, tol, sweeps)
-        return v
-
-    u, comp, resid = _backward_solve(grid, spec, model, inner, omega, psor_tol, max_sweeps)
-    return PdeField(
-        u=u,
-        grid=grid,
-        method="projected",
-        complementarity=comp,
-        min_operator_residual=resid,
-    )
+    return _backward_solve(grid, spec, model, None)
 
 
 def solve_pde_penalized(
-    grid: PdeGrid,
-    spec: ProblemSpec,
-    model: ForwardModel,
-    n: float,
-    omega: float = 1.5,
-    psor_tol: float = PSOR_TOL,
-    max_sweeps: int = PSOR_MAX_ITER,
+    grid: PdeGrid, spec: ProblemSpec, model: ForwardModel, n: float
 ) -> PdeField:
     """Unconstrained implicit scheme with penalty driver f + n * (u - h)^-."""
     if n < 0.0:
         raise ValueError("penalty intensity must be >= 0")
-    weight = float(n) * grid.time.dt
-
-    def inner(lower, diag, upper, rhs, floor, start, om, tol, sweeps):
-        v, _ = _penalized_sor(
-            lower, diag, upper, rhs, floor, weight, start, om, tol, sweeps
-        )
-        return v
-
-    u, _, _ = _backward_solve(grid, spec, model, inner, omega, psor_tol, max_sweeps)
-    return PdeField(u=u, grid=grid, method="penalized", penalty_n=float(n))
+    return _backward_solve(grid, spec, model, float(n))
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ from .problem import (
 from .snell import backward_induction, fixed_point, solve_snell
 
 
-def _penalized_step(f, cond, h_layer, dt, n):
-    """Exact root of the piecewise one-step equation; returns (y, dk)."""
+def _penalized_step(f, cond, h_layer, dt, n, k):
+    """Exact root of the piecewise one-step equation at step k; returns (y, dk)."""
     # Branch y >= h: plain implicit step.
-    y_plus = fixed_point(lambda y: cond + dt * f(y), cond)
+    y_plus = fixed_point(
+        lambda y: cond + dt * f(y), cond, k, "penalized one-step solve (branch y >= h)"
+    )
     if n == 0.0:
         return y_plus, np.zeros_like(y_plus)
 
@@ -46,6 +48,8 @@ def _penalized_step(f, cond, h_layer, dt, n):
     y_minus = fixed_point(
         lambda y: (cond + dt * f(y) + n * dt * h_layer) / scale,
         (cond + n * dt * h_layer) / scale,
+        k,
+        "penalized one-step solve (branch y < h)",
     )
 
     take_plus = y_plus >= h_layer
@@ -71,7 +75,7 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, n: float) -> SolutionTr
         def f(y):
             return np.asarray(spec.generator(t, x, y, z), dtype=float)
 
-        return _penalized_step(f, cond, h_k, lattice.dt, n)
+        return _penalized_step(f, cond, h_k, lattice.dt, n, k)
 
     return backward_induction(lattice, spec, step)
 

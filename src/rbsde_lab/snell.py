@@ -77,24 +77,28 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     return slope * sigma
 
 
-def fixed_point(update, y0):
+def fixed_point(update, y0, step=None, what="implicit one-step solve"):
     """Iterate y <- update(y) from y0 until successive iterates settle.
 
     The stop test is relative to the iterate scale, above the float noise
     floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|). Returns the last
-    iterate; raises ContractionError after FP_MAX_ITER updates.
+    iterate. After FP_MAX_ITER updates it raises ContractionError; the
+    message names ``what`` did not converge, the caller's ``step`` and the
+    index of the node whose last change was largest.
     """
     y = y0
     for _ in range(FP_MAX_ITER):
         y_new = update(y)
-        delta = float(np.max(np.abs(y_new - y)))
+        change = np.abs(y_new - y)
+        delta = float(np.max(change))
         if delta <= FP_TOL * (1.0 + float(np.max(np.abs(y_new)))):
             return y_new
         y = y_new
+    at = "" if step is None else f" at step {step}"
     raise ContractionError(
-        f"implicit one-step solve did not converge in {FP_MAX_ITER} iterations "
-        f"(last change {delta:.3e}); lipschitz_kappa * dt must lie well below 1 "
-        f"for the fixed point to contract"
+        f"{what} did not converge in {FP_MAX_ITER} iterations{at}, "
+        f"node {int(np.argmax(change))} (last change {delta:.3e}); lipschitz_kappa * dt "
+        f"must lie well below 1 for the fixed point to contract"
     )
 
 
@@ -141,7 +145,7 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
             cont_layers[k] = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
             return np.maximum(h_k, cont_layers[k])
 
-        y = fixed_point(reflect, np.maximum(h_k, cond))
+        y = fixed_point(reflect, np.maximum(h_k, cond), k)
         c = cont_layers[k]
         exercised[k] = h_k >= c - TIE_TOL
         return y, np.maximum(h_k - c, 0.0)

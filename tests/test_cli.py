@@ -157,6 +157,40 @@ def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys):
     assert "at step 9" in err
 
 
+def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(tmp_path, capsys):
+    # kappa * dt = 0.9: the reflected one-step fixed point cannot settle
+    path = write_config(tmp_path, "solve", generator="linear_discount:9", kappa="9", n_steps="10")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: implicit one-step solve did not converge")
+    assert "at step 9, node 5 (last change" in err
+
+
+def test_pde_report_counts_are_deterministic(tmp_path):
+    path = write_config(
+        tmp_path, "pde", generator="zero", terminal="constant:1", obstacle="zero", kappa="0"
+    )
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    for name in ("pde.csv", "pde_report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    report = json.loads((outs[0] / "pde_report.json").read_text())
+    assert report["max_policy_iterations"] == 1
+    assert report["max_lag_iterations"] == 1
+
+
+@pytest.mark.parametrize("command", ["pde", "crosscheck"])
+def test_pde_commands_reject_a_nonzero_start_time(tmp_path, capsys, command):
+    text = BASE_CONFIG.format(command=command).replace(
+        "kappa = 0.06\n", "kappa = 0.06\nstart_time = 0.5\n"
+    )
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "start_time = 0.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["pde", "crosscheck"])
 def test_pde_commands_require_terminal_domination(tmp_path, capsys, command):
     path = write_config(tmp_path, command, terminal="zero")

@@ -5,12 +5,13 @@ import pytest
 
 from helpers import far_obstacle, put_model
 
+from rbsde_lab import pde
 from rbsde_lab.lattice import ForwardModel, TimeGrid
 from rbsde_lab.pde import (
     BOUNDARY_EXTRAPOLATION,
     ChiParams,
+    LcpConvergenceError,
     PdeGrid,
-    PsorConvergenceError,
     chi_supersolution_check,
     feynman_kac_check,
     growth_class_check,
@@ -145,10 +146,64 @@ def test_comparison_principle_on_randomized_instances():
         assert float(np.min(high.u - low.u)) >= -1e-8
 
 
-def test_psor_failure_carries_diagnostics(put_spec, put_fwd):
+def random_lcp(rng, m):
+    # strictly diagonally dominant rows; row 1 gets a positive off-diagonal
+    # entry, as at the first interior node of a geometric grid on [0, 120]
+    # when sigma^2 < r * dx (not an M-matrix row)
+    lower = -rng.uniform(0.0, 1.0, m)
+    upper = -rng.uniform(0.0, 1.0, m)
+    lower[1] = 0.5
+    lower[0] = upper[-1] = 0.0
+    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1.0, m)
+    rhs = rng.normal(0.0, 1.0, m)
+    h = rng.normal(0.0, 1.0, m)
+    return lower, diag, upper, rhs, h
+
+
+def tridiagonal_product(lower, diag, upper, v):
+    left = np.concatenate(([0.0], v[:-1]))
+    right = np.concatenate((v[1:], [0.0]))
+    return lower * left + diag * v + upper * right
+
+
+def test_policy_kernel_solves_random_lcps():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        lower, diag, upper, rhs, h = random_lcp(rng, 40)
+        # warm starts from an empty and from a full active set
+        for start in (np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
+            v, _, _, _ = pde._policy_lcp(lower, diag, upper, rhs, h, None, start, 0)
+            resid = tridiagonal_product(lower, diag, upper, v) - rhs
+            assert np.max(np.abs(np.minimum(resid, v - h))) <= 1e-12
+            assert np.all(v >= h)
+            for weight in (0.0, 10.0, 1e4):
+                v, _, _, _ = pde._policy_lcp(lower, diag, upper, rhs, h, weight, start, 0)
+                penalty = weight * np.maximum(h - v, 0.0)
+                resid = tridiagonal_product(lower, diag, upper, v) - rhs - penalty
+                # the penalty term carries weight times the rounding of v
+                assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + weight)
+
+
+def test_policy_kernel_settles_on_rows_tied_at_the_obstacle():
+    # g = h = const and f = 0: every row ties at the obstacle up to rounding
+    spec = ProblemSpec(
+        make_generator("zero"), make_terminal("constant:1.7"), make_obstacle("constant:1.7"), 0.0
+    )
+    grid = PdeGrid(0.0, 120.0, 121, TimeGrid(20, 1.0))
+    for field in (
+        solve_pde_projected(grid, spec, put_model()),
+        solve_pde_penalized(grid, spec, put_model(), 100.0),
+    ):
+        assert np.allclose(field.u, 1.7, rtol=0.0, atol=1e-12)
+
+
+def test_policy_iteration_cap_carries_diagnostics(put_spec, put_fwd, monkeypatch):
+    monkeypatch.setattr(pde, "POLICY_MAX_ITER", 1)
     grid = PdeGrid(0.0, 160.0, 101, TimeGrid(50, 1.0))
-    with pytest.raises(PsorConvergenceError, match="worst node"):
-        solve_pde_projected(grid, put_spec, put_fwd, max_sweeps=1)
+    with pytest.raises(
+        LcpConvergenceError, match=r"at step 49; worst node \d+, value .*, residual .* = -?\d"
+    ):
+        solve_pde_projected(grid, put_spec, put_fwd)
 
 
 def fast_discount_spec(terminal, obstacle):
@@ -167,7 +222,7 @@ def test_boundary_flow_rejects_unconverged_fixed_point():
 
 def test_lagged_generator_iteration_rejects_unconverged_step():
     grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
-    with pytest.raises(PsorConvergenceError, match=r"at step 9; last max \|v - y_lag\|"):
+    with pytest.raises(ContractionError, match="at step 9"):
         solve_pde_projected(grid, fast_discount_spec("put_payoff:40", "put_payoff:40"), put_model())
 
 

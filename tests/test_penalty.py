@@ -13,7 +13,7 @@ from rbsde_lab.problem import (
     obstacle_values,
     validate_solution,
 )
-from rbsde_lab.snell import solve_snell
+from rbsde_lab.snell import ContractionError, solve_snell
 
 
 def test_zero_intensity_reduces_to_plain_backward_equation():
@@ -25,6 +25,21 @@ def test_zero_intensity_reduces_to_plain_backward_equation():
     plain = solve_snell(lat, free).triple
     for k in range(lat.n_steps + 1):
         assert np.allclose(pen.y[k], plain.y[k], atol=1e-11)
+
+
+def test_unconverged_branch_names_the_step_and_node():
+    # kappa * dt = 0.9: the branch fixed point cannot settle in its cap
+    lat = build_lattice(put_model(), TimeGrid(10, 1.0))
+    spec = ProblemSpec(
+        make_generator("linear_discount:9"),
+        make_terminal("put_payoff:40"),
+        make_obstacle("put_payoff:40"),
+        9.0,
+    )
+    with pytest.raises(
+        ContractionError, match=r"\(branch y >= h\) did not converge .* at step 9, node \d"
+    ):
+        solve_penalized(lat, spec, 100.0)
 
 
 @pytest.mark.parametrize("intensity", [1.0, 100.0, 1e4])
