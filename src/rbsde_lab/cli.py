@@ -24,10 +24,13 @@ from .estimates import (
     check_z_estimate,
 )
 from .lattice import build_lattice
-from .pde import pde_field_to_csv, solve_pde_penalized, solve_pde_projected
-from .penalty import PenalizationTrace, check_uniform_bound, run_sweep
+from .pde import check_start_time, pde_field_to_csv, solve_pde_penalized, solve_pde_projected
+from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
 from .problem import validate_solution
 from .snell import snell_to_csv, solve_snell
+
+
+MONOTONICITY_TOL = 1e-10
 
 
 def emit_convergence_table(trace: PenalizationTrace, path) -> None:
@@ -55,6 +58,14 @@ def _say(cfg: ExperimentConfig, message: str) -> None:
         print(message)
 
 
+def _exit_status(cfg: ExperimentConfig, failed: list) -> int:
+    """0 when no check failed; else 1, after one stderr line naming each failed check."""
+    if not failed:
+        return 0
+    print(f"{cfg.command}: " + "; ".join(failed), file=sys.stderr)
+    return 1
+
+
 def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
@@ -75,8 +86,15 @@ def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
     _say(cfg, f"snell_Y0={trace.snell_y0!r}")
     for i, n in enumerate(trace.n_values):
         _say(cfg, f"n={n:g} Y0={trace.y0[i]!r} sup_gap={trace.sup_gap_to_snell[i]!r}")
-    ok = worst_mono <= 1e-10 and bound.passed
-    return 0 if ok else 1
+    failed = []
+    if not worst_mono <= MONOTONICITY_TOL:
+        failed.append(f"monotonicity violation {worst_mono:.3e} > {MONOTONICITY_TOL:.3e}")
+    if not bound.passed:
+        failed.append(
+            f"uniform bound: max quantity {bound.max_quantity:.3e} "
+            f"> threshold {bound.threshold:.3e}"
+        )
+    return _exit_status(cfg, failed)
 
 
 def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
@@ -144,10 +162,10 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:
+    check_start_time(cfg.model)
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     snell_y0 = float(solve_snell(lattice, cfg.spec).triple.y[0][0])
-    trace = run_sweep(lattice, cfg.spec, cfg.schedule)
-    pen_y0 = trace.y0[-1]
+    pen_y0 = penalized_root(lattice, cfg.spec, cfg.schedule)
     field = solve_pde_projected(cfg.pde_grid, cfg.spec, cfg.model)
     pde_u0 = field.interpolate(0.0, cfg.model.x0)
 
@@ -169,7 +187,12 @@ def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:
     _say(cfg, f"penalized_tail_Y0={pen_y0!r}")
     _say(cfg, f"pde_u0={pde_u0!r}")
     _say(cfg, f"gaps: pen={gap_pen:.3e} pde={gap_pde:.3e} cross={gap_cross:.3e}")
-    return 0 if max(gap_pen, gap_pde, gap_cross) <= cfg.tol else 1
+    failed = [
+        f"{name} {payload[name]:.3e} > tol {cfg.tol:.3e}"
+        for name in ("rel_gap_snell_penalized", "rel_gap_snell_pde", "rel_gap_penalized_pde")
+        if not payload[name] <= cfg.tol
+    ]
+    return _exit_status(cfg, failed)
 
 
 _DISPATCH = {

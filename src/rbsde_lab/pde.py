@@ -248,6 +248,15 @@ def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
     )
 
 
+def check_start_time(model: ForwardModel) -> None:
+    """Reject a model that does not start at t = 0, where the PDE grid starts."""
+    if model.start_time != 0.0:
+        raise ValueError(
+            f"the PDE grid covers [0, horizon], so the model must start at 0; "
+            f"got start_time = {model.start_time!r}"
+        )
+
+
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
@@ -258,11 +267,7 @@ def _backward_solve(grid, spec, model, n):
     """
     dt = grid.time.dt
     _require_contraction(spec, dt)
-    if model.start_time != 0.0:
-        raise ValueError(
-            f"the PDE grid covers [0, horizon], so the model must start at 0; "
-            f"got start_time = {model.start_time!r}"
-        )
+    check_start_time(model)
     xs = grid.xs()
     times = grid.times()
     check_terminal_dominates(spec, times[-1], xs)

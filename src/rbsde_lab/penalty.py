@@ -14,7 +14,8 @@ branch and selecting the consistent one (strict monotonicity in y guarantees
 a unique root when lipschitz_kappa * dt < 1).
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
-monotone-convergence diagnostics toward the reflected (Snell) solution.
+monotone-convergence diagnostics toward the reflected (Snell) solution;
+``penalized_root`` solves only at the schedule's last intensity.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .problem import (
     obstacle_values,
 )
 from .snell import backward_induction, fixed_point, solve_snell
+
+
+class BranchSelectionError(ValueError):
+    """Raised when neither branch of the penalized one-step equation is consistent."""
 
 
 def _penalized_step(f, cond, h_layer, dt, n, k):
@@ -57,7 +62,11 @@ def _penalized_step(f, cond, h_layer, dt, n, k):
     # equation is strictly increasing in y, so this can only fail on ties.
     bad = ~take_plus & (y_minus > h_layer + 1e-9 * (1.0 + np.abs(h_layer)))
     if bad.any():
-        raise AssertionError("no consistent branch in penalized one-step solve")
+        j = int(np.argmax(bad))
+        raise BranchSelectionError(
+            f"no consistent branch in penalized one-step solve at step {k}, node {j} "
+            f"(y >= h branch {y_plus[j]!r}, y < h branch {y_minus[j]!r}, h {h_layer[j]!r})"
+        )
     y = np.where(take_plus, y_plus, y_minus)
     dk = n * dt * np.maximum(h_layer - y, 0.0)
     return y, dk
@@ -109,8 +118,8 @@ def _bound_quantity(sol: SolutionTriple, p: float, lattice: Lattice) -> float:
     return y_part + z_part + k_part
 
 
-def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:
-    """Solve along an increasing penalty schedule and collect diagnostics."""
+def _check_schedule(schedule) -> list:
+    """The schedule as floats; it must be nonempty, strictly increasing and >= 0."""
     ns = [float(v) for v in schedule]
     if not ns:
         raise ValueError("schedule must be nonempty")
@@ -118,6 +127,23 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
         raise ValueError("schedule must be strictly increasing")
     if ns[0] < 0.0:
         raise ValueError("schedule entries must be >= 0")
+    return ns
+
+
+def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
+    """Y0 of the penalized solution at the schedule's last intensity.
+
+    A penalized solve does not depend on the other intensities, so this is
+    ``run_sweep(lattice, spec, schedule).y0[-1]`` bit for bit, without the
+    other solves and the sweep diagnostics.
+    """
+    ns = _check_schedule(schedule)
+    return float(solve_penalized(lattice, spec, ns[-1]).y[0][0])
+
+
+def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:
+    """Solve along an increasing penalty schedule and collect diagnostics."""
+    ns = _check_schedule(schedule)
 
     snell = solve_snell(lattice, spec)
     y_snell = list(snell.triple.y)

@@ -3,21 +3,70 @@
 ``bench/tracing.py`` lists each hook as (module or class, attribute). A
 refactor that renames one of them, moves it, or turns a method into a
 cached property would silently stop ``bench/run.py --trace 1`` from
-attributing that layer; this test fails instead.
+attributing that layer; these tests fail instead.
 """
 
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from rbsde_lab.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
+CROSSCHECK_CONFIG = """\
+[run]
+command = crosscheck
+tol = 0.5
 
-def test_every_trace_hook_resolves_to_a_plain_function(monkeypatch):
+[problem]
+kind = geometric
+mu = 0.06
+sigma = 0.4
+x0 = 36.0
+generator = linear_discount:0.06
+terminal = put_payoff:40
+obstacle = put_payoff:40
+kappa = 0.06
+
+[lattice]
+n_steps = 16
+horizon = 1.0
+
+[pde]
+x_min = 0.0
+x_max = 120.0
+m_nodes = 41
+n_steps = 20
+"""
+
+
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_every_trace_hook_resolves_to_a_plain_function(tracing):
     assert tracing.PATCHES
     for target, attr, _ in tracing.PATCHES:
         owner = tracing._resolve(target)
         assert hasattr(owner, attr), f"{target} has no attribute {attr}"
         assert inspect.isfunction(getattr(owner, attr)), f"{target}.{attr} is not a plain function"
+
+
+def test_crosscheck_traces_one_snell_and_one_penalized_solve(tracing, tmp_path):
+    # crosscheck reads only the penalized root at the schedule's last
+    # intensity: no sweep, no path functionals, one solve per method
+    path = tmp_path / "crosscheck.cfg"
+    path.write_text(CROSSCHECK_CONFIG)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    spans = Counter(span.name for span in tracer.spans)
+    assert spans["penalty.solve"] == 1
+    assert spans["snell.solve"] == 1
+    for layer in ("penalty.sweep", "problem.sup_moment", "lattice.node_weights"):
+        assert spans[layer] == 0, layer

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from rbsde_lab import cli, penalty
 from rbsde_lab.cli import emit_convergence_table, main
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import TimeGrid, build_lattice
@@ -129,14 +132,58 @@ def test_penalize_and_verify_and_convergence(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_crosscheck_exit_codes(tmp_path):
+def test_crosscheck_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, "crosscheck")
     out = tmp_path / "ok"
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
     payload = json.loads((out / "crosscheck.json").read_text())
     assert payload["rel_gap_snell_pde"] <= 0.05
-    # impossible tolerance must flip the exit status
+    # the penalized root is the sweep's last entry, bit for bit
+    cfg = load_config(path)
+    lattice = build_lattice(cfg.model, cfg.lattice_grid)
+    assert payload["penalized_tail_y0"] == run_sweep(lattice, cfg.spec, cfg.schedule).y0[-1]
+    # impossible tolerance must flip the exit status and name every gap over it
     assert main(["--config", str(path), "--out", str(tmp_path / "strict"), "--quiet", "--tol", "1e-9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crosscheck: ") and err.count("\n") == 1
+    for name in ("rel_gap_snell_penalized", "rel_gap_snell_pde", "rel_gap_penalized_pde"):
+        assert f"{name} " in err
+    assert err.count("> tol 1.000e-09") == 3
+
+
+def test_crosscheck_rejects_a_decreasing_schedule(tmp_path, capsys):
+    path = write_config(tmp_path, "crosscheck", schedule="4,2")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "schedule must be strictly increasing" in capsys.readouterr().err
+
+
+def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(tmp_path, capsys, monkeypatch):
+    # force the two branches to disagree: y >= h lands below h, y < h above it
+    def disagreeing(update, y0, step, what):
+        return np.full_like(y0, -1e9 if "y >= h" in what else 1e9)
+
+    monkeypatch.setattr(penalty, "fixed_point", disagreeing)
+    path = write_config(tmp_path, "crosscheck")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crosscheck: no consistent branch in penalized one-step solve")
+    assert "at step 63, node 0" in err
+    assert "Traceback" not in err
+
+
+def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
+    real = cli.check_uniform_bound
+    monkeypatch.setattr(
+        cli,
+        "check_uniform_bound",
+        lambda trace, spec: dataclasses.replace(real(trace, spec), passed=False),
+    )
+    path = write_config(tmp_path, "penalize")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("penalize: uniform bound: max quantity ")
+    assert "> threshold " in err and "monotonicity" not in err
 
 
 def test_pde_command(tmp_path, capsys):
@@ -183,6 +230,22 @@ def test_pde_report_counts_are_deterministic(tmp_path):
 @pytest.mark.parametrize("command", ["pde", "crosscheck"])
 def test_pde_commands_reject_a_nonzero_start_time(tmp_path, capsys, command):
     text = BASE_CONFIG.format(command=command).replace(
+        "kappa = 0.06\n", "kappa = 0.06\nstart_time = 0.5\n"
+    )
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "start_time = 0.5" in capsys.readouterr().err
+
+
+def test_crosscheck_rejects_a_nonzero_start_time_before_any_lattice_work(
+    tmp_path, capsys, monkeypatch
+):
+    def no_lattice(*args):
+        raise AssertionError("build_lattice ran before the start_time check")
+
+    monkeypatch.setattr(cli, "build_lattice", no_lattice)
+    text = BASE_CONFIG.format(command="crosscheck").replace(
         "kappa = 0.06\n", "kappa = 0.06\nstart_time = 0.5\n"
     )
     path = tmp_path / "experiment.cfg"

@@ -4,7 +4,7 @@ import pytest
 from helpers import far_obstacle, put_model, put_problem
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.penalty import check_uniform_bound, run_sweep, solve_penalized
+from rbsde_lab.penalty import check_uniform_bound, penalized_root, run_sweep, solve_penalized
 from rbsde_lab.problem import (
     ProblemSpec,
     make_generator,
@@ -150,6 +150,17 @@ def test_sweep_schedule_validation():
         run_sweep(lat, spec, [])
     with pytest.raises(ValueError):
         solve_penalized(lat, spec, -3.0)
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [([1.0, 1.0], "strictly increasing"), ([-1.0, 2.0], ">= 0"), ([], "nonempty")],
+)
+def test_penalized_root_checks_the_schedule_like_the_sweep(schedule, message):
+    lat = build_lattice(put_model(), TimeGrid(8, 1.0))
+    for solve in (run_sweep, penalized_root):
+        with pytest.raises(ValueError, match=message):
+            solve(lat, put_problem(), schedule)
 
 
 def test_compensator_instance_pushes_against_negative_drift():
