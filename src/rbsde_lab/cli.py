@@ -1,14 +1,18 @@
 """Command-line front end: config-driven experiments with file outputs.
 
 Every command writes machine-readable artifacts (CSV/JSON) under the output
-directory and a short human-readable summary to stdout. Outputs are a pure
-function of (config, seed): re-running the same experiment produces
-byte-identical files. Any invariant failure yields a nonzero exit status.
+directory and a short human-readable summary to stdout. This module is the
+only one that writes artifacts: the solvers return arrays and report
+dataclasses, and the writers below format them. Outputs are a pure function
+of (config, seed): re-running the same experiment produces byte-identical
+files. Any invariant failure yields exit status 1 and one stderr line that
+names each failed check.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,41 +20,117 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimates import (
-    append_report_jsonl,
-    check_k_estimate,
-    check_stability,
-    check_y_estimate,
-    check_z_estimate,
-)
+from .estimates import check_k_estimate, check_stability, check_y_estimate, check_z_estimate
 from .lattice import build_lattice
-from .pde import check_start_time, pde_field_to_csv, solve_pde_penalized, solve_pde_projected
+from .pde import PdeField, check_start_time, solve_pde_penalized, solve_pde_projected
 from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
-from .problem import validate_solution
-from .snell import snell_to_csv, solve_snell
+from .problem import SKOROKHOD_TOL, ProblemSpec, ValidationReport, validate_solution
+from .snell import SnellOutput, solve_snell
 
 
 MONOTONICITY_TOL = 1e-10
+# complementarity of the projected PDE field, and how far the penalized
+# field may rise above it
+PDE_TOL = 1e-8
+SELF_STABILITY_TOL = 1e-12
+# a PDE cell counts as exercised where u - h <= EXERCISE_TIE_TOL
+EXERCISE_TIE_TOL = 1e-8
 
 
-def emit_convergence_table(trace: PenalizationTrace, path) -> None:
-    """Write a sweep as CSV with header ``n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity``."""
-    if not trace.n_values:
-        raise ValueError("trace is empty")
+def _floats(values):
+    """A float column: ``repr`` of each value as a Python float."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _flags(mask):
+    """A 0/1 column from a boolean mask."""
+    return map(str, np.asarray(mask, dtype=int).tolist())
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write ``header``, then each block of equally long columns as rows.
+
+    Blocks are consumed one at a time (one lattice layer or PDE time row), so
+    the text of the whole table is never held at once.
+    """
     with open(path, "w") as fh:
-        fh.write("n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity\n")
-        for i, n in enumerate(trace.n_values):
-            fh.write(
-                f"{n!r},{trace.y0[i]!r},{trace.sup_gap_to_snell[i]!r},"
-                f"{trace.negative_part_norm[i]!r},{trace.k_t_root[i]!r},"
-                f"{trace.bound_quantity[i]!r}\n"
-            )
+        fh.write(header + "\n")
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _write_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def snell_to_csv(out: SnellOutput, path) -> None:
+    """CSV export with header ``k,j,state,Y,Z,K,continuation,exercised``.
+
+    K is the node-conditioned cumulative pushing process; terminal-layer Z
+    is written as 0 (no integrand is attached to the final date).
+    """
+    triple = out.triple
+    nodes = triple.lattice.nodes
+    k_cum = triple.k_nodewise()
+    n = triple.n_steps
+
+    def layer(k):
+        return (
+            [str(k)] * (k + 1),
+            map(str, range(k + 1)),
+            _floats(nodes[k]),
+            _floats(triple.y[k]),
+            _floats(triple.z[k] if k < n else np.zeros(k + 1)),
+            _floats(k_cum[k]),
+            _floats(out.continuation[k]),
+            _flags(out.exercise_region[k]),
+        )
+
+    blocks = (layer(k) for k in range(n + 1))
+    _write_csv(path, "k,j,state,Y,Z,K,continuation,exercised", blocks)
+
+
+def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
+    """CSV export with header ``t,x,u,u_minus_h,exercised``, one block per time row."""
+    xs = field.grid.xs()
+    x_col = list(_floats(xs))
+
+    def row(k, t):
+        gap = field.u[k] - np.asarray(spec.obstacle(t, xs), dtype=float)
+        return (
+            [repr(float(t))] * len(xs),
+            x_col,
+            _floats(field.u[k]),
+            _floats(gap),
+            _flags(gap <= EXERCISE_TIE_TOL),
+        )
+
+    blocks = (row(k, t) for k, t in enumerate(field.grid.times()))
+    _write_csv(path, "t,x,u,u_minus_h,exercised", blocks)
+
+
+def emit_convergence_table(trace: PenalizationTrace, path) -> None:
+    """Write a sweep as CSV with header ``n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity``."""
+    if not trace.n_values:
+        raise ValueError("trace is empty")
+    columns = (
+        trace.n_values,
+        trace.y0,
+        trace.sup_gap_to_snell,
+        trace.negative_part_norm,
+        trace.k_t_root,
+        trace.bound_quantity,
+    )
+    header = "n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity"
+    _write_csv(path, header, [[_floats(column) for column in columns]])
+
+
+def append_report_jsonl(report, path) -> None:
+    """Append one report dataclass to a JSON-lines file."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n")
 
 
 def _say(cfg: ExperimentConfig, message: str) -> None:
@@ -66,14 +146,30 @@ def _exit_status(cfg: ExperimentConfig, failed: list) -> int:
     return 1
 
 
+def _contract_failures(report: ValidationReport) -> list:
+    """Each failed item of the solution contract, with its residual and tol."""
+    tol = report.tol
+    items = (
+        (report.obstacle_ok, f"obstacle_violation {report.obstacle_violation:.3e} > tol {tol:.3e}"),
+        (report.k_monotone_ok, f"k_min_increment {report.k_min_increment:.3e} < -tol {-tol:.3e}"),
+        (report.k_initial_ok, f"|k_initial| {abs(report.k_initial):.3e} > tol {tol:.3e}"),
+        (
+            report.skorokhod_ok,
+            f"skorokhod_residual {report.skorokhod_residual:.3e} > tol {SKOROKHOD_TOL:.3e}",
+        ),
+        (report.backward_ok, f"backward_residual {report.backward_residual:.3e} > tol {tol:.3e}"),
+    )
+    return [message for ok, message in items if not ok]
+
+
 def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
     report = validate_solution(result.triple, cfg.spec, lattice)
     snell_to_csv(result, out / "snell.csv")
-    _write_json(report.to_dict(), out / "validation.json")
+    _write_json(dataclasses.asdict(report), out / "validation.json")
     _say(cfg, f"Y0={float(result.triple.y[0][0])!r}")
-    return 0 if report.all_pass else 1
+    return _exit_status(cfg, _contract_failures(report))
 
 
 def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
@@ -81,7 +177,7 @@ def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
     trace = run_sweep(lattice, cfg.spec, cfg.schedule)
     emit_convergence_table(trace, out / "penalization.csv")
     bound = check_uniform_bound(trace, cfg.spec)
-    _write_json(bound.to_dict(), out / "bound.json")
+    _write_json(dataclasses.asdict(bound), out / "bound.json")
     worst_mono = max(trace.monotonicity_violation)
     _say(cfg, f"snell_Y0={trace.snell_y0!r}")
     for i, n in enumerate(trace.n_values):
@@ -102,13 +198,16 @@ def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
     pde_field_to_csv(field, cfg.spec, out / "pde.csv")
     u0 = field.interpolate(0.0, cfg.model.x0)
     _say(cfg, f"u0={u0!r}")
-    ok = field.complementarity <= 1e-8
+    failed = []
+    if not field.complementarity <= PDE_TOL:
+        failed.append(f"complementarity {field.complementarity:.3e} > tol {PDE_TOL:.3e}")
     if cfg.pde_penalty_n is not None:
         pen = solve_pde_penalized(cfg.pde_grid, cfg.spec, cfg.model, cfg.pde_penalty_n)
         pde_field_to_csv(pen, cfg.spec, out / "pde_penalized.csv")
         gap = float(np.max(pen.u - field.u))
         _say(cfg, f"u0_penalized={pen.interpolate(0.0, cfg.model.x0)!r}")
-        ok = ok and gap <= 1e-8
+        if not gap <= PDE_TOL:
+            failed.append(f"penalized gap max(u_penalized - u) {gap:.3e} > tol {PDE_TOL:.3e}")
     _write_json(
         {
             "u0": u0,
@@ -119,46 +218,51 @@ def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
         },
         out / "pde_report.json",
     )
-    return 0 if ok else 1
+    return _exit_status(cfg, failed)
 
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
     report = validate_solution(result.triple, cfg.spec, lattice)
-    _write_json(report.to_dict(), out / "validation.json")
+    _write_json(dataclasses.asdict(report), out / "validation.json")
 
     jsonl = out / "estimates.jsonl"
     jsonl.unlink(missing_ok=True)
-    ok = report.all_pass
     for check in (check_y_estimate, check_z_estimate, check_k_estimate):
         est = check(result.triple, cfg.spec, lattice, instance_id=cfg.command)
         append_report_jsonl(est, jsonl)
     stability = check_stability(result.triple, result.triple, cfg.spec, cfg.spec, lattice)
     append_report_jsonl(stability, jsonl)
-    ok = ok and stability.delta_y_norm <= 1e-12
     _say(cfg, f"validation_all_pass={report.all_pass} self_stability={stability.delta_y_norm!r}")
-    return 0 if ok else 1
+    failed = _contract_failures(report)
+    if not stability.delta_y_norm <= SELF_STABILITY_TOL:
+        failed.append(
+            f"self_stability {stability.delta_y_norm:.3e} > tol {SELF_STABILITY_TOL:.3e}"
+        )
+    return _exit_status(cfg, failed)
 
 
 def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
-    base = cfg.lattice_grid.n_steps
-    rows = []
-    for mult in (1, 2, 4):
-        grid = type(cfg.lattice_grid)(base * mult, cfg.lattice_grid.horizon)
-        lattice = build_lattice(cfg.model, grid)
-        y0 = float(solve_snell(lattice, cfg.spec).triple.y[0][0])
-        rows.append((base * mult, y0))
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("n_steps,Y0\n")
-        for n, y0 in rows:
-            fh.write(f"{n},{y0!r}\n")
-    first = abs(rows[1][1] - rows[0][1])
-    second = abs(rows[2][1] - rows[1][1])
-    for n, y0 in rows:
+    grid = cfg.lattice_grid
+    ns = [grid.n_steps * mult for mult in (1, 2, 4)]
+    y0s = []
+    for n in ns:
+        lattice = build_lattice(cfg.model, type(grid)(n, grid.horizon))
+        y0s.append(float(solve_snell(lattice, cfg.spec).triple.y[0][0]))
+    _write_csv(out / "convergence.csv", "n_steps,Y0", [(map(str, ns), _floats(y0s))])
+    first = abs(y0s[1] - y0s[0])
+    second = abs(y0s[2] - y0s[1])
+    for n, y0 in zip(ns, y0s):
         _say(cfg, f"n_steps={n} Y0={y0!r}")
     _say(cfg, f"refinement_deltas={first!r},{second!r}")
-    return 0 if second < first or first == 0.0 else 1
+    failed = []
+    if not (second < first or first == 0.0):
+        failed.append(
+            f"refinement delta {second:.3e} (n_steps {ns[1]} to {ns[2]}) "
+            f"is not smaller than {first:.3e} (n_steps {ns[0]} to {ns[1]})"
+        )
+    return _exit_status(cfg, failed)
 
 
 def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:

@@ -39,6 +39,7 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
 from __future__ import annotations
 
 import configparser
+import contextlib
 from dataclasses import dataclass
 
 from .lattice import ForwardModel, TimeGrid
@@ -80,6 +81,20 @@ def _get(cp, section: str, key: str, cast, default=_REQUIRED):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _section_errors(prefix: str):
+    """Re-raise a ValueError from the block as ConfigError("<prefix>: ...").
+
+    A ConfigError raised in the block passes through unchanged.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def _parse_schedule(raw: str) -> tuple:
@@ -127,7 +142,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     kind = _get(cp, "problem", "kind", str).strip()
     x0 = _get(cp, "problem", "x0", float)
     start_time = _get(cp, "problem", "start_time", float, 0.0)
-    try:
+    with _section_errors("[problem] model"):
         if kind == "geometric":
             model = ForwardModel.geometric(
                 _get(cp, "problem", "mu", float),
@@ -146,12 +161,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(
                 f"[problem] kind: expected 'geometric' or 'arithmetic', got {kind!r}"
             )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[problem] model: {exc}") from None
 
-    try:
+    with _section_errors("[problem]"):
         spec = ProblemSpec(
             generator=make_generator(_get(cp, "problem", "generator", str)),
             terminal=make_terminal(_get(cp, "problem", "terminal", str)),
@@ -159,24 +170,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             lipschitz_kappa=_get(cp, "problem", "kappa", float),
             p_exponent=_get(cp, "problem", "p", float, 1.5),
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[problem]: {exc}") from None
 
-    try:
+    with _section_errors("[lattice]"):
         lattice_grid = TimeGrid(
             _get(cp, "lattice", "n_steps", int), _get(cp, "lattice", "horizon", float)
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[lattice]: {exc}") from None
 
     pde_grid = None
     pde_penalty_n = None
     if cp.has_section("pde"):
-        try:
+        with _section_errors("[pde]"):
             pde_grid = PdeGrid(
                 x_min=_get(cp, "pde", "x_min", float),
                 x_max=_get(cp, "pde", "x_max", float),
@@ -184,10 +187,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 time=TimeGrid(_get(cp, "pde", "n_steps", int), lattice_grid.horizon),
                 boundary_mode=_get(cp, "pde", "boundary", str, BOUNDARY_OBSTACLE).strip(),
             )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"[pde]: {exc}") from None
         pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
         if not pde_grid.x_min < model.x0 < pde_grid.x_max:
             raise ConfigError(

@@ -13,7 +13,6 @@ suprema and time integrals along paths are node-conditioned as in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +40,6 @@ class EstimateReport:
     instance_id: str
     p: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs_data_functional": self.rhs_data_functional,
-            "empirical_ratio": self.empirical_ratio,
-            "instance_id": self.instance_id,
-            "p": self.p,
-        }
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -62,17 +52,6 @@ class StabilityReport:
     psi_t: float
     delta_data_norm: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_y_norm": self.delta_y_norm,
-            "delta_xi_term": self.delta_xi_term,
-            "delta_f_term": self.delta_f_term,
-            "delta_obstacle_term": self.delta_obstacle_term,
-            "psi_t": self.psi_t,
-            "delta_data_norm": self.delta_data_norm,
-            "ratio": self.ratio,
-        }
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -217,9 +196,3 @@ def check_stability(
         delta_data_norm=delta_data,
         ratio=_ratio(delta_y_norm, delta_data),
     )
-
-
-def append_report_jsonl(report, path) -> None:
-    """Append one report (anything with ``to_dict``) to a JSON-lines file."""
-    with open(path, "a") as fh:
-        fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")

@@ -39,7 +39,6 @@ BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
 
 POLICY_MAX_ITER = 100
 EXP_SATURATION = 700.0
-EXERCISE_TIE_TOL = 1e-8
 
 
 class LcpConvergenceError(RuntimeError):
@@ -366,13 +365,6 @@ class FeynmanKacReport:
     max_abs_error: float
     max_rel_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "probes": [vars(p) for p in self.probes],
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-        }
-
 
 def feynman_kac_check(
     field: PdeField,
@@ -461,13 +453,6 @@ class ChiSupersolutionReport:
     passed: bool
     witness_time_slope: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [vars(r) for r in self.rows],
-            "passed": self.passed,
-            "witness_time_slope": self.witness_time_slope,
-        }
-
 
 def chi_supersolution_check(
     params: ChiParams,
@@ -540,9 +525,6 @@ class GrowthReport:
     factors: tuple
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"radii": list(self.radii), "factors": list(self.factors), "passed": self.passed}
-
 
 def growth_class_check(values, weight: float, radii) -> GrowthReport:
     """Check |values(x)| * exp(-weight * (ln x)^2) decays along the tail radii.
@@ -564,21 +546,3 @@ def growth_class_check(values, weight: float, radii) -> GrowthReport:
     tail = factors[-3:]
     passed = tail[0] > tail[1] > tail[2]
     return GrowthReport(tuple(rs), tuple(factors), passed)
-
-
-def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
-    """CSV export with header ``t,x,u,u_minus_h,exercised``.
-
-    A cell counts as exercised where u - h <= EXERCISE_TIE_TOL.
-    """
-    xs = field.grid.xs()
-    times = field.grid.times()
-    with open(path, "w") as fh:
-        fh.write("t,x,u,u_minus_h,exercised\n")
-        for k, t in enumerate(times):
-            h_row = np.asarray(spec.obstacle(t, xs), dtype=float)
-            gap = field.u[k] - h_row
-            for i, x in enumerate(xs):
-                fh.write(
-                    f"{float(t)!r},{float(x)!r},{float(field.u[k, i])!r},{float(gap[i])!r},{int(gap[i] <= EXERCISE_TIE_TOL)}\n"
-                )

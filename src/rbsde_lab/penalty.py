@@ -196,15 +196,6 @@ class BoundReport:
     max_quantity: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "quantities": list(self.quantities),
-            "threshold": self.threshold,
-            "max_quantity": self.max_quantity,
-            "passed": self.passed,
-        }
-
 
 def check_uniform_bound(trace: PenalizationTrace, spec: ProblemSpec) -> BoundReport:
     """Assert the p-norm quantity does not blow up along the schedule.

@@ -31,6 +31,8 @@ import numpy as np
 
 from .lattice import Lattice, lattice_expectation
 
+SKOROKHOD_TOL = 1e-12
+
 
 def _check_exponent(p: float) -> float:
     """The integrability exponent as a float; raises unless 1 < p < 2."""
@@ -314,7 +316,10 @@ class SolutionTriple:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals of the discrete solution contract, with per-item pass flags."""
+    """Residuals of the discrete solution contract, with per-item pass flags.
+
+    ``all_pass`` is True iff every item passes.
+    """
 
     obstacle_violation: float
     k_min_increment: float
@@ -327,32 +332,7 @@ class ValidationReport:
     k_initial_ok: bool
     skorokhod_ok: bool
     backward_ok: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.obstacle_ok
-            and self.k_monotone_ok
-            and self.k_initial_ok
-            and self.skorokhod_ok
-            and self.backward_ok
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "obstacle_violation": self.obstacle_violation,
-            "k_min_increment": self.k_min_increment,
-            "k_initial": self.k_initial,
-            "skorokhod_residual": self.skorokhod_residual,
-            "backward_residual": self.backward_residual,
-            "tol": self.tol,
-            "obstacle_ok": self.obstacle_ok,
-            "k_monotone_ok": self.k_monotone_ok,
-            "k_initial_ok": self.k_initial_ok,
-            "skorokhod_ok": self.skorokhod_ok,
-            "backward_ok": self.backward_ok,
-            "all_pass": self.all_pass,
-        }
+    all_pass: bool
 
 
 def validate_solution(
@@ -360,7 +340,7 @@ def validate_solution(
     spec: ProblemSpec,
     lattice: Lattice,
     tol: float = 1e-10,
-    skorokhod_tol: float = 1e-12,
+    skorokhod_tol: float = SKOROKHOD_TOL,
 ) -> ValidationReport:
     """Check the solution contract and report residuals.
 
@@ -403,6 +383,13 @@ def validate_solution(
         backward = max(backward, float(np.max(np.abs(resid))))
         skorokhod += float(np.max(np.abs((sol.y[k] - h[k]) * sol.dk[k])))
 
+    flags = {
+        "obstacle_ok": obstacle_violation <= tol,
+        "k_monotone_ok": k_min_increment >= -tol,
+        "k_initial_ok": abs(k_initial) <= tol,
+        "skorokhod_ok": skorokhod <= skorokhod_tol,
+        "backward_ok": backward <= tol,
+    }
     return ValidationReport(
         obstacle_violation=obstacle_violation,
         k_min_increment=k_min_increment,
@@ -410,9 +397,6 @@ def validate_solution(
         skorokhod_residual=skorokhod,
         backward_residual=backward,
         tol=tol,
-        obstacle_ok=obstacle_violation <= tol,
-        k_monotone_ok=k_min_increment >= -tol,
-        k_initial_ok=abs(k_initial) <= tol,
-        skorokhod_ok=skorokhod <= skorokhod_tol,
-        backward_ok=backward <= tol,
+        **flags,
+        all_pass=all(flags.values()),
     )

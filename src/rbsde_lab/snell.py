@@ -205,25 +205,3 @@ def brute_force_stopping_value(lattice: Lattice, spec: ProblemSpec) -> float:
         return max(float(h[k][j]), continue_value)
 
     return best(0, 0)
-
-
-def snell_to_csv(out: SnellOutput, path) -> None:
-    """CSV export with header ``k,j,state,Y,Z,K,continuation,exercised``.
-
-    K is the node-conditioned cumulative pushing process; terminal-layer Z
-    is written as 0 (no integrand is attached to the final date).
-    """
-    triple = out.triple
-    lattice = triple.lattice
-    k_cum = triple.k_nodewise()
-    n = triple.n_steps
-    with open(path, "w") as fh:
-        fh.write("k,j,state,Y,Z,K,continuation,exercised\n")
-        for k in range(n + 1):
-            zc = triple.z[k] if k < n else np.zeros(k + 1)
-            for j in range(k + 1):
-                fh.write(
-                    f"{k},{j},{float(lattice.nodes[k][j])!r},{float(triple.y[k][j])!r},"
-                    f"{float(zc[j])!r},{float(k_cum[k][j])!r},{float(out.continuation[k][j])!r},"
-                    f"{int(out.exercise_region[k][j])}\n"
-                )

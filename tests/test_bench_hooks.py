@@ -44,6 +44,14 @@ n_steps = 20
 """
 
 
+def traced_run(tracing, tmp_path, text):
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    return tracer.spans
+
+
 @pytest.fixture
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
@@ -61,12 +69,23 @@ def test_every_trace_hook_resolves_to_a_plain_function(tracing):
 def test_crosscheck_traces_one_snell_and_one_penalized_solve(tracing, tmp_path):
     # crosscheck reads only the penalized root at the schedule's last
     # intensity: no sweep, no path functionals, one solve per method
-    path = tmp_path / "crosscheck.cfg"
-    path.write_text(CROSSCHECK_CONFIG)
-    with tracing.instrument(tracing.Tracer()) as tracer:
-        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    spans = Counter(span.name for span in tracer.spans)
+    spans = Counter(span.name for span in traced_run(tracing, tmp_path, CROSSCHECK_CONFIG))
     assert spans["penalty.solve"] == 1
     assert spans["snell.solve"] == 1
     for layer in ("penalty.sweep", "problem.sup_moment", "lattice.node_weights"):
         assert spans[layer] == 0, layer
+
+
+@pytest.mark.parametrize(
+    "command, extra, layer, count",
+    [("solve", "", "snell.csv", 1), ("pde", "penalty_n = 1000\n", "pde.csv", 2)],
+    ids=["solve", "pde"],
+)
+def test_csv_writers_trace_one_span_per_file(tracing, tmp_path, command, extra, layer, count):
+    # the CLI must reach each CSV writer through its hooked name in cli;
+    # extra lines land in [pde], the config's last section
+    text = CROSSCHECK_CONFIG.replace("command = crosscheck", f"command = {command}") + extra
+    spans = traced_run(tracing, tmp_path, text)
+    writes = [span for span in spans if span.name == layer]
+    assert len(writes) == count
+    assert all(span.counts["bytes"] > 0 for span in writes)

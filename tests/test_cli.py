@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rbsde_lab import cli, penalty
-from rbsde_lab.cli import emit_convergence_table, main
+from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import TimeGrid, build_lattice
+from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
+from rbsde_lab.snell import solve_snell
 
 from helpers import put_model, put_problem
 
@@ -106,6 +108,34 @@ def test_config_rejects_bad_schedule(tmp_path):
 def test_config_requires_x0_inside_pde_domain(tmp_path):
     with pytest.raises(ConfigError, match="strictly inside"):
         load_config(write_config(tmp_path, "pde", x0="200.0"))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"sigma": "-0.4"}, "[problem] model: volatility coefficient must be >= 0"),
+        ({"p": "2.5"}, "[problem]: p must lie in (1,2)"),
+        ({"n_steps": "0"}, "[lattice]: n_steps must be >= 1"),
+        ({"m_nodes": "2"}, "[pde]: m_nodes must be >= 3"),
+    ],
+    ids=["model", "problem", "lattice", "pde"],
+)
+def test_config_names_the_section_of_an_invalid_value(tmp_path, edit, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, "solve", **edit))
+    assert str(exc.value) == message
+
+
+def test_config_errors_inside_a_section_pass_through_unchanged(tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, "solve", kind="cubic"))
+    assert str(exc.value) == "[problem] kind: expected 'geometric' or 'arithmetic', got 'cubic'"
+    text = BASE_CONFIG.format(command="solve").replace("m_nodes = 81\n", "")
+    path = tmp_path / "no_m_nodes.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == "missing required field [pde] m_nodes"
 
 
 def test_solve_command_writes_summary_and_files(tmp_path, capsys):
@@ -292,3 +322,215 @@ def test_emit_convergence_table_round_trip(tmp_path):
     assert parsed[3][1] == sweep.y0[3]
     emit_convergence_table(sweep, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path_many.read_bytes()
+
+
+# Row-by-row reference formatters: the f-string loops the writers used
+# before they were built column by column. Every float goes through
+# float(...)!r, so a column formatted from numpy scalars (repr
+# 'np.float64(1.5)') or a flag written as True/False cannot match.
+
+
+def reference_snell_csv(out):
+    triple = out.triple
+    lattice = triple.lattice
+    k_cum = triple.k_nodewise()
+    n = triple.n_steps
+    lines = ["k,j,state,Y,Z,K,continuation,exercised\n"]
+    for k in range(n + 1):
+        zc = triple.z[k] if k < n else np.zeros(k + 1)
+        for j in range(k + 1):
+            lines.append(
+                f"{k},{j},{float(lattice.nodes[k][j])!r},{float(triple.y[k][j])!r},"
+                f"{float(zc[j])!r},{float(k_cum[k][j])!r},{float(out.continuation[k][j])!r},"
+                f"{int(out.exercise_region[k][j])}\n"
+            )
+    return "".join(lines)
+
+
+def reference_pde_csv(field, spec):
+    xs = field.grid.xs()
+    lines = ["t,x,u,u_minus_h,exercised\n"]
+    for k, t in enumerate(field.grid.times()):
+        gap = field.u[k] - np.asarray(spec.obstacle(t, xs), dtype=float)
+        for i, x in enumerate(xs):
+            lines.append(
+                f"{float(t)!r},{float(x)!r},{float(field.u[k, i])!r},{float(gap[i])!r},"
+                f"{int(gap[i] <= 1e-8)}\n"
+            )
+    return "".join(lines)
+
+
+def reference_sweep_csv(trace):
+    lines = ["n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity\n"]
+    for i, n in enumerate(trace.n_values):
+        lines.append(
+            f"{n!r},{trace.y0[i]!r},{trace.sup_gap_to_snell[i]!r},"
+            f"{trace.negative_part_norm[i]!r},{trace.k_t_root[i]!r},"
+            f"{trace.bound_quantity[i]!r}\n"
+        )
+    return "".join(lines)
+
+
+def test_snell_csv_matches_the_row_by_row_reference(tmp_path):
+    out = solve_snell(build_lattice(put_model(), TimeGrid(16, 1.0)), put_problem())
+    path = tmp_path / "snell.csv"
+    snell_to_csv(out, path)
+    assert path.read_text() == reference_snell_csv(out)
+    assert {line[-1] for line in path.read_text().splitlines()[1:]} == {"0", "1"}
+
+
+def test_pde_csv_matches_the_row_by_row_reference(tmp_path, put_spec):
+    field = solve_pde_projected(PdeGrid(0.0, 80.0, 5, TimeGrid(2, 1.0)), put_spec, put_model())
+    path = tmp_path / "pde.csv"
+    pde_field_to_csv(field, put_spec, path)
+    assert path.read_text() == reference_pde_csv(field, put_spec)
+    assert {line[-1] for line in path.read_text().splitlines()[1:]} == {"0", "1"}
+
+
+def test_sweep_csv_matches_the_row_by_row_reference(tmp_path):
+    lattice = build_lattice(put_model(), TimeGrid(16, 1.0))
+    trace = run_sweep(lattice, put_problem(), [1.0, 8.0, 64.0])
+    path = tmp_path / "penalization.csv"
+    emit_convergence_table(trace, path)
+    assert path.read_text() == reference_sweep_csv(trace)
+
+
+def test_convergence_csv_matches_the_row_by_row_reference(tmp_path):
+    path = write_config(tmp_path, "convergence", n_steps="8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    cfg = load_config(path)
+    lines = ["n_steps,Y0\n"]
+    for n in (8, 16, 32):
+        lattice = build_lattice(cfg.model, TimeGrid(n, 1.0))
+        lines.append(f"{n},{float(solve_snell(lattice, cfg.spec).triple.y[0][0])!r}\n")
+    assert (tmp_path / "out" / "convergence.csv").read_text() == "".join(lines)
+
+
+def test_snell_csv_export(tmp_path, put_snell_512):
+    path = tmp_path / "snell.csv"
+    snell_to_csv(put_snell_512, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,j,state,Y,Z,K,continuation,exercised"
+    n = put_snell_512.triple.n_steps
+    assert len(lines) == 1 + (n + 1) * (n + 2) // 2
+    k, j, state, y, z, kk, cont, ex = lines[1].split(",")
+    assert (int(k), int(j)) == (0, 0)
+    assert float(kk) == 0.0  # K starts at zero
+    assert ex in ("0", "1")
+
+
+def test_pde_csv_export(tmp_path, put_spec):
+    grid = PdeGrid(0.0, 80.0, 5, TimeGrid(2, 1.0))
+    field = solve_pde_projected(grid, put_spec, put_model())
+    path = tmp_path / "pde.csv"
+    pde_field_to_csv(field, put_spec, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x,u,u_minus_h,exercised"
+    assert len(lines) == 1 + 3 * 5
+    t, x, u, gap, flag = lines[1].split(",")
+    assert float(u) - float(gap) == pytest.approx(max(40.0 - float(x), 0.0), abs=1e-12)
+
+
+def test_json_reports_keep_their_keys(tmp_path):
+    contract = {
+        "obstacle_violation",
+        "k_min_increment",
+        "k_initial",
+        "skorokhod_residual",
+        "backward_residual",
+        "tol",
+        "obstacle_ok",
+        "k_monotone_ok",
+        "k_initial_ok",
+        "skorokhod_ok",
+        "backward_ok",
+    }
+    estimate = {"lhs", "rhs_data_functional", "empirical_ratio", "instance_id", "p"}
+    stability = {
+        "delta_y_norm",
+        "delta_xi_term",
+        "delta_f_term",
+        "delta_obstacle_term",
+        "psi_t",
+        "delta_data_norm",
+        "ratio",
+    }
+    for command in ("verify", "penalize"):
+        path = write_config(tmp_path, command, n_steps="16")
+        assert main(["--config", str(path), "--out", str(tmp_path / command), "--quiet"]) == 0
+    validation = json.loads((tmp_path / "verify" / "validation.json").read_text())
+    assert set(validation) == contract | {"all_pass"} and validation["all_pass"] is True
+    rows = [
+        json.loads(line)
+        for line in (tmp_path / "verify" / "estimates.jsonl").read_text().splitlines()
+    ]
+    assert [set(row) for row in rows] == [estimate] * 3 + [stability]
+    bound = json.loads((tmp_path / "penalize" / "bound.json").read_text())
+    assert set(bound) == {"n_values", "quantities", "threshold", "max_quantity", "passed"}
+
+
+def strict_validation(monkeypatch):
+    # a backward residual of a few ulps fails a tol of 1e-300
+    real = cli.validate_solution
+    monkeypatch.setattr(
+        cli, "validate_solution", lambda sol, spec, lattice: real(sol, spec, lattice, tol=1e-300)
+    )
+
+
+def test_solve_names_each_failed_contract_item(tmp_path, capsys, monkeypatch):
+    strict_validation(monkeypatch)
+    path = write_config(tmp_path, "solve")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("Y0=")
+    assert captured.err.startswith("solve: backward_residual ")
+    assert captured.err.endswith(" > tol 1.000e-300\n") and captured.err.count("\n") == 1
+    assert json.loads((out / "validation.json").read_text())["all_pass"] is False
+
+
+def test_verify_names_the_contract_and_the_self_stability_check(tmp_path, capsys, monkeypatch):
+    strict_validation(monkeypatch)
+    real = cli.check_stability
+    monkeypatch.setattr(
+        cli,
+        "check_stability",
+        lambda *args: dataclasses.replace(real(*args), delta_y_norm=1.0),
+    )
+    path = write_config(tmp_path, "verify", n_steps="16")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: backward_residual ") and err.count("\n") == 1
+    assert err.endswith("; self_stability 1.000e+00 > tol 1.000e-12\n")
+
+
+def test_pde_names_complementarity_and_the_penalized_gap(tmp_path, capsys, monkeypatch):
+    projected, penalized = cli.solve_pde_projected, cli.solve_pde_penalized
+
+    def raised(*args):
+        field = penalized(*args)
+        return dataclasses.replace(field, u=field.u + 1.0)
+
+    monkeypatch.setattr(
+        cli,
+        "solve_pde_projected",
+        lambda *args: dataclasses.replace(projected(*args), complementarity=1.0),
+    )
+    monkeypatch.setattr(cli, "solve_pde_penalized", raised)
+    path = write_config(tmp_path, "pde", penalty_n="1000")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pde: complementarity 1.000e+00 > tol 1.000e-08; ")
+    assert "penalized gap max(u_penalized - u) " in err and err.count("\n") == 1
+
+
+def test_convergence_names_both_refinement_deltas(tmp_path, capsys):
+    # README put with x0 = 41: the 128 -> 256 delta exceeds the 64 -> 128 one
+    path = write_config(tmp_path, "convergence", x0="41")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "refinement_deltas=0.0008417727373410955,0.003010931214199708" in captured.out
+    assert captured.err == (
+        "convergence: refinement delta 3.011e-03 (n_steps 128 to 256) "
+        "is not smaller than 8.418e-04 (n_steps 64 to 128)\n"
+    )

@@ -7,8 +7,8 @@ import pytest
 
 from helpers import far_obstacle, put_model, put_problem
 
+from rbsde_lab.cli import append_report_jsonl
 from rbsde_lab.estimates import (
-    append_report_jsonl,
     check_k_estimate,
     check_stability,
     check_y_estimate,

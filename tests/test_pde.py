@@ -15,7 +15,6 @@ from rbsde_lab.pde import (
     chi_supersolution_check,
     feynman_kac_check,
     growth_class_check,
-    pde_field_to_csv,
     solve_pde_penalized,
     solve_pde_projected,
 )
@@ -323,15 +322,3 @@ def test_growth_class_validation():
         growth_class_check(lambda x: 1.0, 1.0, [10.0, 5.0, 100.0])
     with pytest.raises(ValueError):
         growth_class_check(lambda x: 1.0, 1.0, [1.0, 10.0, 100.0])
-
-
-def test_pde_csv_export(tmp_path, put_spec):
-    grid = PdeGrid(0.0, 80.0, 5, TimeGrid(2, 1.0))
-    field = solve_pde_projected(grid, put_spec, put_model())
-    path = tmp_path / "pde.csv"
-    pde_field_to_csv(field, put_spec, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,u,u_minus_h,exercised"
-    assert len(lines) == 1 + 3 * 5
-    t, x, u, gap, flag = lines[1].split(",")
-    assert float(u) - float(gap) == pytest.approx(max(40.0 - float(x), 0.0), abs=1e-12)

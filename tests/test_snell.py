@@ -27,7 +27,6 @@ from rbsde_lab.snell import (
     estimate_z,
     fixed_point,
     optimal_stopping_times,
-    snell_to_csv,
     solve_snell,
 )
 
@@ -244,16 +243,3 @@ def test_fixed_point_settles_or_raises():
     # contraction factor 0.9: 0.9^100 is far above the relative stop test
     with pytest.raises(ContractionError, match="did not converge"):
         fixed_point(lambda y: 1.0 - 0.9 * y, np.zeros(1))
-
-
-def test_snell_csv_export(tmp_path, put_snell_512):
-    path = tmp_path / "snell.csv"
-    snell_to_csv(put_snell_512, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,j,state,Y,Z,K,continuation,exercised"
-    n = put_snell_512.triple.n_steps
-    assert len(lines) == 1 + (n + 1) * (n + 2) // 2
-    k, j, state, y, z, kk, cont, ex = lines[1].split(",")
-    assert (int(k), int(j)) == (0, 0)
-    assert float(kk) == 0.0  # K starts at zero
-    assert ex in ("0", "1")
