@@ -176,7 +176,7 @@ def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     trace = run_sweep(lattice, cfg.spec, cfg.schedule)
     emit_convergence_table(trace, out / "penalization.csv")
-    bound = check_uniform_bound(trace, cfg.spec)
+    bound = check_uniform_bound(trace)
     _write_json(dataclasses.asdict(bound), out / "bound.json")
     worst_mono = max(trace.monotonicity_violation)
     _say(cfg, f"snell_Y0={trace.snell_y0!r}")

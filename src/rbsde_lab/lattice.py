@@ -180,17 +180,18 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
 def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np.ndarray:
     """One-step conditional expectation: map values at step k+1 back to step k.
 
-    ``out[j] = p[k][j] * values_next[j+1] + (1 - p[k][j]) * values_next[j]``.
+    ``out[j] = p[k][j] * values_next[j+1] + (1 - p[k][j]) * values_next[j]``;
+    a leading axis of ``values_next`` is a batch of layers, mapped row by row.
     """
     values_next = np.asarray(values_next, dtype=float)
     if not 0 <= k < lattice.n_steps:
         raise ValueError(f"step index {k} outside [0, {lattice.n_steps - 1}]")
-    if values_next.shape != (k + 2,):
+    if values_next.shape[-1] != k + 2:
         raise ValueError(
-            f"expected {k + 2} values at step {k + 1}, got {values_next.shape[0]}"
+            f"expected {k + 2} values at step {k + 1}, got {values_next.shape[-1]}"
         )
     p = lattice.up_prob[k]
-    return p * values_next[1:] + (1.0 - p) * values_next[:-1]
+    return p * values_next[..., 1:] + (1.0 - p) * values_next[..., :-1]
 
 
 def sample_node_paths(lattice: Lattice, n_paths: int, seed: int) -> np.ndarray:

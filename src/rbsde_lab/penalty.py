@@ -1,9 +1,10 @@
 """Penalization scheme: reflection replaced by the driver term n * (y - h)^-.
 
 ``solve_penalized`` runs the same backward induction as the reflected solver
-(``snell.backward_induction``) with another one-step map: it never clips to
-the obstacle; the constraint is enforced only through the penalty, and the
-pushing increment is read off as dK = n * dt * (y - h)^-.
+(``snell.backward_induction``) with another one-step map, for a whole list
+of intensities at once: each layer holds one row per intensity. It never
+clips to the obstacle; the constraint is enforced only through the penalty,
+and the pushing increment is read off as dK = n * dt * (y - h)^-.
 The penalty is handled implicitly inside the one-step solve (unconditionally
 stable in n); the scalar equation
 
@@ -29,54 +30,73 @@ from .problem import (
     ProblemSpec,
     SolutionTriple,
     lattice_accumulation_moment,
+    lattice_expected_total,
     lattice_sup_moment,
     obstacle_values,
 )
 from .snell import backward_induction, fixed_point, solve_snell
+
+# A root of the y < h branch may sit this far above h (relative to 1 + |h|)
+# before the branch is declared inconsistent: float noise on a tie.
+BRANCH_TIE_TOL = 1e-9
 
 
 class BranchSelectionError(ValueError):
     """Raised when neither branch of the penalized one-step equation is consistent."""
 
 
-def _penalized_step(f, cond, h_layer, dt, n, k):
-    """Exact root of the piecewise one-step equation at step k; returns (y, dk)."""
+def _penalized_step(f, cond, h_layer, dt, n, k, rows):
+    """Exact root of the piecewise one-step equation at step k; returns (y, dk).
+
+    ``n`` is a column of intensities, one per row of the batch ``cond``;
+    ``rows`` names each row in an error.
+    """
     # Branch y >= h: plain implicit step.
     y_plus = fixed_point(
-        lambda y: cond + dt * f(y), cond, k, "penalized one-step solve (branch y >= h)"
+        lambda y: cond + dt * f(y), cond, k, "penalized one-step solve (branch y >= h)", rows=rows
     )
-    if n == 0.0:
-        return y_plus, np.zeros_like(y_plus)
 
     # Branch y < h: penalty active, contraction factor kappa*dt / (1 + n*dt).
     scale = 1.0 + n * dt
+    push = n * dt * h_layer
     y_minus = fixed_point(
-        lambda y: (cond + dt * f(y) + n * dt * h_layer) / scale,
-        (cond + n * dt * h_layer) / scale,
+        lambda y: (cond + dt * f(y) + push) / scale,
+        (cond + push) / scale,
         k,
         "penalized one-step solve (branch y < h)",
+        rows=rows,
     )
 
-    take_plus = y_plus >= h_layer
+    # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
+    take_plus = (y_plus >= h_layer) | (n == 0.0)
     # The selected branch must be self-consistent; with kappa*dt < 1 the
     # equation is strictly increasing in y, so this can only fail on ties.
-    bad = ~take_plus & (y_minus > h_layer + 1e-9 * (1.0 + np.abs(h_layer)))
+    bad = ~take_plus & (y_minus > h_layer + BRANCH_TIE_TOL * (1.0 + np.abs(h_layer)))
     if bad.any():
-        j = int(np.argmax(bad))
+        b, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise BranchSelectionError(
-            f"no consistent branch in penalized one-step solve at step {k}, node {j} "
-            f"(y >= h branch {y_plus[j]!r}, y < h branch {y_minus[j]!r}, h {h_layer[j]!r})"
+            f"no consistent branch in penalized one-step solve at step {k}, node {j}, "
+            f"{rows[b]} (y >= h branch {y_plus[b, j]!r}, y < h branch {y_minus[b, j]!r}, "
+            f"h {h_layer[j]!r})"
         )
     y = np.where(take_plus, y_plus, y_minus)
     dk = n * dt * np.maximum(h_layer - y, 0.0)
     return y, dk
 
 
-def solve_penalized(lattice: Lattice, spec: ProblemSpec, n: float) -> SolutionTriple:
-    """Backward induction with penalty intensity n >= 0 (n = 0: no reflection)."""
-    if n < 0.0:
+def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> tuple:
+    """Backward induction for every penalty intensity n >= 0 in one pass (n = 0: no reflection).
+
+    Each lattice layer holds one row per intensity. Returns one
+    SolutionTriple per intensity, in order; its layers are row views of the
+    batched layers, and each row is bit for bit the solve at that intensity
+    alone.
+    """
+    ns = [float(n) for n in intensities]
+    if any(n < 0.0 for n in ns):
         raise ValueError("penalty intensity must be >= 0")
-    n = float(n)
+    column = np.array(ns).reshape(-1, 1)
+    rows = [f"intensity {n!r}" for n in ns]
 
     def step(k, cond, z, h_k):
         t, x = lattice.times[k], lattice.nodes[k]
@@ -84,9 +104,18 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, n: float) -> SolutionTr
         def f(y):
             return np.asarray(spec.generator(t, x, y, z), dtype=float)
 
-        return _penalized_step(f, cond, h_k, lattice.dt, n, k)
+        return _penalized_step(f, cond, h_k, lattice.dt, column, k, rows)
 
-    return backward_induction(lattice, spec, step)
+    batch = backward_induction(lattice, spec, step, rows=len(ns))
+    return tuple(
+        SolutionTriple(
+            tuple(layer[b] for layer in batch.y),
+            tuple(layer[b] for layer in batch.z),
+            tuple(layer[b] for layer in batch.dk),
+            lattice,
+        )
+        for b in range(len(ns))
+    )
 
 
 @dataclass(frozen=True)
@@ -109,13 +138,9 @@ class PenalizationTrace:
     snell_y0: float
 
 
-def _bound_quantity(sol: SolutionTriple, p: float, lattice: Lattice) -> float:
-    dt = lattice.dt
-    y_part = lattice_sup_moment(lattice, list(sol.y), p)
-    z_addends = [z * z * dt for z in sol.z]
-    z_part = lattice_accumulation_moment(lattice, z_addends, p / 2.0)
-    k_part = lattice_accumulation_moment(lattice, list(sol.dk), p)
-    return y_part + z_part + k_part
+def _stacked(solutions, field):
+    """One layer at a time of a field of the solutions, one row per solution."""
+    return (np.array(rows) for rows in zip(*(getattr(s, field) for s in solutions)))
 
 
 def _check_schedule(schedule) -> list:
@@ -133,56 +158,58 @@ def _check_schedule(schedule) -> list:
 def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
     """Y0 of the penalized solution at the schedule's last intensity.
 
-    A penalized solve does not depend on the other intensities, so this is
+    A penalized row does not depend on the other intensities, so this is
     ``run_sweep(lattice, spec, schedule).y0[-1]`` bit for bit, without the
-    other solves and the sweep diagnostics.
+    other rows and the sweep diagnostics.
     """
     ns = _check_schedule(schedule)
-    return float(solve_penalized(lattice, spec, ns[-1]).y[0][0])
+    return float(solve_penalized(lattice, spec, [ns[-1]])[0].y[0][0])
 
 
 def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:
-    """Solve along an increasing penalty schedule and collect diagnostics."""
+    """Solve along an increasing penalty schedule and collect diagnostics.
+
+    One backward pass solves every intensity. Each diagnostic is then one
+    forward pass over all intensities at once, with the node weights
+    computed once, reading one layer at a time.
+    """
     ns = _check_schedule(schedule)
 
     snell = solve_snell(lattice, spec)
-    y_snell = list(snell.triple.y)
+    y_snell = snell.triple.y
     h = obstacle_values(spec, lattice)
     p = spec.p_exponent
+    dt = lattice.dt
+    weights = lattice.node_weights()
 
-    solutions = [solve_penalized(lattice, spec, n) for n in ns]
-    y0 = [float(s.y[0][0]) for s in solutions]
-    gaps = [
-        lattice_sup_moment(
-            lattice, [ya - yb for ya, yb in zip(s.y, y_snell)], p
-        ) ** (1.0 / p)
-        for s in solutions
-    ]
-    neg_norms = [
-        lattice_sup_moment(
-            lattice, [np.maximum(hk - yk, 0.0) for hk, yk in zip(h, s.y)], p
-        ) ** (1.0 / p)
-        for s in solutions
-    ]
-    mono = []
-    for a, b in zip(solutions, solutions[1:]):
-        mono.append(
-            max(float(np.max(ya - yb)) for ya, yb in zip(a.y, b.y))
-        )
-    mono.append(0.0)
-    k_roots = [s.expected_k_total() for s in solutions]
-    bounds = [_bound_quantity(s, p, lattice) for s in solutions]
+    solutions = solve_penalized(lattice, spec, ns)
+    gaps = lattice_sup_moment(
+        lattice, (y - ys for y, ys in zip(_stacked(solutions, "y"), y_snell)), p, weights
+    )
+    neg_norms = lattice_sup_moment(
+        lattice, (np.maximum(hk - y, 0.0) for hk, y in zip(h, _stacked(solutions, "y"))), p, weights
+    )
+    y_parts = lattice_sup_moment(lattice, _stacked(solutions, "y"), p, weights)
+    z_parts = lattice_accumulation_moment(
+        lattice, (z * z * dt for z in _stacked(solutions, "z")), p / 2.0, weights
+    )
+    k_parts = lattice_accumulation_moment(lattice, _stacked(solutions, "dk"), p, weights)
+    k_roots = lattice_expected_total(lattice, _stacked(solutions, "dk"), weights)
+    # Schedule entry i against i+1: the largest rise of Y over any node.
+    mono = np.zeros(len(ns) - 1)
+    for y in _stacked(solutions, "y"):
+        mono = np.maximum(mono, np.max(y[:-1] - y[1:], axis=-1))
 
     return PenalizationTrace(
         n_values=tuple(ns),
-        solutions=tuple(solutions),
-        y0=tuple(y0),
-        sup_gap_to_snell=tuple(gaps),
-        negative_part_norm=tuple(neg_norms),
-        monotonicity_violation=tuple(max(v, 0.0) for v in mono),
+        solutions=solutions,
+        y0=tuple(float(s.y[0][0]) for s in solutions),
+        sup_gap_to_snell=tuple(m ** (1.0 / p) for m in gaps),
+        negative_part_norm=tuple(m ** (1.0 / p) for m in neg_norms),
+        monotonicity_violation=tuple(mono.tolist()) + (0.0,),
         k_t_root=tuple(k_roots),
-        bound_quantity=tuple(bounds),
-        snell_y0=float(snell.triple.y[0][0]),
+        bound_quantity=tuple(a + b + c for a, b, c in zip(y_parts, z_parts, k_parts)),
+        snell_y0=float(y_snell[0][0]),
     )
 
 
@@ -197,7 +224,7 @@ class BoundReport:
     passed: bool
 
 
-def check_uniform_bound(trace: PenalizationTrace, spec: ProblemSpec) -> BoundReport:
+def check_uniform_bound(trace: PenalizationTrace) -> BoundReport:
     """Assert the p-norm quantity does not blow up along the schedule.
 
     The reference level is the maximum over the first half of the schedule

@@ -204,75 +204,102 @@ def mp_norm(z_paths: np.ndarray, dt: float, p: float) -> float:
 # Noise-free lattice functionals
 # ---------------------------------------------------------------------------
 
-def _forward_conditional(lattice: Lattice, initial, carry, settle) -> list:
+def _forward_conditional(lattice: Lattice, weights: list, initial, carry, settle):
     """Propagate a per-node statistic forward, averaging over incoming branches.
 
-    ``carry(stat_at_k, k)`` is the value carried along both branches out of
-    layer k; the probability-weighted average arriving at a node of layer
-    k+1 is passed through ``settle(average, k + 1)``. The average at an
-    unreachable node (weight 0) is 0.
+    Yields the statistic one layer at a time, k = 0 .. n_steps; a leading
+    axis is a batch of statistics, propagated row by row. ``carry(stat_at_k,
+    k)`` is the value carried along both branches out of layer k; the
+    probability-weighted average arriving at a node of layer k+1 is passed
+    through ``settle(average, k + 1)``. The average at an unreachable node
+    (weight 0) is 0. ``weights`` are the lattice's ``node_weights()``.
     """
-    weights = lattice.node_weights()
-    stats = [np.asarray(initial, dtype=float)]
+    stat = np.asarray(initial, dtype=float)
+    yield stat
     for k in range(lattice.n_steps):
         p = lattice.up_prob[k]
         w = weights[k]
-        moved = carry(stats[k], k)
-        num = np.zeros(k + 2)
-        num[1:] += w * p * moved
-        num[:-1] += w * (1.0 - p) * moved
+        moved = carry(stat, k)
+        num = np.zeros(moved.shape[:-1] + (k + 2,))
+        num[..., 1:] += w * p * moved
+        num[..., :-1] += w * (1.0 - p) * moved
         denom = weights[k + 1]
-        nxt = np.divide(num, denom, out=np.zeros(k + 2), where=denom > 0.0)
-        stats.append(settle(nxt, k + 1))
-    return stats
+        nxt = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+        stat = settle(nxt, k + 1)
+        yield stat
 
 
-def accumulated_along(lattice: Lattice, addends: list) -> list:
+def _weighted_moment(weights: list, layers, power: float):
+    """E[last layer ** power]: a float, or one float per row of a batch.
+
+    Only one layer of ``layers`` is held at a time.
+    """
+    for last in layers:
+        pass
+    return np.sum(weights[-1] * last ** power, axis=-1).tolist()
+
+
+def accumulated_along(lattice: Lattice, addends, weights: list):
     """Node-conditioned accumulation A[k][j] = E[sum_{s<k} a_s | node (k, j)].
 
-    ``addends[k]`` is the per-node amount added over [t_k, t_{k+1}]
-    (k = 0 .. n_steps-1). Exact expectations of the total follow by weighting
-    the terminal layer; p-th moments use the same layer (conditionally
-    averaged, hence deterministic and exact for node-measurable totals).
+    ``addends`` yields the per-node amount added over [t_k, t_{k+1}]
+    (k = 0 .. n_steps-1); A is yielded one layer at a time, k = 0 .. n_steps.
+    Exact expectations of the total follow by weighting the terminal layer;
+    p-th moments use the same layer (conditionally averaged, hence
+    deterministic and exact for node-measurable totals).
     """
+    layers = iter(addends)
     return _forward_conditional(
         lattice,
+        weights,
         [0.0],
-        carry=lambda stat, k: stat + np.asarray(addends[k], dtype=float),
+        carry=lambda stat, k: stat + np.asarray(next(layers), dtype=float),
         settle=lambda avg, k: avg,
     )
 
 
-def lattice_sup_moment(lattice: Lattice, values: list, power: float) -> float:
-    """E[(sup_k |values_k|)^power] with lattice weights (node-conditioned sup)."""
+def lattice_sup_moment(lattice: Lattice, values, power: float, weights=None):
+    """E[(sup_k |values_k|)^power] with lattice weights (node-conditioned sup).
 
-    def magnitude(k):
-        return np.abs(np.asarray(values[k], dtype=float))
-
+    ``values`` yields one layer per step, k = 0 .. n_steps. Layers with a
+    leading axis give one moment per row, as a list of floats. ``weights``
+    reuses a ``node_weights()`` computed by the caller.
+    """
+    if weights is None:
+        weights = lattice.node_weights()
+    magnitudes = (np.abs(np.asarray(v, dtype=float)) for v in values)
     sups = _forward_conditional(
         lattice,
-        magnitude(0),
+        weights,
+        next(magnitudes),
         carry=lambda stat, k: stat,
-        settle=lambda avg, k: np.maximum(avg, magnitude(k)),
+        settle=lambda avg, k: np.maximum(avg, next(magnitudes)),
     )
-    w = lattice.node_weights()[-1]
-    return float(np.sum(w * sups[-1] ** power))
+    return _weighted_moment(weights, sups, power)
 
 
-def lattice_accumulation_moment(lattice: Lattice, addends: list, power: float) -> float:
-    """E[(sum_k addends_k)^power] with lattice weights (node-conditioned sum)."""
-    acc = accumulated_along(lattice, addends)
-    w = lattice.node_weights()[-1]
-    return float(np.sum(w * acc[-1] ** power))
+def lattice_accumulation_moment(lattice: Lattice, addends, power: float, weights=None):
+    """E[(sum_k addends_k)^power] with lattice weights (node-conditioned sum).
+
+    ``addends`` yields one layer per step, k = 0 .. n_steps-1; a leading
+    axis and ``weights`` act as in ``lattice_sup_moment``.
+    """
+    if weights is None:
+        weights = lattice.node_weights()
+    return _weighted_moment(weights, accumulated_along(lattice, addends, weights), power)
 
 
-def lattice_expected_total(lattice: Lattice, addends: list) -> float:
-    """Exact E[sum_k addends_k]: linear, so plain forward weighting suffices."""
-    weights = lattice.node_weights()
+def lattice_expected_total(lattice: Lattice, addends, weights=None):
+    """Exact E[sum_k addends_k]: linear, so plain forward weighting suffices.
+
+    A leading axis and ``weights`` act as in ``lattice_sup_moment``.
+    """
+    if weights is None:
+        weights = lattice.node_weights()
     total = 0.0
-    for k in range(lattice.n_steps):
-        total += float(np.sum(weights[k] * np.asarray(addends[k], dtype=float)))
-    return total
+    for w, a in zip(weights[:-1], addends):
+        total = total + np.sum(w * np.asarray(a, dtype=float), axis=-1)
+    return total.tolist()
 
 
 def lattice_terminal_moment(lattice: Lattice, layer_values: np.ndarray, power: float) -> float:
@@ -307,7 +334,7 @@ class SolutionTriple:
 
     def k_nodewise(self) -> list:
         """Cumulative K conditioned on the current node (K[0][0] = 0)."""
-        return accumulated_along(self.lattice, list(self.dk))
+        return list(accumulated_along(self.lattice, self.dk, self.lattice.node_weights()))
 
     def expected_k_total(self) -> float:
         """Exact E[K_T]."""

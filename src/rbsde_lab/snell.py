@@ -64,56 +64,78 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
 
     Z[k][j] = (y_next[j+1] - y_next[j]) / (x_{k+1,j+1} - x_{k+1,j})
               * sigma(t_k, x_{k,j});
-    zero where the lattice spacing is degenerate (sigma = 0).
+    zero where the lattice spacing is degenerate (sigma = 0). A leading axis
+    of ``y_next`` is a batch of layers, estimated row by row.
     """
     y_next = np.asarray(y_next, dtype=float)
-    if y_next.shape != (k + 2,):
-        raise ValueError(f"expected {k + 2} next-layer values, got {y_next.shape[0]}")
+    if y_next.shape[-1] != k + 2:
+        raise ValueError(f"expected {k + 2} next-layer values, got {y_next.shape[-1]}")
     x_next = lattice.nodes[k + 1]
     dx = np.diff(x_next)
-    dy = np.diff(y_next)
+    dy = np.diff(y_next, axis=-1)
     slope = np.divide(dy, dx, out=np.zeros_like(dy), where=dx != 0.0)
     sigma = lattice.model.vol(lattice.times[k], lattice.nodes[k])
     return slope * sigma
 
 
-def fixed_point(update, y0, step=None, what="implicit one-step solve"):
+def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None):
     """Iterate y <- update(y) from y0 until successive iterates settle.
 
     The stop test is relative to the iterate scale, above the float noise
-    floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|). Returns the last
-    iterate. After FP_MAX_ITER updates it raises ContractionError; the
-    message names ``what`` did not converge, the caller's ``step`` and the
-    index of the node whose last change was largest.
+    floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|), the maxima taken
+    over the last axis. A leading axis makes y0 a batch of rows, each with
+    its own stop test: a settled row is frozen, so it ends on exactly the
+    iterate it would end on alone. Returns the last iterate. After
+    FP_MAX_ITER updates it raises ContractionError; the message names
+    ``what`` did not converge, the caller's ``step``, the index of the node
+    whose last change was largest and, for a batch, the first unsettled row
+    by its name in ``rows``.
     """
     y = y0
+    done = np.zeros(np.shape(y0)[:-1], dtype=bool)
     for _ in range(FP_MAX_ITER):
         y_new = update(y)
         change = np.abs(y_new - y)
-        delta = float(np.max(change))
-        if delta <= FP_TOL * (1.0 + float(np.max(np.abs(y_new)))):
-            return y_new
+        delta = change.max(axis=-1)
+        settled = delta <= FP_TOL * (1.0 + np.abs(y_new).max(axis=-1))
+        if not done.shape:
+            if settled:
+                return y_new
+        else:
+            if done.any():
+                y_new = np.where(done[:, None], y, y_new)
+            done |= settled
+            if done.all():
+                return y_new
         y = y_new
     at = "" if step is None else f" at step {step}"
+    row = ""
+    if done.shape:
+        b = int(np.argmin(done))
+        change, delta = change[b], delta[b]
+        row = f", {rows[b]}"
     raise ContractionError(
         f"{what} did not converge in {FP_MAX_ITER} iterations{at}, "
-        f"node {int(np.argmax(change))} (last change {delta:.3e}); lipschitz_kappa * dt "
+        f"node {int(np.argmax(change))}{row} (last change {delta:.3e}); lipschitz_kappa * dt "
         f"must lie well below 1 for the fixed point to contract"
     )
 
 
-def backward_induction(lattice: Lattice, spec: ProblemSpec, step) -> SolutionTriple:
+def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
     """Backward recursion shared by the reflected and the penalized solvers.
 
     Starting from the terminal payoff, each layer k estimates z from the
     next layer, takes the conditional expectation cond = E_k[Y_{k+1}], and
     calls ``step(k, cond, z, h_k)``, which returns the layer's (y, dk).
+    With ``rows`` set, every layer is a (rows, k+1) batch that starts from
+    one copy of the terminal payoff per row.
     """
     _require_contraction(spec, lattice.dt)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
     n = lattice.n_steps
     h = obstacle_values(spec, lattice)
-    y_layers = [None] * n + [terminal_values(spec, lattice)]
+    g = terminal_values(spec, lattice)
+    y_layers = [None] * n + [g if rows is None else np.tile(g, (rows, 1))]
     z_layers = [None] * n
     dk_layers = [None] * n
     for k in range(n - 1, -1, -1):

@@ -76,6 +76,18 @@ def test_crosscheck_traces_one_snell_and_one_penalized_solve(tracing, tmp_path):
         assert spans[layer] == 0, layer
 
 
+def test_penalize_traces_one_batched_solve_and_one_node_weights(tracing, tmp_path):
+    # the sweep solves every intensity in one pass and computes the node
+    # weights once; three sup moments (gap, negative part, Y) and two
+    # accumulation moments (Z, K) each run once over all intensities
+    text = CROSSCHECK_CONFIG.replace("command = crosscheck", "command = penalize")
+    spans = Counter(span.name for span in traced_run(tracing, tmp_path, text))
+    assert spans["penalty.solve"] == 1
+    assert spans["lattice.node_weights"] == 1
+    assert spans["problem.sup_moment"] == 3
+    assert spans["problem.accumulation_moment"] == 2
+
+
 @pytest.mark.parametrize(
     "command, extra, layer, count",
     [("solve", "", "snell.csv", 1), ("pde", "penalty_n = 1000\n", "pde.csv", 2)],

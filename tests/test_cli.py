@@ -190,7 +190,7 @@ def test_crosscheck_rejects_a_decreasing_schedule(tmp_path, capsys):
 
 def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(tmp_path, capsys, monkeypatch):
     # force the two branches to disagree: y >= h lands below h, y < h above it
-    def disagreeing(update, y0, step, what):
+    def disagreeing(update, y0, step, what, rows):
         return np.full_like(y0, -1e9 if "y >= h" in what else 1e9)
 
     monkeypatch.setattr(penalty, "fixed_point", disagreeing)
@@ -202,12 +202,50 @@ def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(tmp_path, c
     assert "Traceback" not in err
 
 
+def test_penalize_names_the_intensity_of_an_unconverged_row(tmp_path, capsys, monkeypatch):
+    # only the row of intensity 8 never settles in the y < h branch, at node 3
+    real = penalty.fixed_point
+
+    def stuck(update, y0, step, what, rows):
+        def update_row_1(y):
+            out = update(y)
+            if "y < h" in what:
+                out[1, 3] = y[1, 3] + 1.0
+            return out
+
+        return real(update_row_1, y0, step, what, rows=rows)
+
+    monkeypatch.setattr(penalty, "fixed_point", stuck)
+    path = write_config(tmp_path, "penalize")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("penalize: penalized one-step solve (branch y < h) did not converge")
+    assert "at step 63, node 3, intensity 8.0 (last change " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# penalization.csv of the config above with schedule 0,1,2, as written before
+# the intensities were solved in one batch; an n = 0 row has no y < h branch.
+SCHEDULE_012_CSV = """\
+n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity
+0.0,6.6963288204709706,0.653266815181529,0.3863068522615353,0.0,61.65219862431942
+1.0,6.807357491160748,0.4848128850755236,0.3055942893926317,0.11496184724318692,62.56422449773435
+2.0,6.875554249891602,0.38110809634638576,0.25205861560907405,0.18582433289414677,63.184752601121694
+"""
+
+
+def test_penalize_csv_of_a_schedule_from_zero_is_unchanged(tmp_path):
+    path = write_config(tmp_path, "penalize", schedule="0,1,2")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (tmp_path / "out" / "penalization.csv").read_bytes() == SCHEDULE_012_CSV.encode()
+
+
 def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
     real = cli.check_uniform_bound
     monkeypatch.setattr(
         cli,
         "check_uniform_bound",
-        lambda trace, spec: dataclasses.replace(real(trace, spec), passed=False),
+        lambda trace: dataclasses.replace(real(trace), passed=False),
     )
     path = write_config(tmp_path, "penalize")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1

@@ -3,8 +3,15 @@ import pytest
 
 from helpers import far_obstacle, put_model, put_problem
 
+from rbsde_lab import penalty
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.penalty import check_uniform_bound, penalized_root, run_sweep, solve_penalized
+from rbsde_lab.penalty import (
+    BranchSelectionError,
+    check_uniform_bound,
+    penalized_root,
+    run_sweep,
+    solve_penalized,
+)
 from rbsde_lab.problem import (
     ProblemSpec,
     make_generator,
@@ -19,7 +26,7 @@ from rbsde_lab.snell import ContractionError, solve_snell
 def test_zero_intensity_reduces_to_plain_backward_equation():
     lat = build_lattice(put_model(), TimeGrid(64, 1.0))
     spec = put_problem()
-    pen = solve_penalized(lat, spec, 0.0)
+    pen = solve_penalized(lat, spec, [0.0])[0]
     assert all(np.all(layer == 0.0) for layer in pen.dk)
     free = ProblemSpec(spec.generator, spec.terminal, far_obstacle, spec.lipschitz_kappa)
     plain = solve_snell(lat, free).triple
@@ -39,7 +46,7 @@ def test_unconverged_branch_names_the_step_and_node():
     with pytest.raises(
         ContractionError, match=r"\(branch y >= h\) did not converge .* at step 9, node \d"
     ):
-        solve_penalized(lat, spec, 100.0)
+        solve_penalized(lat, spec, [100.0])
 
 
 @pytest.mark.parametrize("intensity", [1.0, 100.0, 1e4])
@@ -48,7 +55,7 @@ def test_inactive_penalty_on_dominated_obstacle(intensity):
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    sol = solve_penalized(lat, spec, intensity)
+    sol = solve_penalized(lat, spec, [intensity])[0]
     for k in range(lat.n_steps + 1):
         assert np.allclose(sol.y[k], 1.0, atol=1e-13)
     assert all(np.all(layer == 0.0) for layer in sol.dk)
@@ -123,19 +130,19 @@ def test_uniform_bound_constant_instance():
     )
     trace = run_sweep(lat, spec, [1.0, 2.0, 4.0, 8.0])
     assert np.allclose(trace.bound_quantity, trace.bound_quantity[0], rtol=1e-12)
-    report = check_uniform_bound(trace, spec)
+    report = check_uniform_bound(trace)
     assert report.passed
 
 
 def test_uniform_bound_single_entry():
     lat = build_lattice(put_model(), TimeGrid(32, 1.0))
     trace = run_sweep(lat, put_problem(), [0.0])
-    report = check_uniform_bound(trace, put_problem())
+    report = check_uniform_bound(trace)
     assert report.passed
 
 
-def test_uniform_bound_on_put(put_sweep_512, put_spec):
-    report = check_uniform_bound(put_sweep_512, put_spec)
+def test_uniform_bound_on_put(put_sweep_512):
+    report = check_uniform_bound(put_sweep_512)
     assert report.passed
 
 
@@ -149,7 +156,7 @@ def test_sweep_schedule_validation():
     with pytest.raises(ValueError, match="nonempty"):
         run_sweep(lat, spec, [])
     with pytest.raises(ValueError):
-        solve_penalized(lat, spec, -3.0)
+        solve_penalized(lat, spec, [-3.0])
 
 
 @pytest.mark.parametrize(
@@ -173,8 +180,56 @@ def test_compensator_instance_pushes_against_negative_drift():
         make_obstacle("constant:1"),
         0.0,
     )
-    sol = solve_penalized(lat, spec, 4096.0)
+    sol = solve_penalized(lat, spec, [4096.0])[0]
     assert sol.expected_k_total() > 0.5
     snell = solve_snell(lat, spec).triple
     assert snell.expected_k_total() == pytest.approx(1.0, abs=1e-10)
     assert float(np.max(np.abs(sol.y[0][0] - snell.y[0][0]))) <= 1e-3
+
+
+def seeded_put(seed, kind, n_steps=16):
+    """A put drawn from a seed. Its discount rate is high enough (r * dt up to
+    0.5) that the one-step fixed points take many slowly shrinking steps."""
+    rng = np.random.default_rng(seed)
+    x0, sigma, mu = rng.uniform(32.0, 48.0), rng.uniform(0.2, 0.45), rng.uniform(0.02, 0.08)
+    if kind == "geometric":
+        model = ForwardModel.geometric(mu, sigma, x0)
+    else:
+        model = ForwardModel.arithmetic(mu * x0, sigma * x0, x0)
+    return build_lattice(model, TimeGrid(n_steps, 1.0)), put_problem(r=rng.uniform(4.0, 8.0))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
+    # every row of the batch must follow exactly the iterates it follows
+    # alone, including rows that settle before the others
+    lat, spec = seeded_put(seed, kind)
+    schedule = [0.0, 1.0, 3.0, 64.0, 4096.0]
+    batch = solve_penalized(lat, spec, schedule)
+    assert len(batch) == len(schedule)
+    for n, sol in zip(schedule, batch):
+        (alone,) = solve_penalized(lat, spec, [n])
+        for field in ("y", "z", "dk"):
+            layers, reference = getattr(sol, field), getattr(alone, field)
+            assert len(layers) == len(reference)
+            for k, (a, b) in enumerate(zip(layers, reference)):
+                assert np.array_equal(a, b), f"n={n} {field}[{k}]"
+    assert all(np.all(layer == 0.0) for layer in batch[0].dk)
+
+
+def test_an_inconsistent_row_names_its_intensity(monkeypatch):
+    # only the row of intensity 16 gets branches that both miss h
+    real = penalty.fixed_point
+
+    def split(update, y0, step, what, rows):
+        y = real(update, y0, step, what, rows=rows)
+        y[2] = -1e9 if "y >= h" in what else 1e9
+        return y
+
+    monkeypatch.setattr(penalty, "fixed_point", split)
+    lat = build_lattice(put_model(), TimeGrid(16, 1.0))
+    with pytest.raises(
+        BranchSelectionError, match=r"at step 15, node 0, intensity 16\.0 \(y >= h branch"
+    ):
+        solve_penalized(lat, put_problem(), [1.0, 4.0, 16.0])
