@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import math
 from dataclasses import dataclass
 
 from .lattice import ForwardModel, TimeGrid
@@ -76,11 +77,18 @@ def _get(cp, section: str, key: str, cast, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(f"missing required field [{section}] {key}")
         return default
-    raw = cp.get(section, key)
+    return _cast(section, key, cast, cp.get(section, key))
+
+
+def _cast(section: str, key: str, cast, raw):
+    """``cast(raw)``; a failed cast, a NaN or an infinite float names the field."""
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be a finite number, got {raw!r}")
+    return value
 
 
 @contextlib.contextmanager
@@ -105,6 +113,8 @@ def _parse_schedule(raw: str) -> tuple:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"schedule must be 'default' or comma-separated numbers, got {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"schedule entries must be finite numbers, got {raw!r}")
     if not values:
         raise ValueError("schedule is empty")
     return values
@@ -135,7 +145,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             f"[run] command: unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
         )
     seed = int(overrides.get("seed", _get(cp, "run", "seed", int, 0)))
-    tol = float(overrides.get("tol", _get(cp, "run", "tol", float, 0.02)))
+    tol = _cast("run", "tol", float, overrides.get("tol", _get(cp, "run", "tol", float, 0.02)))
     out_dir = str(overrides.get("out", _get(cp, "run", "out", str, ".")))
     quiet = bool(overrides.get("quiet", False))
 
@@ -164,9 +174,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     with _section_errors("[problem]"):
         spec = ProblemSpec(
-            generator=make_generator(_get(cp, "problem", "generator", str)),
-            terminal=make_terminal(_get(cp, "problem", "terminal", str)),
-            obstacle=make_obstacle(_get(cp, "problem", "obstacle", str)),
+            generator=_get(cp, "problem", "generator", make_generator),
+            terminal=_get(cp, "problem", "terminal", make_terminal),
+            obstacle=_get(cp, "problem", "obstacle", make_obstacle),
             lipschitz_kappa=_get(cp, "problem", "kappa", float),
             p_exponent=_get(cp, "problem", "p", float, 1.5),
         )

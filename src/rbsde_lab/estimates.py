@@ -24,7 +24,7 @@ from .problem import (
     lattice_accumulation_moment,
     lattice_sup_moment,
     lattice_terminal_moment,
-    obstacle_values,
+    obstacle_layers,
     terminal_values,
     validate_solution,
 )
@@ -70,32 +70,38 @@ def _require_skorokhod(sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice)
         )
 
 
-def _generator_at_origin_moment(spec: ProblemSpec, lattice: Lattice, power: float) -> float:
+def _generator_at_origin_moment(
+    spec: ProblemSpec, lattice: Lattice, power: float, weights: list
+) -> float:
     """E[(sum_k |f(t_k, x_k, 0, 0)| dt)^power] with node-conditioned accumulation."""
     dt = lattice.dt
-    addends = []
-    for k in range(lattice.n_steps):
-        zeros = np.zeros(k + 1)
-        addends.append(
-            np.abs(
-                np.asarray(
-                    spec.generator(lattice.times[k], lattice.nodes[k], zeros, zeros),
-                    dtype=float,
-                )
-            )
-            * dt
-        )
-    return lattice_accumulation_moment(lattice, addends, power)
+
+    def addend(t, x):
+        zeros = np.zeros_like(x)
+        return np.abs(np.asarray(spec.generator(t, x, zeros, zeros), dtype=float)) * dt
+
+    addends = (addend(t, x) for t, x in zip(lattice.times, lattice.nodes[:-1]))
+    return lattice_accumulation_moment(lattice, addends, power, weights)
 
 
-def data_functional(spec: ProblemSpec, lattice: Lattice) -> float:
-    """E|xi|^p + E(int |f(s,0,0)| ds)^p + E sup (h^+)^p on the lattice."""
+def data_functional(spec: ProblemSpec, lattice: Lattice, weights: list) -> float:
+    """E|xi|^p + E(int |f(s,0,0)| ds)^p + E sup (h^+)^p with the lattice's node weights."""
     p = spec.p_exponent
-    xi_term = lattice_terminal_moment(lattice, terminal_values(spec, lattice), p)
-    f_term = _generator_at_origin_moment(spec, lattice, p)
-    h_plus = [np.maximum(hk, 0.0) for hk in obstacle_values(spec, lattice)]
-    obstacle_term = lattice_sup_moment(lattice, h_plus, p)
+    xi_term = lattice_terminal_moment(terminal_values(spec, lattice), p, weights)
+    f_term = _generator_at_origin_moment(spec, lattice, p, weights)
+    h_plus = (np.maximum(hk, 0.0) for hk in obstacle_layers(spec, lattice))
+    obstacle_term = lattice_sup_moment(lattice, h_plus, p, weights)
     return xi_term + f_term + obstacle_term
+
+
+def _y_and_generator_rhs(
+    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, weights: list
+) -> float:
+    """E[sup |Y|^p] + E[(int |f(s,0,0)| ds)^p]: the data side of the Z and K estimates."""
+    p = spec.p_exponent
+    return lattice_sup_moment(lattice, sol.y, p, weights) + _generator_at_origin_moment(
+        spec, lattice, p, weights
+    )
 
 
 def check_y_estimate(
@@ -104,8 +110,9 @@ def check_y_estimate(
     """Ratio of E sup |Y|^p against the data functional."""
     _require_skorokhod(sol, spec, lattice)
     p = spec.p_exponent
-    lhs = lattice_sup_moment(lattice, list(sol.y), p)
-    rhs = data_functional(spec, lattice)
+    weights = lattice.node_weights()
+    lhs = lattice_sup_moment(lattice, sol.y, p, weights)
+    rhs = data_functional(spec, lattice, weights)
     return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
 
 
@@ -116,10 +123,9 @@ def check_z_estimate(
     _require_skorokhod(sol, spec, lattice)
     p = spec.p_exponent
     dt = lattice.dt
-    lhs = lattice_accumulation_moment(lattice, [z * z * dt for z in sol.z], p / 2.0)
-    rhs = lattice_sup_moment(lattice, list(sol.y), p) + _generator_at_origin_moment(
-        spec, lattice, p
-    )
+    weights = lattice.node_weights()
+    lhs = lattice_accumulation_moment(lattice, (z * z * dt for z in sol.z), p / 2.0, weights)
+    rhs = _y_and_generator_rhs(sol, spec, lattice, weights)
     return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
 
 
@@ -129,10 +135,9 @@ def check_k_estimate(
     """Ratio of E K_T^p against E[sup |Y|^p + (int |f(s,0,0)| ds)^p]."""
     _require_skorokhod(sol, spec, lattice)
     p = spec.p_exponent
-    lhs = lattice_accumulation_moment(lattice, list(sol.dk), p)
-    rhs = lattice_sup_moment(lattice, list(sol.y), p) + _generator_at_origin_moment(
-        spec, lattice, p
-    )
+    weights = lattice.node_weights()
+    lhs = lattice_accumulation_moment(lattice, sol.dk, p, weights)
+    rhs = _y_and_generator_rhs(sol, spec, lattice, weights)
     return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
 
 
@@ -160,28 +165,31 @@ def check_stability(
 
     p = spec_a.p_exponent
     dt = lattice.dt
+    weights = lattice.node_weights()
 
-    delta_y = [ya - yb for ya, yb in zip(sol_a.y, sol_b.y)]
-    delta_y_norm = lattice_sup_moment(lattice, delta_y, p)
+    delta_y = (ya - yb for ya, yb in zip(sol_a.y, sol_b.y))
+    delta_y_norm = lattice_sup_moment(lattice, delta_y, p, weights)
 
     g_a = terminal_values(spec_a, lattice)
     g_b = terminal_values(spec_b, lattice)
-    delta_xi_term = lattice_terminal_moment(lattice, g_a - g_b, p)
+    delta_xi_term = lattice_terminal_moment(g_a - g_b, p, weights)
 
-    df_addends = []
-    for k in range(lattice.n_steps):
-        t, x = lattice.times[k], lattice.nodes[k]
-        fa = np.asarray(spec_a.generator(t, x, sol_a.y[k], sol_a.z[k]), dtype=float)
-        fb = np.asarray(spec_b.generator(t, x, sol_a.y[k], sol_a.z[k]), dtype=float)
-        df_addends.append(np.abs(fa - fb) * dt)
-    delta_f_term = lattice_accumulation_moment(lattice, df_addends, p)
+    def delta_f(t, x, y, z):
+        fa = np.asarray(spec_a.generator(t, x, y, z), dtype=float)
+        fb = np.asarray(spec_b.generator(t, x, y, z), dtype=float)
+        return np.abs(fa - fb) * dt
 
-    h_a = obstacle_values(spec_a, lattice)
-    h_b = obstacle_values(spec_b, lattice)
-    delta_h = [ha - hb for ha, hb in zip(h_a, h_b)]
-    delta_obstacle_sup = lattice_sup_moment(lattice, delta_h, p)
+    df_addends = (
+        delta_f(t, x, y, z) for t, x, y, z in zip(lattice.times, lattice.nodes, sol_a.y, sol_a.z)
+    )
+    delta_f_term = lattice_accumulation_moment(lattice, df_addends, p, weights)
 
-    psi_t = data_functional(spec_a, lattice) + data_functional(spec_b, lattice)
+    h_a = obstacle_layers(spec_a, lattice)
+    h_b = obstacle_layers(spec_b, lattice)
+    delta_h = (ha - hb for ha, hb in zip(h_a, h_b))
+    delta_obstacle_sup = lattice_sup_moment(lattice, delta_h, p, weights)
+
+    psi_t = data_functional(spec_a, lattice, weights) + data_functional(spec_b, lattice, weights)
     delta_data = (
         delta_xi_term
         + delta_f_term

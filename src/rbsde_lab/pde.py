@@ -340,8 +340,8 @@ def solve_pde_penalized(
     grid: PdeGrid, spec: ProblemSpec, model: ForwardModel, n: float
 ) -> PdeField:
     """Unconstrained implicit scheme with penalty driver f + n * (u - h)^-."""
-    if n < 0.0:
-        raise ValueError("penalty intensity must be >= 0")
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"penalty intensity must be finite and >= 0, got {n!r}")
     return _backward_solve(grid, spec, model, float(n))
 
 

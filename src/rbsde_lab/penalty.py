@@ -21,6 +21,7 @@ monotone-convergence diagnostics toward the reflected (Snell) solution;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .problem import (
     lattice_accumulation_moment,
     lattice_expected_total,
     lattice_sup_moment,
-    obstacle_values,
+    obstacle_layers,
 )
 from .snell import backward_induction, fixed_point, solve_snell
 
@@ -84,17 +85,17 @@ def _penalized_step(f, cond, h_layer, dt, n, k, rows):
     return y, dk
 
 
-def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> tuple:
+def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> SolutionTriple:
     """Backward induction for every penalty intensity n >= 0 in one pass (n = 0: no reflection).
 
-    Each lattice layer holds one row per intensity. Returns one
-    SolutionTriple per intensity, in order; its layers are row views of the
-    batched layers, and each row is bit for bit the solve at that intensity
-    alone.
+    Returns one batched SolutionTriple: each lattice layer holds one row per
+    intensity, in order, and ``row(b)`` is the solution at intensity b. Each
+    row is bit for bit the solve at that intensity alone.
     """
     ns = [float(n) for n in intensities]
-    if any(n < 0.0 for n in ns):
-        raise ValueError("penalty intensity must be >= 0")
+    for n in ns:
+        if not 0.0 <= n < math.inf:
+            raise ValueError(f"penalty intensity must be finite and >= 0, got {n!r}")
     column = np.array(ns).reshape(-1, 1)
     rows = [f"intensity {n!r}" for n in ns]
 
@@ -106,16 +107,7 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> tuple:
 
         return _penalized_step(f, cond, h_k, lattice.dt, column, k, rows)
 
-    batch = backward_induction(lattice, spec, step, rows=len(ns))
-    return tuple(
-        SolutionTriple(
-            tuple(layer[b] for layer in batch.y),
-            tuple(layer[b] for layer in batch.z),
-            tuple(layer[b] for layer in batch.dk),
-            lattice,
-        )
-        for b in range(len(ns))
-    )
+    return backward_induction(lattice, spec, step, rows=len(ns))
 
 
 @dataclass(frozen=True)
@@ -138,20 +130,15 @@ class PenalizationTrace:
     snell_y0: float
 
 
-def _stacked(solutions, field):
-    """One layer at a time of a field of the solutions, one row per solution."""
-    return (np.array(rows) for rows in zip(*(getattr(s, field) for s in solutions)))
-
-
 def _check_schedule(schedule) -> list:
-    """The schedule as floats; it must be nonempty, strictly increasing and >= 0."""
+    """The schedule as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
     ns = [float(v) for v in schedule]
     if not ns:
         raise ValueError("schedule must be nonempty")
+    if not all(0.0 <= n < math.inf for n in ns):
+        raise ValueError(f"schedule entries must be finite and >= 0, got {ns!r}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule must be strictly increasing")
-    if ns[0] < 0.0:
-        raise ValueError("schedule entries must be >= 0")
     return ns
 
 
@@ -163,7 +150,7 @@ def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
     other rows and the sweep diagnostics.
     """
     ns = _check_schedule(schedule)
-    return float(solve_penalized(lattice, spec, [ns[-1]])[0].y[0][0])
+    return float(solve_penalized(lattice, spec, [ns[-1]]).y[0][0, 0])
 
 
 def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:
@@ -177,33 +164,29 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
 
     snell = solve_snell(lattice, spec)
     y_snell = snell.triple.y
-    h = obstacle_values(spec, lattice)
+    h = obstacle_layers(spec, lattice)
     p = spec.p_exponent
     dt = lattice.dt
     weights = lattice.node_weights()
 
-    solutions = solve_penalized(lattice, spec, ns)
-    gaps = lattice_sup_moment(
-        lattice, (y - ys for y, ys in zip(_stacked(solutions, "y"), y_snell)), p, weights
-    )
+    batch = solve_penalized(lattice, spec, ns)
+    gaps = lattice_sup_moment(lattice, (y - ys for y, ys in zip(batch.y, y_snell)), p, weights)
     neg_norms = lattice_sup_moment(
-        lattice, (np.maximum(hk - y, 0.0) for hk, y in zip(h, _stacked(solutions, "y"))), p, weights
+        lattice, (np.maximum(hk - y, 0.0) for hk, y in zip(h, batch.y)), p, weights
     )
-    y_parts = lattice_sup_moment(lattice, _stacked(solutions, "y"), p, weights)
-    z_parts = lattice_accumulation_moment(
-        lattice, (z * z * dt for z in _stacked(solutions, "z")), p / 2.0, weights
-    )
-    k_parts = lattice_accumulation_moment(lattice, _stacked(solutions, "dk"), p, weights)
-    k_roots = lattice_expected_total(lattice, _stacked(solutions, "dk"), weights)
+    y_parts = lattice_sup_moment(lattice, batch.y, p, weights)
+    z_parts = lattice_accumulation_moment(lattice, (z * z * dt for z in batch.z), p / 2.0, weights)
+    k_parts = lattice_accumulation_moment(lattice, batch.dk, p, weights)
+    k_roots = lattice_expected_total(batch.dk, weights)
     # Schedule entry i against i+1: the largest rise of Y over any node.
     mono = np.zeros(len(ns) - 1)
-    for y in _stacked(solutions, "y"):
+    for y in batch.y:
         mono = np.maximum(mono, np.max(y[:-1] - y[1:], axis=-1))
 
     return PenalizationTrace(
         n_values=tuple(ns),
-        solutions=solutions,
-        y0=tuple(float(s.y[0][0]) for s in solutions),
+        solutions=tuple(batch.row(b) for b in range(len(ns))),
+        y0=tuple(batch.y[0][:, 0].tolist()),
         sup_gap_to_snell=tuple(m ** (1.0 / p) for m in gaps),
         negative_part_norm=tuple(m ** (1.0 / p) for m in neg_norms),
         monotonicity_violation=tuple(mono.tolist()) + (0.0,),

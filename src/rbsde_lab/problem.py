@@ -58,12 +58,16 @@ class ProblemSpec:
         _check_exponent(self.p_exponent)
 
 
+def obstacle_layers(spec: ProblemSpec, lattice: Lattice):
+    """Obstacle h(t_k, x) on each lattice layer, k = 0 .. n_steps, one layer at a time."""
+    return (
+        np.asarray(spec.obstacle(t, x), dtype=float) for t, x in zip(lattice.times, lattice.nodes)
+    )
+
+
 def obstacle_values(spec: ProblemSpec, lattice: Lattice) -> list:
     """Obstacle h(t_k, x) evaluated on every lattice layer."""
-    return [
-        np.asarray(spec.obstacle(lattice.times[k], lattice.nodes[k]), dtype=float)
-        for k in range(lattice.n_steps + 1)
-    ]
+    return list(obstacle_layers(spec, lattice))
 
 
 def terminal_values(spec: ProblemSpec, lattice: Lattice) -> np.ndarray:
@@ -129,9 +133,12 @@ def _parse_form(name: str):
     if not sep:
         raise ValueError(f"form {head!r} needs a parameter, e.g. '{head}:0.5'")
     try:
-        return head, float(tail)
+        param = float(tail)
     except ValueError:
         raise ValueError(f"parameter of form {name!r} is not a number") from None
+    if not np.isfinite(param):
+        raise ValueError(f"parameter of form {name!r} must be finite")
+    return head, param
 
 
 def make_generator(name: str) -> Callable:
@@ -204,38 +211,28 @@ def mp_norm(z_paths: np.ndarray, dt: float, p: float) -> float:
 # Noise-free lattice functionals
 # ---------------------------------------------------------------------------
 
-def _forward_conditional(lattice: Lattice, weights: list, initial, carry, settle):
-    """Propagate a per-node statistic forward, averaging over incoming branches.
+def _forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarray:
+    """Layer k's statistic averaged over the branches into each node of layer k+1.
 
-    Yields the statistic one layer at a time, k = 0 .. n_steps; a leading
-    axis is a batch of statistics, propagated row by row. ``carry(stat_at_k,
-    k)`` is the value carried along both branches out of layer k; the
-    probability-weighted average arriving at a node of layer k+1 is passed
-    through ``settle(average, k + 1)``. The average at an unreachable node
-    (weight 0) is 0. ``weights`` are the lattice's ``node_weights()``.
+    The average is probability-weighted and is 0 at an unreachable node
+    (weight 0); a leading axis is a batch of statistics, averaged row by
+    row. ``weights`` are the lattice's ``node_weights()``.
     """
-    stat = np.asarray(initial, dtype=float)
-    yield stat
-    for k in range(lattice.n_steps):
-        p = lattice.up_prob[k]
-        w = weights[k]
-        moved = carry(stat, k)
-        num = np.zeros(moved.shape[:-1] + (k + 2,))
-        num[..., 1:] += w * p * moved
-        num[..., :-1] += w * (1.0 - p) * moved
-        denom = weights[k + 1]
-        nxt = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
-        stat = settle(nxt, k + 1)
-        yield stat
+    p = lattice.up_prob[k]
+    w = weights[k]
+    # Allocate the result before the scratch numerator: when a caller keeps
+    # every layer (k_nodewise), the other order leaves a freed gap next to
+    # each kept layer and raises the process's peak memory.
+    avg = np.zeros(stat.shape[:-1] + (k + 2,))
+    num = np.zeros_like(avg)
+    num[..., 1:] += w * p * stat
+    num[..., :-1] += w * (1.0 - p) * stat
+    denom = weights[k + 1]
+    return np.divide(num, denom, out=avg, where=denom > 0.0)
 
 
-def _weighted_moment(weights: list, layers, power: float):
-    """E[last layer ** power]: a float, or one float per row of a batch.
-
-    Only one layer of ``layers`` is held at a time.
-    """
-    for last in layers:
-        pass
+def _weighted_moment(weights: list, last, power: float):
+    """E[last ** power] for the terminal layer ``last``: a float, or one per row of a batch."""
     return np.sum(weights[-1] * last ** power, axis=-1).tolist()
 
 
@@ -246,66 +243,57 @@ def accumulated_along(lattice: Lattice, addends, weights: list):
     (k = 0 .. n_steps-1); A is yielded one layer at a time, k = 0 .. n_steps.
     Exact expectations of the total follow by weighting the terminal layer;
     p-th moments use the same layer (conditionally averaged, hence
-    deterministic and exact for node-measurable totals).
+    deterministic and exact for node-measurable totals). A leading axis of
+    the addends is a batch; ``weights`` are the lattice's ``node_weights()``.
     """
-    layers = iter(addends)
-    return _forward_conditional(
-        lattice,
-        weights,
-        [0.0],
-        carry=lambda stat, k: stat + np.asarray(next(layers), dtype=float),
-        settle=lambda avg, k: avg,
-    )
+    acc = np.zeros(1)
+    yield acc
+    for k, a in enumerate(addends):
+        acc = _forward_average(lattice, weights, acc + np.asarray(a, dtype=float), k)
+        yield acc
 
 
-def lattice_sup_moment(lattice: Lattice, values, power: float, weights=None):
+def lattice_sup_moment(lattice: Lattice, values, power: float, weights: list):
     """E[(sup_k |values_k|)^power] with lattice weights (node-conditioned sup).
 
     ``values`` yields one layer per step, k = 0 .. n_steps. Layers with a
     leading axis give one moment per row, as a list of floats. ``weights``
-    reuses a ``node_weights()`` computed by the caller.
+    are the lattice's ``node_weights()``.
     """
-    if weights is None:
-        weights = lattice.node_weights()
-    magnitudes = (np.abs(np.asarray(v, dtype=float)) for v in values)
-    sups = _forward_conditional(
-        lattice,
-        weights,
-        next(magnitudes),
-        carry=lambda stat, k: stat,
-        settle=lambda avg, k: np.maximum(avg, next(magnitudes)),
-    )
-    return _weighted_moment(weights, sups, power)
+    layers = iter(values)
+    sup = np.abs(np.asarray(next(layers), dtype=float))
+    for k, v in enumerate(layers):
+        sup = np.maximum(
+            _forward_average(lattice, weights, sup, k), np.abs(np.asarray(v, dtype=float))
+        )
+    return _weighted_moment(weights, sup, power)
 
 
-def lattice_accumulation_moment(lattice: Lattice, addends, power: float, weights=None):
+def lattice_accumulation_moment(lattice: Lattice, addends, power: float, weights: list):
     """E[(sum_k addends_k)^power] with lattice weights (node-conditioned sum).
 
     ``addends`` yields one layer per step, k = 0 .. n_steps-1; a leading
     axis and ``weights`` act as in ``lattice_sup_moment``.
     """
-    if weights is None:
-        weights = lattice.node_weights()
-    return _weighted_moment(weights, accumulated_along(lattice, addends, weights), power)
+    for acc in accumulated_along(lattice, addends, weights):
+        pass
+    return _weighted_moment(weights, acc, power)
 
 
-def lattice_expected_total(lattice: Lattice, addends, weights=None):
+def lattice_expected_total(addends, weights: list):
     """Exact E[sum_k addends_k]: linear, so plain forward weighting suffices.
 
     A leading axis and ``weights`` act as in ``lattice_sup_moment``.
     """
-    if weights is None:
-        weights = lattice.node_weights()
     total = 0.0
     for w, a in zip(weights[:-1], addends):
         total = total + np.sum(w * np.asarray(a, dtype=float), axis=-1)
     return total.tolist()
 
 
-def lattice_terminal_moment(lattice: Lattice, layer_values: np.ndarray, power: float) -> float:
+def lattice_terminal_moment(layer_values, power: float, weights: list) -> float:
     """E[|terminal values|^power] with lattice weights."""
-    w = lattice.node_weights()[-1]
-    return float(np.sum(w * np.abs(np.asarray(layer_values, dtype=float)) ** power))
+    return _weighted_moment(weights, np.abs(np.asarray(layer_values, dtype=float)), power)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +326,16 @@ class SolutionTriple:
 
     def expected_k_total(self) -> float:
         """Exact E[K_T]."""
-        return lattice_expected_total(self.lattice, list(self.dk))
+        return lattice_expected_total(self.dk, self.lattice.node_weights())
+
+    def row(self, b: int) -> SolutionTriple:
+        """Row b of a batched triple (one row per intensity), as views of its layers."""
+        return SolutionTriple(
+            tuple(layer[b] for layer in self.y),
+            tuple(layer[b] for layer in self.z),
+            tuple(layer[b] for layer in self.dk),
+            self.lattice,
+        )
 
 
 @dataclass(frozen=True)

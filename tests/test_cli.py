@@ -126,6 +126,60 @@ def test_config_names_the_section_of_an_invalid_value(tmp_path, edit, message):
     assert str(exc.value) == message
 
 
+ARITHMETIC = ("kind = geometric\nmu = 0.06\nsigma = 0.4\n", "kind = arithmetic\nb0 = 2.0\nsigma0 = 14.0\n")
+# the number sits inside these fields' text
+NUMBER_IN = {"terminal": "put_payoff:{}", "schedule": "1,{}"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("run", "tol"),
+        ("problem", "mu"),
+        ("problem", "sigma"),
+        ("problem", "b0"),
+        ("problem", "sigma0"),
+        ("problem", "x0"),
+        ("problem", "start_time"),
+        ("problem", "kappa"),
+        ("problem", "p"),
+        ("problem", "terminal"),
+        ("lattice", "horizon"),
+        ("pde", "x_min"),
+        ("pde", "x_max"),
+        ("pde", "penalty_n"),
+        ("penalize", "schedule"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
+    # a NaN or an infinity must not reach a solver: it would run and then
+    # fail with a wrong diagnosis, or make every comparison fail
+    text = BASE_CONFIG.format(command="crosscheck")
+    if key in ("b0", "sigma0"):
+        text = text.replace(*ARITHMETIC)
+    line = f"{key} = {NUMBER_IN.get(key, '{}').format(value)}\n"
+    lines = text.splitlines(keepends=True)
+    at = [i for i, old in enumerate(lines) if old.startswith(f"{key} = ")]
+    if at:
+        lines[at[0]] = line
+    else:
+        lines.insert(lines.index(f"[{section}]\n") + 1, line)
+    path = tmp_path / "experiment.cfg"
+    path.write_text("".join(lines))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_tol_override_is_a_config_error(tmp_path, capsys, value):
+    path = write_config(tmp_path, "crosscheck")
+    assert main(["--config", str(path), "--tol", value]) == 2
+    assert capsys.readouterr().err == f"config error: [run] tol: must be a finite number, got {value}\n"
+
+
 def test_config_errors_inside_a_section_pass_through_unchanged(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(write_config(tmp_path, "solve", kind="cubic"))
@@ -238,6 +292,41 @@ def test_penalize_csv_of_a_schedule_from_zero_is_unchanged(tmp_path):
     path = write_config(tmp_path, "penalize", schedule="0,1,2")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert (tmp_path / "out" / "penalization.csv").read_bytes() == SCHEDULE_012_CSV.encode()
+
+
+# estimates.jsonl and validation.json of `verify` on the config above with
+# n_steps = 16, as written before the lattice statistics took their node
+# weights from the caller.
+VERIFY_16_ESTIMATES_JSONL = """\
+{"empirical_ratio": 0.657442984022651, "instance_id": "verify", "lhs": 43.019901312914634, "p": 1.5, "rhs_data_functional": 65.43518199812816}
+{"empirical_ratio": 0.507894539976374, "instance_id": "verify", "lhs": 21.849572987151785, "p": 1.5, "rhs_data_functional": 43.019901312914634}
+{"empirical_ratio": 0.008307471495170131, "instance_id": "verify", "lhs": 0.35738660388207044, "p": 1.5, "rhs_data_functional": 43.019901312914634}
+{"delta_data_norm": 0.0, "delta_f_term": 0.0, "delta_obstacle_term": 0.0, "delta_xi_term": 0.0, "delta_y_norm": 0.0, "psi_t": 130.87036399625632, "ratio": 0.0}
+"""
+VERIFY_16_VALIDATION_JSON = """\
+{
+  "all_pass": true,
+  "backward_ok": true,
+  "backward_residual": 4.440892098500626e-16,
+  "k_initial": 0.0,
+  "k_initial_ok": true,
+  "k_min_increment": 0.0,
+  "k_monotone_ok": true,
+  "obstacle_ok": true,
+  "obstacle_violation": 0.0,
+  "skorokhod_ok": true,
+  "skorokhod_residual": 0.0,
+  "tol": 1e-10
+}
+"""
+
+
+def test_verify_artifacts_are_unchanged(tmp_path):
+    path = write_config(tmp_path, "verify", n_steps="16")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert (out / "estimates.jsonl").read_bytes() == VERIFY_16_ESTIMATES_JSONL.encode()
+    assert (out / "validation.json").read_bytes() == VERIFY_16_VALIDATION_JSON.encode()
 
 
 def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):

@@ -108,7 +108,7 @@ def test_put_family_ratios_stay_within_recorded_baselines(sigma):
 
 
 def test_estimates_reject_unreflected_solutions(put_lattice_512, put_spec):
-    pen = solve_penalized(put_lattice_512, put_spec, [4.0])[0]
+    pen = solve_penalized(put_lattice_512, put_spec, [4.0]).row(0)
     with pytest.raises(ValueError, match="Skorokhod"):
         check_y_estimate(pen, put_spec, put_lattice_512)
 

@@ -95,6 +95,13 @@ def test_penalized_constant_instance(intensity):
     assert np.allclose(field.u, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
+def test_penalized_rejects_a_negative_or_non_finite_intensity(intensity):
+    grid = PdeGrid(0.0, 2.0, 21, TimeGrid(16, 1.0))
+    with pytest.raises(ValueError, match="penalty intensity must be finite and >= 0"):
+        solve_pde_penalized(grid, constant_spec(), frozen_model(), intensity)
+
+
 def test_penalized_family_ordered_below_projected(put_pde_field, put_pde_penalized_family):
     prev = None
     for n in (1e2, 1e3, 1e4):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from rbsde_lab.snell import ContractionError, solve_snell
 def test_zero_intensity_reduces_to_plain_backward_equation():
     lat = build_lattice(put_model(), TimeGrid(64, 1.0))
     spec = put_problem()
-    pen = solve_penalized(lat, spec, [0.0])[0]
+    pen = solve_penalized(lat, spec, [0.0]).row(0)
     assert all(np.all(layer == 0.0) for layer in pen.dk)
     free = ProblemSpec(spec.generator, spec.terminal, far_obstacle, spec.lipschitz_kappa)
     plain = solve_snell(lat, free).triple
@@ -55,7 +57,7 @@ def test_inactive_penalty_on_dominated_obstacle(intensity):
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    sol = solve_penalized(lat, spec, [intensity])[0]
+    sol = solve_penalized(lat, spec, [intensity]).row(0)
     for k in range(lat.n_steps + 1):
         assert np.allclose(sol.y[k], 1.0, atol=1e-13)
     assert all(np.all(layer == 0.0) for layer in sol.dk)
@@ -157,11 +159,20 @@ def test_sweep_schedule_validation():
         run_sweep(lat, spec, [])
     with pytest.raises(ValueError):
         solve_penalized(lat, spec, [-3.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="penalty intensity must be finite"):
+            solve_penalized(lat, spec, [1.0, bad])
 
 
 @pytest.mark.parametrize(
     "schedule, message",
-    [([1.0, 1.0], "strictly increasing"), ([-1.0, 2.0], ">= 0"), ([], "nonempty")],
+    [
+        ([1.0, 1.0], "strictly increasing"),
+        ([-1.0, 2.0], ">= 0"),
+        ([], "nonempty"),
+        ([1.0, math.nan], "must be finite"),
+        ([1.0, math.inf], "must be finite"),
+    ],
 )
 def test_penalized_root_checks_the_schedule_like_the_sweep(schedule, message):
     lat = build_lattice(put_model(), TimeGrid(8, 1.0))
@@ -180,7 +191,7 @@ def test_compensator_instance_pushes_against_negative_drift():
         make_obstacle("constant:1"),
         0.0,
     )
-    sol = solve_penalized(lat, spec, [4096.0])[0]
+    sol = solve_penalized(lat, spec, [4096.0]).row(0)
     assert sol.expected_k_total() > 0.5
     snell = solve_snell(lat, spec).triple
     assert snell.expected_k_total() == pytest.approx(1.0, abs=1e-10)
@@ -207,15 +218,15 @@ def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
     lat, spec = seeded_put(seed, kind)
     schedule = [0.0, 1.0, 3.0, 64.0, 4096.0]
     batch = solve_penalized(lat, spec, schedule)
-    assert len(batch) == len(schedule)
-    for n, sol in zip(schedule, batch):
-        (alone,) = solve_penalized(lat, spec, [n])
+    assert all(len(layer) == len(schedule) for layer in batch.y)
+    for b, n in enumerate(schedule):
+        sol, alone = batch.row(b), solve_penalized(lat, spec, [n]).row(0)
         for field in ("y", "z", "dk"):
             layers, reference = getattr(sol, field), getattr(alone, field)
             assert len(layers) == len(reference)
             for k, (a, b) in enumerate(zip(layers, reference)):
                 assert np.array_equal(a, b), f"n={n} {field}[{k}]"
-    assert all(np.all(layer == 0.0) for layer in batch[0].dk)
+    assert all(np.all(layer == 0.0) for layer in batch.row(0).dk)
 
 
 def test_an_inconsistent_row_names_its_intensity(monkeypatch):

@@ -61,6 +61,9 @@ def test_registry_forms():
         (make_generator, "constant"),
         (make_generator, "zero:3"),
         (make_generator, "constant:abc"),
+        (make_terminal, "put_payoff:nan"),
+        (make_obstacle, "constant:inf"),
+        (make_generator, "linear_discount:-inf"),
     ],
 )
 def test_registry_rejects_bad_forms(factory, name):
@@ -152,14 +155,45 @@ def test_norms_reject_empty_and_bad_dt():
 def test_accumulation_functional_exact_for_deterministic_addends():
     lat = build_lattice(ForwardModel.geometric(0.05, 0.3, 10.0), TimeGrid(6, 1.2))
     addends = [np.full(k + 1, 0.25) for k in range(6)]
-    assert lattice_expected_total(lat, addends) == pytest.approx(1.5, abs=1e-13)
-    assert lattice_accumulation_moment(lat, addends, 1.5) == pytest.approx(1.5**1.5, rel=1e-13)
+    weights = lat.node_weights()
+    assert lattice_expected_total(addends, weights) == pytest.approx(1.5, abs=1e-13)
+    assert lattice_accumulation_moment(lat, addends, 1.5, weights) == pytest.approx(
+        1.5**1.5, rel=1e-13
+    )
 
 
 def test_sup_functional_exact_for_constant_field():
     lat = build_lattice(ForwardModel.geometric(0.05, 0.3, 10.0), TimeGrid(5, 1.0))
     values = [np.full(k + 1, -2.0) for k in range(6)]
-    assert lattice_sup_moment(lat, values, 1.5) == pytest.approx(2.0**1.5, rel=1e-14)
+    assert lattice_sup_moment(lat, values, 1.5, lat.node_weights()) == pytest.approx(
+        2.0**1.5, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+def test_a_batch_of_layers_gives_each_row_its_own_moment_exactly(kind):
+    # a (B, k+1) layer is B statistics side by side: the batched forward
+    # pass must give every row bit for bit what the row gives alone
+    rng = np.random.default_rng(29)
+    x0, sigma, mu = rng.uniform(32.0, 48.0), rng.uniform(0.2, 0.45), rng.uniform(0.02, 0.08)
+    if kind == "geometric":
+        model = ForwardModel.geometric(mu, sigma, x0)
+    else:
+        model = ForwardModel.arithmetic(mu * x0, sigma * x0, x0)
+    lat = build_lattice(model, TimeGrid(24, 1.0))
+    weights = lat.node_weights()
+    rows = 5
+    values = [rng.normal(0.0, 3.0, size=(rows, k + 1)) for k in range(lat.n_steps + 1)]
+    addends = [rng.exponential(0.5, size=(rows, k + 1)) for k in range(lat.n_steps)]
+
+    sups = lattice_sup_moment(lat, iter(values), 1.5, weights)
+    accs = lattice_accumulation_moment(lat, iter(addends), 0.75, weights)
+    totals = lattice_expected_total(iter(addends), weights)
+    assert len(sups) == len(accs) == len(totals) == rows
+    for b in range(rows):
+        assert sups[b] == lattice_sup_moment(lat, (v[b] for v in values), 1.5, weights)
+        assert accs[b] == lattice_accumulation_moment(lat, (a[b] for a in addends), 0.75, weights)
+        assert totals[b] == lattice_expected_total((a[b] for a in addends), weights)
 
 
 # -- solution contract -----------------------------------------------------
