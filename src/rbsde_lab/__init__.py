@@ -40,6 +40,7 @@ from .snell import (
     SnellOutput,
     brute_force_stopping_value,
     estimate_z,
+    snell_root,
     solve_snell,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "SnellOutput",
     "brute_force_stopping_value",
     "estimate_z",
+    "snell_root",
     "solve_snell",
 ]
 

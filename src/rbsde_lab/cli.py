@@ -25,7 +25,7 @@ from .lattice import build_lattice
 from .pde import PdeField, check_start_time, solve_pde_penalized, solve_pde_projected
 from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
 from .problem import SKOROKHOD_TOL, ProblemSpec, ValidationReport, validate_solution
-from .snell import SnellOutput, solve_snell
+from .snell import SnellOutput, snell_root, solve_snell
 
 
 MONOTONICITY_TOL = 1e-10
@@ -249,7 +249,7 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     y0s = []
     for n in ns:
         lattice = build_lattice(cfg.model, type(grid)(n, grid.horizon))
-        y0s.append(float(solve_snell(lattice, cfg.spec).triple.y[0][0]))
+        y0s.append(snell_root(lattice, cfg.spec))
     _write_csv(out / "convergence.csv", "n_steps,Y0", [(map(str, ns), _floats(y0s))])
     first = abs(y0s[1] - y0s[0])
     second = abs(y0s[2] - y0s[1])

@@ -95,7 +95,9 @@ class Lattice:
 
     ``nodes[k][j]`` is the state at step k, node j (states increasing in j);
     ``up_prob[k][j]`` is the probability of the j -> j+1 branch. ``times`` are
-    absolute times, starting at the model's ``start_time``.
+    absolute times, starting at the model's ``start_time``. The layers are
+    read-only: geometric states are views of two shared tables, and every
+    ``up_prob[k]`` is a view of one probability.
     """
 
     grid: TimeGrid
@@ -142,38 +144,42 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     n = grid.n_steps
     dt = grid.dt
     times = model.start_time + dt * np.arange(n + 1)
-    nodes = []
-    up_prob = []
+    p = 0.5
     if model.kind == ARITHMETIC:
+        # The drift moves every layer, so each holds its own states.
         b0, s0 = model.drift_coeff, model.vol_coeff
         root = math.sqrt(dt)
-        for k in range(n + 1):
-            j = np.arange(k + 1)
-            nodes.append(model.x0 + b0 * k * dt + s0 * root * (2.0 * j - k))
-        for k in range(n):
-            up_prob.append(np.full(k + 1, 0.5))
+        nodes = [
+            model.x0 + b0 * k * dt + s0 * root * (2.0 * np.arange(k + 1) - k)
+            for k in range(n + 1)
+        ]
+    elif model.vol_coeff == 0.0:
+        # Deterministic ODE: exact exponential states, probabilities moot.
+        mu = model.drift_coeff
+        nodes = [np.full(k + 1, model.x0 * math.exp(mu * k * dt)) for k in range(n + 1)]
     else:
         mu, sigma = model.drift_coeff, model.vol_coeff
-        if sigma == 0.0:
-            # Deterministic ODE: exact exponential states, probabilities moot.
-            for k in range(n + 1):
-                nodes.append(np.full(k + 1, model.x0 * math.exp(mu * k * dt)))
-            for k in range(n):
-                up_prob.append(np.full(k + 1, 0.5))
-        else:
-            u = math.exp(sigma * math.sqrt(dt))
-            d = 1.0 / u
-            p = (math.exp(mu * dt) - d) / (u - d)
-            if not 0.0 <= p <= 1.0:
-                raise CoarseTimeStepError(
-                    f"dt too coarse for this drift/volatility at step 0: "
-                    f"matched up-probability {p:.6g} outside [0, 1]"
-                )
-            for k in range(n + 1):
-                j = np.arange(k + 1)
-                nodes.append(model.x0 * u ** (2.0 * j - k))
-            for k in range(n):
-                up_prob.append(np.full(k + 1, p))
+        u = math.exp(sigma * math.sqrt(dt))
+        d = 1.0 / u
+        p = (math.exp(mu * dt) - d) / (u - d)
+        if not 0.0 <= p <= 1.0:
+            raise CoarseTimeStepError(
+                f"dt too coarse for this drift/volatility at step 0: "
+                f"matched up-probability {p:.6g} outside [0, 1]"
+            )
+        # Node j of layer k is x0 * u**(2j - k): layer k is the slice of the
+        # exponents of parity (n - k) % 2 that starts at -k. Two tables of
+        # about n + 1 states hold every layer.
+        tables = [model.x0 * u ** np.arange(-n + par, n + 1, 2.0) for par in (0, 1)]
+        nodes = []
+        for k in range(n + 1):
+            par = (n - k) % 2
+            start = (n - k - par) // 2
+            nodes.append(tables[par][start : start + k + 1])
+    for layer in nodes:
+        # Geometric layers share two tables: a write into one would corrupt others.
+        layer.flags.writeable = False
+    up_prob = [np.broadcast_to(p, (k + 1,)) for k in range(n)]
     return Lattice(grid, model, times, tuple(nodes), tuple(up_prob))
 
 

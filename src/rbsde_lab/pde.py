@@ -32,7 +32,7 @@ import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _require_contraction, fixed_point, solve_snell
+from .snell import FP_TOL, _require_contraction, fixed_point, snell_root
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
@@ -376,7 +376,7 @@ def feynman_kac_check(
     """Compare u(t, x) against the backward lattice value started at (t, x).
 
     For each probe a fresh lattice over [t, T] with the probed initial state
-    is solved by ``solve_snell``; at t = T the lattice value degenerates to
+    is solved by ``snell_root``; at t = T the lattice value degenerates to
     the terminal payoff. Probes must lie inside the grid.
     """
     horizon = field.grid.time.horizon
@@ -391,7 +391,7 @@ def feynman_kac_check(
                 model.kind, float(x), model.drift_coeff, model.vol_coeff, float(t)
             )
             probe_lattice = build_lattice(probe_model, TimeGrid(lattice_steps, remaining))
-            y_val = float(solve_snell(probe_lattice, spec).triple.y[0][0])
+            y_val = snell_root(probe_lattice, spec)
         abs_err = abs(u_val - y_val)
         rel_err = abs_err / max(abs(y_val), 1e-12)
         rows.append(ProbeComparison(float(t), float(x), u_val, y_val, abs_err, rel_err))

@@ -4,7 +4,8 @@
 construction: backward through the lattice it solves the one-step equation
 implicitly in y, reflects at the obstacle, and reads the pushing increment
 off the reflection gap (the discrete decomposition of the resulting
-supermartingale into martingale minus nondecreasing part).
+supermartingale into martingale minus nondecreasing part). ``snell_root``
+runs the same pass but keeps no layer, for callers that read only Y0.
 
 ``brute_force_stopping_value`` is the independent oracle: an exhaustive
 max-over-stop/continue recursion on the full (non-recombining) binary tree
@@ -14,6 +15,7 @@ E[sum_{s < tau} f(t_s) dt + reward(tau)] over all adapted stopping rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,10 @@ TIE_TOL = 1e-12
 
 class ContractionError(ValueError):
     """Raised when the one-step implicit solve is not a contraction."""
+
+
+class DataOverflowError(ValueError):
+    """Raised when an iterate of a one-step solve is not finite: the data overflowed."""
 
 
 def _require_contraction(spec: ProblemSpec, dt: float) -> None:
@@ -85,11 +91,13 @@ def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None
     floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|), the maxima taken
     over the last axis. A leading axis makes y0 a batch of rows, each with
     its own stop test: a settled row is frozen, so it ends on exactly the
-    iterate it would end on alone. Returns the last iterate. After
-    FP_MAX_ITER updates it raises ContractionError; the message names
-    ``what`` did not converge, the caller's ``step``, the index of the node
-    whose last change was largest and, for a batch, the first unsettled row
-    by its name in ``rows``.
+    iterate it would end on alone. Returns the last iterate.
+
+    A row not yet frozen whose largest change is not finite (its iterate or
+    the one before is not) raises DataOverflowError at once; after
+    FP_MAX_ITER updates ContractionError is raised. Both messages name
+    ``what``, the caller's ``step``, a node and, for a batch, the row by
+    its name in ``rows``.
     """
     y = y0
     done = np.zeros(np.shape(y0)[:-1], dtype=bool)
@@ -99,9 +107,16 @@ def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None
         delta = change.max(axis=-1)
         settled = delta <= FP_TOL * (1.0 + np.abs(y_new).max(axis=-1))
         if not done.shape:
+            if not delta < math.inf:
+                raise _overflow_error(y, y_new, step, what, "")
             if settled:
                 return y_new
         else:
+            if not delta.max() < math.inf:
+                blown = ~done & ~(delta < math.inf)
+                if blown.any():
+                    b = int(np.argmax(blown))
+                    raise _overflow_error(y[b], y_new[b], step, what, f", {rows[b]}")
             if done.any():
                 y_new = np.where(done[:, None], y, y_new)
             done |= settled
@@ -121,28 +136,74 @@ def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None
     )
 
 
-def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
+def _overflow_error(y, y_new, step, what, row) -> DataOverflowError:
+    """The error at the first non-finite node of the iterate y_new, else of its predecessor y."""
+    value = y if np.isfinite(y_new).all() else y_new
+    j = int(np.argmin(np.isfinite(value)))
+    at = "" if step is None else f" at step {step}"
+    return DataOverflowError(
+        f"{what} reached the non-finite value {float(value[j])!r}{at}, node {j}{row}; "
+        f"the terminal, obstacle or generator values overflowed the float range"
+    )
+
+
+def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
     """Backward recursion shared by the reflected and the penalized solvers.
 
-    Starting from the terminal payoff, each layer k estimates z from the
-    next layer, takes the conditional expectation cond = E_k[Y_{k+1}], and
-    calls ``step(k, cond, z, h_k)``, which returns the layer's (y, dk).
-    With ``rows`` set, every layer is a (rows, k+1) batch that starts from
-    one copy of the terminal payoff per row.
+    Starting from the terminal layer ``y_terminal``, each layer k estimates
+    z from the next layer, takes the conditional expectation
+    cond = E_k[Y_{k+1}], evaluates the obstacle h(t_k, .) and calls
+    ``step(k, cond, z, h_k)``, which returns the layer's (y, dk). Yields
+    (k, y, z, dk) for k = n_steps - 1 down to 0 and holds only the layer
+    after k, so a caller that keeps nothing runs in O(n_steps) memory. A
+    (rows, n_steps + 1) ``y_terminal`` makes every layer a batch of rows.
     """
     _require_contraction(spec, lattice.dt)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
+    y = y_terminal
+    for k in range(lattice.n_steps - 1, -1, -1):
+        h_k = np.asarray(spec.obstacle(lattice.times[k], lattice.nodes[k]), dtype=float)
+        z = estimate_z(lattice, y, k)
+        cond = lattice_expectation(lattice, y, k)
+        y, dk = step(k, cond, z, h_k)
+        yield k, y, z, dk
+
+
+def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
+    """Every layer of ``backward_layers``, collected into a SolutionTriple.
+
+    With ``rows`` set, every layer is a (rows, k+1) batch that starts from
+    one copy of the terminal payoff per row.
+    """
     n = lattice.n_steps
-    h = obstacle_values(spec, lattice)
     g = terminal_values(spec, lattice)
     y_layers = [None] * n + [g if rows is None else np.tile(g, (rows, 1))]
     z_layers = [None] * n
     dk_layers = [None] * n
-    for k in range(n - 1, -1, -1):
-        z_layers[k] = estimate_z(lattice, y_layers[k + 1], k)
-        cond = lattice_expectation(lattice, y_layers[k + 1], k)
-        y_layers[k], dk_layers[k] = step(k, cond, z_layers[k], h[k])
+    for k, y, z, dk in backward_layers(lattice, spec, step, y_layers[-1]):
+        y_layers[k], z_layers[k], dk_layers[k] = y, z, dk
     return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
+
+
+def _reflected_step(lattice: Lattice, spec: ProblemSpec, k, cond, z, h_k):
+    """One reflected step at layer k; returns (y, dk, continuation).
+
+    Solves y = max(h, c) with the continuation c = cond + dt * f(t_k, x, y, z)
+    and splits off the increment dK = (h - c)^+.
+    """
+    t, x = lattice.times[k], lattice.nodes[k]
+    dt = lattice.dt
+    cont = None
+
+    def reflect(y):
+        # Keep the continuation behind the newest iterate: the converged
+        # y is exactly max(h, c), so dK = (h - c)^+ splits it exactly.
+        nonlocal cont
+        cont = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
+        return np.maximum(h_k, cont)
+
+    y = fixed_point(reflect, np.maximum(h_k, cond), k)
+    return y, np.maximum(h_k - cont, 0.0), cont
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -154,23 +215,13 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     dK = (h - c)^+. By construction Y >= h exactly, dK >= 0, dK > 0 only
     where Y = h, and the one-step backward equation holds to solver tolerance.
     """
-    dt = lattice.dt
     cont_layers = [None] * (lattice.n_steps + 1)
     exercised = [None] * (lattice.n_steps + 1)
 
     def step(k, cond, z, h_k):
-        t, x = lattice.times[k], lattice.nodes[k]
-
-        def reflect(y):
-            # Keep the continuation behind the newest iterate: the converged
-            # y is exactly max(h, c), so dK = (h - c)^+ splits it exactly.
-            cont_layers[k] = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
-            return np.maximum(h_k, cont_layers[k])
-
-        y = fixed_point(reflect, np.maximum(h_k, cond), k)
-        c = cont_layers[k]
-        exercised[k] = h_k >= c - TIE_TOL
-        return y, np.maximum(h_k - c, 0.0)
+        y, dk, cont_layers[k] = _reflected_step(lattice, spec, k, cond, z, h_k)
+        exercised[k] = h_k >= cont_layers[k] - TIE_TOL
+        return y, dk
 
     triple = backward_induction(lattice, spec, step)
     g = triple.y[-1]
@@ -178,6 +229,17 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     cont_layers[-1] = g
     exercised[-1] = np.abs(g - h_T) <= TIE_TOL
     return SnellOutput(triple, tuple(cont_layers), tuple(exercised))
+
+
+def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
+    """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory."""
+
+    def step(k, cond, z, h_k):
+        return _reflected_step(lattice, spec, k, cond, z, h_k)[:2]
+
+    for _, y, _, _ in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
+        pass
+    return float(y[0])
 
 
 def optimal_stopping_times(out: SnellOutput, node_paths: np.ndarray) -> np.ndarray:

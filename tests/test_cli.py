@@ -370,6 +370,31 @@ def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(tmp_path, c
     assert "at step 9, node 5 (last change" in err
 
 
+@pytest.mark.parametrize(
+    "command, what",
+    [("solve", "implicit one-step solve"), ("pde", "boundary flow at x = 0.0")],
+)
+def test_overflowed_data_is_named_and_not_blamed_on_the_contraction(
+    tmp_path, capsys, command, what
+):
+    # g = 1e308 and f = 1e308: Y grows by dt * 1e308 a step and leaves the float range
+    path = write_config(
+        tmp_path,
+        command,
+        generator="constant:1e308",
+        terminal="constant:1e308",
+        obstacle="zero",
+        n_steps="16",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: {what} reached the non-finite value inf at step ")
+    assert "overflowed" in err and "lipschitz" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_pde_report_counts_are_deterministic(tmp_path):
     path = write_config(
         tmp_path, "pde", generator="zero", terminal="constant:1", obstacle="zero", kappa="0"
@@ -523,14 +548,21 @@ def test_sweep_csv_matches_the_row_by_row_reference(tmp_path):
 
 
 def test_convergence_csv_matches_the_row_by_row_reference(tmp_path):
+    # the command solves only the roots; the reference keeps every layer
     path = write_config(tmp_path, "convergence", n_steps="8")
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    cfg = load_config(path)
-    lines = ["n_steps,Y0\n"]
-    for n in (8, 16, 32):
-        lattice = build_lattice(cfg.model, TimeGrid(n, 1.0))
-        lines.append(f"{n},{float(solve_snell(lattice, cfg.spec).triple.y[0][0])!r}\n")
-    assert (tmp_path / "out" / "convergence.csv").read_text() == "".join(lines)
+    arithmetic = path.read_text().replace("kind = geometric", "kind = arithmetic")
+    arithmetic = arithmetic.replace("mu = 0.06", "b0 = 0.3").replace("sigma = 0.4", "sigma0 = 4.0")
+    for kind, text in (("geometric", path.read_text()), ("arithmetic", arithmetic)):
+        path.write_text(text)
+        out = tmp_path / kind
+        assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = load_config(path)
+        assert cfg.model.kind == kind
+        lines = ["n_steps,Y0\n"]
+        for n in (8, 16, 32):
+            lattice = build_lattice(cfg.model, TimeGrid(n, 1.0))
+            lines.append(f"{n},{float(solve_snell(lattice, cfg.spec).triple.y[0][0])!r}\n")
+        assert (out / "convergence.csv").read_text() == "".join(lines)
 
 
 def test_snell_csv_export(tmp_path, put_snell_512):

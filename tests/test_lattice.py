@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,32 @@ def test_node_path_sampler_is_deterministic_and_consistent():
     states = states_along(lat, a)
     assert states.shape == a.shape
     assert np.all(states[:, 0] == 36.0)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])
+def test_geometric_nodes_are_the_reference_powers_bit_for_bit(n_steps):
+    lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(n_steps, 1.0))
+    u = math.exp(0.4 * math.sqrt(lat.dt))
+    d = 1.0 / u
+    p = (math.exp(0.06 * lat.dt) - d) / (u - d)
+    for k in range(n_steps + 1):
+        # the oracle: node j of layer k is x0 * u**(2j - k)
+        reference = 36.0 * u ** (2.0 * np.arange(k + 1) - k)
+        assert lat.nodes[k].tobytes() == reference.tobytes()
+    for k in range(n_steps):
+        assert lat.up_prob[k].tobytes() == np.full(k + 1, p).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ForwardModel.geometric(0.06, 0.4, 36.0), ForwardModel.arithmetic(0.3, 0.7, 2.0)],
+    ids=["geometric", "arithmetic"],
+)
+def test_lattice_layers_are_read_only(model):
+    lat = build_lattice(model, TimeGrid(8, 1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        lat.nodes[5][2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        lat.nodes[4] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        lat.up_prob[3][0] = 1.0

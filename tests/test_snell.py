@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from rbsde_lab.problem import (
 )
 from rbsde_lab.snell import (
     ContractionError,
+    DataOverflowError,
     brute_force_stopping_value,
     estimate_z,
     fixed_point,
     optimal_stopping_times,
+    snell_root,
     solve_snell,
 )
 
@@ -243,3 +246,64 @@ def test_fixed_point_settles_or_raises():
     # contraction factor 0.9: 0.9^100 is far above the relative stop test
     with pytest.raises(ContractionError, match="did not converge"):
         fixed_point(lambda y: 1.0 - 0.9 * y, np.zeros(1))
+
+
+def test_fixed_point_names_an_overflowed_iterate_not_the_contraction():
+    def update(y):
+        # rows 0 and 2 settle; row 1 leaves the float range at node 2
+        out = np.ones_like(y)
+        out[1, 2] = y[1, 2] * 1e300 + 1e300
+        return out
+
+    with np.errstate(over="ignore"):
+        # the iterate squares past the float range on the second update
+        with pytest.raises(DataOverflowError, match=r"value inf at step 4, node 0; .*overflowed"):
+            fixed_point(lambda y: y * y + 1e200, np.zeros(2), 4)
+        with pytest.raises(DataOverflowError, match=r"value inf at step 7, node 2, row b;") as err:
+            fixed_point(update, np.zeros((3, 4)), 7, rows=["row a", "row b", "row c"])
+    assert "lipschitz" not in str(err.value)
+
+
+def _root_instance(kind, generator, n_steps):
+    if kind == "geometric":
+        model, strike = ForwardModel.geometric(0.06, 0.4, 36.0), 40.0
+    else:
+        model, strike = ForwardModel.arithmetic(0.3, 4.0, 36.0), 38.0
+    spec = ProblemSpec(
+        make_generator(generator),
+        make_terminal(f"put_payoff:{strike}"),
+        make_obstacle(f"put_payoff:{strike}"),
+        0.06,
+    )
+    return build_lattice(model, TimeGrid(n_steps, 1.0)), spec
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 64, 384])
+@pytest.mark.parametrize("generator", ["zero", "constant:0.5", "linear_discount:0.06"])
+@pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+def test_root_solve_is_the_full_solves_root_bit_for_bit(kind, generator, n_steps):
+    lat, spec = _root_instance(kind, generator, n_steps)
+    assert snell_root(lat, spec) == solve_snell(lat, spec).triple.y[0][0]
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_root_solve_and_geometric_build_run_in_linear_memory(put_spec):
+    # N = 1024: a full solve keeps Y, Z, K, the continuation and the
+    # exercise flags of every layer, about 17 MB; a root solve keeps a few
+    # layers, and the geometric lattice two tables of about N + 1 states
+    grid = TimeGrid(1024, 1.0)
+    build_peak = _peak_traced_bytes(lambda: build_lattice(put_model(), grid))
+    lat = build_lattice(put_model(), grid)
+    root_peak = _peak_traced_bytes(lambda: snell_root(lat, put_spec))
+    full_peak = _peak_traced_bytes(lambda: solve_snell(lat, put_spec))
+    assert build_peak < 1e6
+    assert root_peak < 1e6
+    assert full_peak > 10e6
