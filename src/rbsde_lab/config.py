@@ -198,6 +198,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 boundary_mode=_get(cp, "pde", "boundary", str, BOUNDARY_OBSTACLE).strip(),
             )
         pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
+        if pde_penalty_n is not None and pde_penalty_n < 0.0:
+            raise ConfigError(f"[pde] penalty_n: must be >= 0, got {pde_penalty_n!r}")
         if not pde_grid.x_min < model.x0 < pde_grid.x_max:
             raise ConfigError(
                 f"[pde]: x0 = {model.x0} must lie strictly inside "

@@ -213,10 +213,3 @@ def sample_node_paths(lattice: Lattice, n_paths: int, seed: int) -> np.ndarray:
         idx[:, k + 1] = idx[:, k] + (uniforms[:, k] < p)
     return idx
 
-
-def states_along(lattice: Lattice, node_paths: np.ndarray) -> np.ndarray:
-    """State values visited by node-index paths."""
-    out = np.empty(node_paths.shape, dtype=float)
-    for k in range(lattice.n_steps + 1):
-        out[:, k] = lattice.nodes[k][node_paths[:, k]]
-    return out

@@ -32,7 +32,7 @@ import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _require_contraction, fixed_point, snell_root
+from .snell import FP_TOL, _reflected_step, _require_contraction, fixed_point, snell_root
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
@@ -87,21 +87,21 @@ class PdeGrid:
 class PdeField:
     """Grid values u[k][i] (time-major), with solver metadata.
 
-    For the projected method ``complementarity`` is the worst nodewise
-    product residual * (u - h) observed over all time steps and
-    ``min_operator_residual`` the most negative operator residual. Both
-    methods count the most policy iterations one LCP solve took and the
-    most lagged generator solves one time step took.
+    ``complementarity`` is the worst nodewise product residual * (u - h)
+    observed over all time steps and ``min_operator_residual`` the most
+    negative operator residual, where the residual is A v - rhs of the
+    step's implicit solve: for the projected scheme the LCP multiplier, for
+    the penalized scheme the penalty force. Both schemes count the most
+    policy iterations one LCP solve took and the most lagged generator
+    solves one time step took.
     """
 
     u: np.ndarray
     grid: PdeGrid
-    method: str
-    penalty_n: float | None = None
-    complementarity: float = 0.0
-    min_operator_residual: float = 0.0
-    max_policy_iterations: int = 0
-    max_lag_iterations: int = 0
+    complementarity: float
+    min_operator_residual: float
+    max_policy_iterations: int
+    max_lag_iterations: int
 
     def interpolate(self, t: float, x: float) -> float:
         """Bilinear interpolation of u at an interior point (t, x)."""
@@ -133,24 +133,22 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     reflected at h(t_k, x): for a deep-in-the-money put boundary this pins
     the obstacle value, at the opposite end it carries the discounted
     terminal payoff, matching the usual truncation policy at both ends.
+    Each step is the lattice's reflected step on one state; extrapolation
+    mode reflects at h = -inf, which leaves the step unreflected.
     """
     times = grid.times()
     n = grid.time.n_steps
     dt = grid.time.dt
     xb = np.array([x_bnd])
+    z = np.zeros(1)
     reflect = grid.boundary_mode == BOUNDARY_OBSTACLE
     values = np.empty(n + 1)
     values[n] = float(spec.terminal(xb)[0])
     what = f"boundary flow at x = {x_bnd!r}"
     for k in range(n - 1, -1, -1):
         h_b = float(spec.obstacle(times[k], xb)[0]) if reflect else -math.inf
-        v_next = values[k + 1]
-
-        def update(v):
-            fval = np.asarray(spec.generator(times[k], xb, v, np.zeros(1)), dtype=float)
-            return np.maximum(h_b, v_next + dt * fval)
-
-        values[k] = fixed_point(update, np.maximum(h_b, np.array([v_next])), k, what)[0]
+        cond = values[k + 1 : k + 2]
+        values[k] = _reflected_step(spec.generator, times[k], xb, z, cond, h_b, dt, k, what)[0][0]
     return values
 
 
@@ -316,13 +314,7 @@ def _backward_solve(grid, spec, model, n):
         worst_resid = min(worst_resid, float(np.min(resid)))
         worst_comp = max(worst_comp, float(np.max(np.abs(resid * gap))))
 
-    counts = {"max_policy_iterations": max_policy, "max_lag_iterations": max_lag}
-    if n is None:
-        return PdeField(
-            u, grid, "projected", complementarity=worst_comp,
-            min_operator_residual=worst_resid, **counts,
-        )
-    return PdeField(u, grid, "penalized", n, **counts)
+    return PdeField(u, grid, worst_comp, worst_resid, max_policy, max_lag)
 
 
 def solve_pde_projected(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel) -> PdeField:
@@ -459,7 +451,6 @@ def chi_supersolution_check(
     model: ForwardModel,
     kappa: float,
     grid: PdeGrid,
-    scan=C_SCAN_GRID,
 ) -> ChiSupersolutionReport:
     """Scan time slopes for a strict supersolution witness on [window_start, T].
 
@@ -480,7 +471,7 @@ def chi_supersolution_check(
 
     rows = []
     witness = None
-    for c in scan:
+    for c in C_SCAN_GRID:
         window_start = horizon - params.terminal_weight / c
         ks = [k for k in range(1, n) if times[k] >= window_start - 1e-12]
         if not ks:

@@ -65,53 +65,21 @@ def obstacle_layers(spec: ProblemSpec, lattice: Lattice):
     )
 
 
-def obstacle_values(spec: ProblemSpec, lattice: Lattice) -> list:
-    """Obstacle h(t_k, x) evaluated on every lattice layer."""
-    return list(obstacle_layers(spec, lattice))
-
-
 def terminal_values(spec: ProblemSpec, lattice: Lattice) -> np.ndarray:
     return np.asarray(spec.terminal(lattice.nodes[-1]), dtype=float)
 
 
-def check_terminal_dominates(spec: ProblemSpec, t_end: float, states, tol: float = 0.0) -> float:
-    """Max violation of g >= h(t_end, .) over the terminal states; raises beyond tol."""
+def check_terminal_dominates(spec: ProblemSpec, t_end: float, states) -> float:
+    """Max violation of g >= h(t_end, .) over the terminal states; raises if it is > 0."""
     g = np.asarray(spec.terminal(states), dtype=float)
     h_T = np.asarray(spec.obstacle(t_end, states), dtype=float)
     violation = float(np.max(h_T - g, initial=0.0))
-    if violation > tol:
+    if violation > 0.0:
         raise ValueError(
             f"terminal payoff must dominate the obstacle at maturity "
             f"(violated by {violation:.3e})"
         )
     return violation
-
-
-def sampled_lipschitz_ratio(
-    spec: ProblemSpec, lattice: Lattice, n_samples: int = 200, seed: int = 0
-) -> float:
-    """Largest |f(y,z) - f(y',z')| / (|dy| + |dz|) over random sampled triples.
-
-    A sample check that the declared lipschitz_kappa bounds the generator's
-    (y, z)-variation on the lattice's time/state range; the global property
-    itself is an assumption and cannot be certified by sampling.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for _ in range(n_samples):
-        k = int(rng.integers(0, lattice.n_steps))
-        j = int(rng.integers(0, k + 1))
-        t = lattice.times[k]
-        x = np.array([lattice.nodes[k][j]])
-        y1, y2 = rng.normal(0.0, 10.0, size=2)
-        z1, z2 = rng.normal(0.0, 10.0, size=2)
-        denom = abs(y1 - y2) + abs(z1 - z2)
-        if denom == 0.0:
-            continue
-        f1 = float(np.asarray(spec.generator(t, x, np.array([y1]), np.array([z1])))[0])
-        f2 = float(np.asarray(spec.generator(t, x, np.array([y2]), np.array([z2])))[0])
-        worst = max(worst, abs(f1 - f2) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +352,19 @@ def validate_solution(
         if np.asarray(sol.y[k]).shape != (k + 1,):
             raise ValueError(f"Y layer {k} has wrong shape")
 
-    h = obstacle_values(spec, lattice)
     dt = lattice.dt
-
-    obstacle_violation = max(
-        float(np.max(h[k] - sol.y[k])) for k in range(n + 1)
-    )
     k_min_increment = min(
         (float(np.min(sol.dk[k])) for k in range(n)), default=0.0
     )
     k_initial = 0.0  # increments accumulate from zero by construction
 
+    violations = []
     skorokhod = 0.0
     backward = 0.0
-    for k in range(n):
+    for k, h_k in enumerate(obstacle_layers(spec, lattice)):
+        violations.append(float(np.max(h_k - sol.y[k])))
+        if k == n:
+            break
         cond = lattice_expectation(lattice, sol.y[k + 1], k)
         fval = np.asarray(
             spec.generator(lattice.times[k], lattice.nodes[k], sol.y[k], sol.z[k]),
@@ -405,7 +372,8 @@ def validate_solution(
         )
         resid = sol.y[k] - (cond + dt * fval + sol.dk[k])
         backward = max(backward, float(np.max(np.abs(resid))))
-        skorokhod += float(np.max(np.abs((sol.y[k] - h[k]) * sol.dk[k])))
+        skorokhod += float(np.max(np.abs((sol.y[k] - h_k) * sol.dk[k])))
+    obstacle_violation = max(violations)
 
     flags = {
         "obstacle_ok": obstacle_violation <= tol,

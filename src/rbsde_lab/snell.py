@@ -25,13 +25,14 @@ from .problem import (
     ProblemSpec,
     SolutionTriple,
     check_terminal_dominates,
-    obstacle_values,
+    obstacle_layers,
     terminal_values,
 )
 
 FP_TOL = 1e-14
 FP_MAX_ITER = 100
 TIE_TOL = 1e-12
+ONE_STEP = "implicit one-step solve"
 
 
 class ContractionError(ValueError):
@@ -84,7 +85,7 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     return slope * sigma
 
 
-def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None):
+def fixed_point(update, y0, step=None, what=ONE_STEP, rows=None):
     """Iterate y <- update(y) from y0 until successive iterates settle.
 
     The stop test is relative to the iterate scale, above the float noise
@@ -98,6 +99,13 @@ def fixed_point(update, y0, step=None, what="implicit one-step solve", rows=None
     FP_MAX_ITER updates ContractionError is raised. Both messages name
     ``what``, the caller's ``step``, a node and, for a batch, the row by
     its name in ``rows``.
+
+    The 1-D and batch stop tests stay apart for speed: a batch iteration
+    also reduces its (rows,) flags (``delta.max()``, ``done.any()``,
+    ``done.all()``), each numpy call about 1 us however small the array,
+    against 4-5 us for the rest of a reflected step's iteration. Sent
+    through the batch branch as batches of one, ``solve_snell`` and
+    ``snell_root`` ran about 1.5 times as long.
     """
     y = y0
     done = np.zeros(np.shape(y0)[:-1], dtype=bool)
@@ -185,25 +193,24 @@ def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> 
     return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
 
 
-def _reflected_step(lattice: Lattice, spec: ProblemSpec, k, cond, z, h_k):
-    """One reflected step at layer k; returns (y, dk, continuation).
+def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
+    """One reflected step at time t on the states x; returns (y, dk, continuation).
 
-    Solves y = max(h, c) with the continuation c = cond + dt * f(t_k, x, y, z)
-    and splits off the increment dK = (h - c)^+.
+    Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
+    and splits off the increment dK = (h - c)^+. ``k`` and ``what`` name the
+    step in a failed solve; h = -inf gives the unreflected step.
     """
-    t, x = lattice.times[k], lattice.nodes[k]
-    dt = lattice.dt
     cont = None
 
     def reflect(y):
         # Keep the continuation behind the newest iterate: the converged
         # y is exactly max(h, c), so dK = (h - c)^+ splits it exactly.
         nonlocal cont
-        cont = cond + dt * np.asarray(spec.generator(t, x, y, z), dtype=float)
-        return np.maximum(h_k, cont)
+        cont = cond + dt * np.asarray(generator(t, x, y, z), dtype=float)
+        return np.maximum(h, cont)
 
-    y = fixed_point(reflect, np.maximum(h_k, cond), k)
-    return y, np.maximum(h_k - cont, 0.0), cont
+    y = fixed_point(reflect, np.maximum(h, cond), k, what)
+    return y, np.maximum(h - cont, 0.0), cont
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -217,9 +224,12 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     """
     cont_layers = [None] * (lattice.n_steps + 1)
     exercised = [None] * (lattice.n_steps + 1)
+    times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
 
     def step(k, cond, z, h_k):
-        y, dk, cont_layers[k] = _reflected_step(lattice, spec, k, cond, z, h_k)
+        y, dk, cont_layers[k] = _reflected_step(
+            spec.generator, times[k], nodes[k], z, cond, h_k, dt, k, ONE_STEP
+        )
         exercised[k] = h_k >= cont_layers[k] - TIE_TOL
         return y, dk
 
@@ -234,8 +244,12 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
 def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory."""
 
+    times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
+
     def step(k, cond, z, h_k):
-        return _reflected_step(lattice, spec, k, cond, z, h_k)[:2]
+        return _reflected_step(
+            spec.generator, times[k], nodes[k], z, cond, h_k, dt, k, ONE_STEP
+        )[:2]
 
     for _, y, _, _ in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
         pass
@@ -270,7 +284,7 @@ def brute_force_stopping_value(lattice: Lattice, spec: ProblemSpec) -> float:
     if n > 12:
         raise ValueError("exhaustive stopping enumeration requires n_steps <= 12")
     dt = lattice.dt
-    h = obstacle_values(spec, lattice)
+    h = list(obstacle_layers(spec, lattice))
     g = terminal_values(spec, lattice)
     zeros = [np.zeros(k + 1) for k in range(n + 1)]
     f0 = [

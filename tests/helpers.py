@@ -122,9 +122,9 @@ def enumerate_markov_stopping_rules(lattice, spec) -> float:
     if len(nodes) > 16:
         raise ValueError("rule enumeration is exponential; use n_steps <= 5")
     dt = lattice.dt
-    from rbsde_lab.problem import obstacle_values, terminal_values
+    from rbsde_lab.problem import obstacle_layers, terminal_values
 
-    h = obstacle_values(spec, lattice)
+    h = list(obstacle_layers(spec, lattice))
     g = terminal_values(spec, lattice)
     f0 = [
         np.asarray(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -329,6 +330,41 @@ def test_verify_artifacts_are_unchanged(tmp_path):
     assert (out / "validation.json").read_bytes() == VERIFY_16_VALIDATION_JSON.encode()
 
 
+# sha256 of every artifact of `solve` with n_steps = 16 and of `pde` on a
+# 41x20 grid with penalty_n = 1000, on the config above, as written before
+# the PDE boundary flow took the lattice's reflected step.
+ARTIFACT_DIGESTS = {
+    "solve": {
+        "snell.csv": "99e789a836a1543d138fef1b5298868f00b9451617c9188a0d6191e678afce9b",
+        "validation.json": "6a6cb944d32feb510b4a62869a8f3445eef6627a918fa5629d4487a542f77d4d",
+    },
+    "dirichlet-obstacle": {
+        "pde.csv": "727d916bf4558185e1c83729f6938a19f4a565d034229cf1f2cec25db4839a9b",
+        "pde_penalized.csv": "33cbff6ab6a860cc368418bfd537576d8213dc30561e29b8421321e539d9dd58",
+        "pde_report.json": "d1359a7f0cd1ff693871ddcf63df497c75b3dffa7627edd9574250dd6c925616",
+    },
+    "dirichlet-terminal-extrapolation": {
+        "pde.csv": "7b61ad65c913ef693aa7e0458bcad8507e947d8c08b2f53c0c430c9659f99e33",
+        "pde_penalized.csv": "48fad59a514903fab8e672cc85acf1fe36a40d42182b246d1973d5010e0845c0",
+        "pde_report.json": "d1359a7f0cd1ff693871ddcf63df497c75b3dffa7627edd9574250dd6c925616",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(ARTIFACT_DIGESTS))
+def test_solve_and_pde_artifacts_are_unchanged(tmp_path, run):
+    if run == "solve":
+        path = write_config(tmp_path, "solve", n_steps="16")
+    else:
+        path = write_config(
+            tmp_path, "pde", m_nodes="41", n_steps="20", penalty_n="1000", boundary=run
+        )
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == ARTIFACT_DIGESTS[run]
+
+
 def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
     real = cli.check_uniform_bound
     monkeypatch.setattr(
@@ -350,6 +386,17 @@ def test_pde_command(tmp_path, capsys):
     assert (out / "pde.csv").exists()
     assert (out / "pde_penalized.csv").exists()
     assert json.loads((out / "pde_report.json").read_text())["complementarity"] <= 1e-8
+
+
+def test_config_rejects_a_negative_pde_penalty(tmp_path, capsys):
+    # a negative intensity used to pass the loader: `pde` then wrote pde.csv
+    # and stopped with exit 1 before writing pde_report.json
+    path = write_config(tmp_path, "pde", penalty_n="-5")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [pde] penalty_n: must be >= 0, got -5.0\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys):

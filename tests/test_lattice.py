@@ -10,7 +10,6 @@ from rbsde_lab.lattice import (
     build_lattice,
     lattice_expectation,
     sample_node_paths,
-    states_along,
 )
 
 
@@ -123,9 +122,6 @@ def test_node_path_sampler_is_deterministic_and_consistent():
     assert np.array_equal(a, b)
     steps = np.diff(a, axis=1)
     assert set(np.unique(steps)) <= {0, 1}
-    states = states_along(lat, a)
-    assert states.shape == a.shape
-    assert np.all(states[:, 0] == 36.0)
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])

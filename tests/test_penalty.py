@@ -19,7 +19,7 @@ from rbsde_lab.problem import (
     make_generator,
     make_obstacle,
     make_terminal,
-    obstacle_values,
+    obstacle_layers,
     validate_solution,
 )
 from rbsde_lab.snell import ContractionError, solve_snell
@@ -79,7 +79,7 @@ def test_put_sweep_diagnostics(put_sweep_512, put_lattice_512, put_spec):
 
 
 def test_penalty_acts_only_below_the_obstacle(put_sweep_512, put_lattice_512, put_spec):
-    h = obstacle_values(put_spec, put_lattice_512)
+    h = list(obstacle_layers(put_spec, put_lattice_512))
     sol = put_sweep_512.solutions[5]
     crossing = 0.0
     for k in range(put_lattice_512.n_steps):
@@ -121,7 +121,7 @@ def test_undershoot_reported_when_obstacle_sits_above_continuation():
     trace = run_sweep(lat, spec, [1000.0])
     assert trace.negative_part_norm[0] > 0.0
     sol = trace.solutions[0]
-    h = obstacle_values(spec, lat)
+    h = list(obstacle_layers(spec, lat))
     assert any(np.any(sol.y[k] < h[k]) for k in range(lat.n_steps))
 
 

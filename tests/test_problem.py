@@ -17,7 +17,6 @@ from rbsde_lab.problem import (
     make_obstacle,
     make_terminal,
     mp_norm,
-    sampled_lipschitz_ratio,
     sp_norm,
     validate_solution,
 )
@@ -80,15 +79,6 @@ def test_terminal_domination_check():
     )
     with pytest.raises(ValueError, match="dominate the obstacle"):
         check_terminal_dominates(bad, lat.times[-1], lat.nodes[-1])
-
-
-def test_sampled_lipschitz_ratio_bounded_by_declared_kappa():
-    lat = build_lattice(ForwardModel.geometric(0.0, 0.2, 36.0), TimeGrid(8, 1.0))
-    spec = put_problem(r=0.06)
-    ratio = sampled_lipschitz_ratio(spec, lat, n_samples=500, seed=4)
-    assert 0.0 < ratio <= spec.lipschitz_kappa + 1e-12
-    flat = ProblemSpec(make_generator("constant:3"), make_terminal("zero"), make_obstacle("zero"), 0.0)
-    assert sampled_lipschitz_ratio(flat, lat) == 0.0
 
 
 # -- empirical norms -------------------------------------------------------
