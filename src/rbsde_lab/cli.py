@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimates import check_k_estimate, check_stability, check_y_estimate, check_z_estimate
+from .estimates import (
+    check_k_estimate,
+    check_stability,
+    check_y_estimate,
+    check_z_estimate,
+    solution_moments,
+)
 from .lattice import build_lattice
 from .pde import PdeField, check_start_time, solve_pde_penalized, solve_pde_projected
 from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
@@ -35,6 +41,9 @@ PDE_TOL = 1e-8
 SELF_STABILITY_TOL = 1e-12
 # a PDE cell counts as exercised where u - h <= EXERCISE_TIE_TOL
 EXERCISE_TIE_TOL = 1e-8
+# rows that _write_csv assembles into one string: a whole 513-node layer at
+# once raised the peak memory of `solve`, 64 rows keep it flat
+_CSV_CHUNK_ROWS = 64
 
 
 def _floats(values):
@@ -50,13 +59,22 @@ def _flags(mask):
 def _write_csv(path, header: str, blocks) -> None:
     """Write ``header``, then each block of equally long columns as rows.
 
-    Blocks are consumed one at a time (one lattice layer or PDE time row), so
-    the text of the whole table is never held at once.
+    Blocks are consumed one at a time (one lattice layer or PDE time row),
+    and each block _CSV_CHUNK_ROWS rows at a time, so the text of the whole
+    table, or of one whole layer, is never held at once. A chunk is one list
+    of cells and separators, filled column by column, and one write.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+            width = 2 * len(columns)
+            rows = zip(*columns)
+            while chunk := [row for _, row in zip(range(_CSV_CHUNK_ROWS), rows)]:
+                parts = [","] * (width * len(chunk))
+                for c, cells in enumerate(zip(*chunk)):
+                    parts[2 * c :: width] = cells
+                parts[width - 1 :: width] = ["\n"] * len(chunk)
+                fh.write("".join(parts))
 
 
 def _write_json(payload: dict, path) -> None:
@@ -229,10 +247,10 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
     jsonl = out / "estimates.jsonl"
     jsonl.unlink(missing_ok=True)
+    moments = solution_moments(result.triple, cfg.spec, lattice, report)
     for check in (check_y_estimate, check_z_estimate, check_k_estimate):
-        est = check(result.triple, cfg.spec, lattice, instance_id=cfg.command)
-        append_report_jsonl(est, jsonl)
-    stability = check_stability(result.triple, result.triple, cfg.spec, cfg.spec, lattice)
+        append_report_jsonl(check(moments, instance_id=cfg.command), jsonl)
+    stability = check_stability(moments, moments)
     append_report_jsonl(stability, jsonl)
     _say(cfg, f"validation_all_pass={report.all_pass} self_stability={stability.delta_y_norm!r}")
     failed = _contract_failures(report)

@@ -9,6 +9,15 @@ it: re-runs must not drift above a recorded baseline.
 All expectations are lattice-probability-weighted sums (noise-free);
 suprema and time integrals along paths are node-conditioned as in
 ``rbsde_lab.problem``.
+
+Each statistic of a solution is computed once. ``solution_moments`` takes
+the solution's ``ValidationReport`` (it needs the Skorokhod flag and does
+not validate again), computes the node weights once, and makes one sup
+pass over the rows (Y, h^+) and one accumulation pass over the rows
+(|f(t, x, 0, 0)| dt, Z^2 dt, dK). The Y, Z and K checks are arithmetic on
+that result. ``check_stability`` takes two such results, reuses their data
+functionals and weights, and runs only its own difference rows: one sup
+pass over (dY, dh) and one accumulation pass over df.
 """
 
 from __future__ import annotations
@@ -21,12 +30,13 @@ from .lattice import Lattice
 from .problem import (
     ProblemSpec,
     SolutionTriple,
+    ValidationReport,
     lattice_accumulation_moment,
     lattice_sup_moment,
     lattice_terminal_moment,
     obstacle_layers,
     terminal_values,
-    validate_solution,
+    validate_solution,  # noqa: F401  (bench/tracing.py hooks validation under this name)
 )
 
 
@@ -54,121 +64,141 @@ class StabilityReport:
     ratio: float
 
 
+@dataclass(frozen=True)
+class SolutionMoments:
+    """Every lattice statistic of one reflected solution that the checks read.
+
+    ``weights`` is the lattice's ``node_weights()`` table; the moments use
+    the exponent p of ``spec`` (p/2 for Z).
+    """
+
+    sol: SolutionTriple
+    spec: ProblemSpec
+    lattice: Lattice
+    weights: list
+    sup_y: float  # E sup |Y|^p
+    xi_term: float  # E |xi|^p
+    f_term: float  # E (int |f(s, X_s, 0, 0)| ds)^p
+    obstacle_term: float  # E sup (h^+)^p
+    z_term: float  # E (int Z^2 ds)^(p/2)
+    k_term: float  # E K_T^p
+
+    @property
+    def data_functional(self) -> float:
+        """E|xi|^p + E(int |f(s,0,0)| ds)^p + E sup (h^+)^p."""
+        return self.xi_term + self.f_term + self.obstacle_term
+
+    @property
+    def y_and_generator(self) -> float:
+        """E[sup |Y|^p] + E[(int |f(s,0,0)| ds)^p]: the data side of the Z and K estimates."""
+        return self.sup_y + self.f_term
+
+
 def _ratio(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
         return 0.0
     return lhs / rhs
 
 
-def _require_skorokhod(sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice) -> None:
-    report = validate_solution(sol, spec, lattice)
+def _generator_at_origin(spec: ProblemSpec, t, x) -> np.ndarray:
+    """|f(t, x, 0, 0)| on one layer of states."""
+    zeros = np.zeros_like(x)
+    return np.abs(np.asarray(spec.generator(t, x, zeros, zeros), dtype=float))
+
+
+def solution_moments(
+    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, report: ValidationReport
+) -> SolutionMoments:
+    """The statistics of a reflected solution, each computed in one lattice pass.
+
+    ``report`` is ``validate_solution`` of the same solution; a solution
+    that violates the Skorokhod condition is rejected.
+    """
     if not report.skorokhod_ok:
         raise ValueError(
             f"solution violates the Skorokhod condition "
             f"(residual {report.skorokhod_residual:.3e}); estimate checks "
             f"require a reflected solution"
         )
-
-
-def _generator_at_origin_moment(
-    spec: ProblemSpec, lattice: Lattice, power: float, weights: list
-) -> float:
-    """E[(sum_k |f(t_k, x_k, 0, 0)| dt)^power] with node-conditioned accumulation."""
+    p = spec.p_exponent
     dt = lattice.dt
-
-    def addend(t, x):
-        zeros = np.zeros_like(x)
-        return np.abs(np.asarray(spec.generator(t, x, zeros, zeros), dtype=float)) * dt
-
-    addends = (addend(t, x) for t, x in zip(lattice.times, lattice.nodes[:-1]))
-    return lattice_accumulation_moment(lattice, addends, power, weights)
-
-
-def data_functional(spec: ProblemSpec, lattice: Lattice, weights: list) -> float:
-    """E|xi|^p + E(int |f(s,0,0)| ds)^p + E sup (h^+)^p with the lattice's node weights."""
-    p = spec.p_exponent
-    xi_term = lattice_terminal_moment(terminal_values(spec, lattice), p, weights)
-    f_term = _generator_at_origin_moment(spec, lattice, p, weights)
-    h_plus = (np.maximum(hk, 0.0) for hk in obstacle_layers(spec, lattice))
-    obstacle_term = lattice_sup_moment(lattice, h_plus, p, weights)
-    return xi_term + f_term + obstacle_term
-
-
-def _y_and_generator_rhs(
-    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, weights: list
-) -> float:
-    """E[sup |Y|^p] + E[(int |f(s,0,0)| ds)^p]: the data side of the Z and K estimates."""
-    p = spec.p_exponent
-    return lattice_sup_moment(lattice, sol.y, p, weights) + _generator_at_origin_moment(
-        spec, lattice, p, weights
+    weights = lattice.node_weights()
+    sups = (
+        np.array((y, np.maximum(h, 0.0)))
+        for y, h in zip(sol.y, obstacle_layers(spec, lattice), strict=True)
+    )
+    sup_y, obstacle_term = lattice_sup_moment(lattice, sups, p, weights)
+    addends = (
+        np.array((_generator_at_origin(spec, t, x) * dt, z * z * dt, dk))
+        for t, x, z, dk in zip(lattice.times, lattice.nodes, sol.z, sol.dk)
+    )
+    f_term, z_term, k_term = lattice_accumulation_moment(
+        lattice, addends, (p, p / 2.0, p), weights
+    )
+    return SolutionMoments(
+        sol=sol,
+        spec=spec,
+        lattice=lattice,
+        weights=weights,
+        sup_y=sup_y,
+        xi_term=lattice_terminal_moment(terminal_values(spec, lattice), p, weights),
+        f_term=f_term,
+        obstacle_term=obstacle_term,
+        z_term=z_term,
+        k_term=k_term,
     )
 
 
-def check_y_estimate(
-    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, instance_id: str = ""
-) -> EstimateReport:
+def _report(lhs: float, rhs: float, moments: SolutionMoments, instance_id: str) -> EstimateReport:
+    return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, moments.spec.p_exponent)
+
+
+def check_y_estimate(moments: SolutionMoments, instance_id: str = "") -> EstimateReport:
     """Ratio of E sup |Y|^p against the data functional."""
-    _require_skorokhod(sol, spec, lattice)
-    p = spec.p_exponent
-    weights = lattice.node_weights()
-    lhs = lattice_sup_moment(lattice, sol.y, p, weights)
-    rhs = data_functional(spec, lattice, weights)
-    return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
+    return _report(moments.sup_y, moments.data_functional, moments, instance_id)
 
 
-def check_z_estimate(
-    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, instance_id: str = ""
-) -> EstimateReport:
+def check_z_estimate(moments: SolutionMoments, instance_id: str = "") -> EstimateReport:
     """Ratio of E (int |Z|^2 ds)^(p/2) against E[sup |Y|^p + (int |f(s,0,0)| ds)^p]."""
-    _require_skorokhod(sol, spec, lattice)
-    p = spec.p_exponent
-    dt = lattice.dt
-    weights = lattice.node_weights()
-    lhs = lattice_accumulation_moment(lattice, (z * z * dt for z in sol.z), p / 2.0, weights)
-    rhs = _y_and_generator_rhs(sol, spec, lattice, weights)
-    return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
+    return _report(moments.z_term, moments.y_and_generator, moments, instance_id)
 
 
-def check_k_estimate(
-    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, instance_id: str = ""
-) -> EstimateReport:
+def check_k_estimate(moments: SolutionMoments, instance_id: str = "") -> EstimateReport:
     """Ratio of E K_T^p against E[sup |Y|^p + (int |f(s,0,0)| ds)^p]."""
-    _require_skorokhod(sol, spec, lattice)
-    p = spec.p_exponent
-    weights = lattice.node_weights()
-    lhs = lattice_accumulation_moment(lattice, sol.dk, p, weights)
-    rhs = _y_and_generator_rhs(sol, spec, lattice, weights)
-    return EstimateReport(lhs, rhs, _ratio(lhs, rhs), instance_id, p)
+    return _report(moments.k_term, moments.y_and_generator, moments, instance_id)
 
 
-def check_stability(
-    sol_a: SolutionTriple,
-    sol_b: SolutionTriple,
-    spec_a: ProblemSpec,
-    spec_b: ProblemSpec,
-    lattice: Lattice,
-) -> StabilityReport:
+def check_stability(a: SolutionMoments, b: SolutionMoments) -> StabilityReport:
     """Variation estimate between two solved instances on one lattice.
 
     delta_y_norm = E sup |Y - Y'|^p is compared against
     E[|dxi|^p + (int |df(s, Y_s, Z_s)| ds)^p]
     + Psi_T^(1/p) * (E sup |dh|^p)^((p-1)/p),
     where Psi_T sums the two instances' data functionals and df is evaluated
-    along the first solution.
+    along the first solution. The node weights are those of ``a``.
     """
-    if sol_a.lattice.n_steps != lattice.n_steps or sol_b.lattice.n_steps != lattice.n_steps:
-        raise ValueError("solutions and lattice have mismatched step counts")
-    if not np.array_equal(sol_a.lattice.nodes[-1], lattice.nodes[-1]) or not np.array_equal(
-        sol_b.lattice.nodes[-1], lattice.nodes[-1]
-    ):
-        raise ValueError("solutions were not computed on the given lattice")
+    lattice = a.lattice
+    if b.lattice.n_steps != lattice.n_steps:
+        raise ValueError("solutions have mismatched step counts")
+    if not np.array_equal(b.lattice.nodes[-1], lattice.nodes[-1]):
+        raise ValueError("solutions were not computed on one lattice")
 
+    spec_a, spec_b = a.spec, b.spec
     p = spec_a.p_exponent
     dt = lattice.dt
-    weights = lattice.node_weights()
+    weights = a.weights
 
-    delta_y = (ya - yb for ya, yb in zip(sol_a.y, sol_b.y))
-    delta_y_norm = lattice_sup_moment(lattice, delta_y, p, weights)
+    deltas = (
+        np.array((ya - yb, ha - hb))
+        for ya, yb, ha, hb in zip(
+            a.sol.y,
+            b.sol.y,
+            obstacle_layers(spec_a, lattice),
+            obstacle_layers(spec_b, lattice),
+            strict=True,
+        )
+    )
+    delta_y_norm, delta_obstacle_sup = lattice_sup_moment(lattice, deltas, p, weights)
 
     g_a = terminal_values(spec_a, lattice)
     g_b = terminal_values(spec_b, lattice)
@@ -180,16 +210,11 @@ def check_stability(
         return np.abs(fa - fb) * dt
 
     df_addends = (
-        delta_f(t, x, y, z) for t, x, y, z in zip(lattice.times, lattice.nodes, sol_a.y, sol_a.z)
+        delta_f(t, x, y, z) for t, x, y, z in zip(lattice.times, lattice.nodes, a.sol.y, a.sol.z)
     )
     delta_f_term = lattice_accumulation_moment(lattice, df_addends, p, weights)
 
-    h_a = obstacle_layers(spec_a, lattice)
-    h_b = obstacle_layers(spec_b, lattice)
-    delta_h = (ha - hb for ha, hb in zip(h_a, h_b))
-    delta_obstacle_sup = lattice_sup_moment(lattice, delta_h, p, weights)
-
-    psi_t = data_functional(spec_a, lattice, weights) + data_functional(spec_b, lattice, weights)
+    psi_t = a.data_functional + b.data_functional
     delta_data = (
         delta_xi_term
         + delta_f_term

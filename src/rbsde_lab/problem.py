@@ -199,9 +199,14 @@ def _forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarra
     return np.divide(num, denom, out=avg, where=denom > 0.0)
 
 
-def _weighted_moment(weights: list, last, power: float):
-    """E[last ** power] for the terminal layer ``last``: a float, or one per row of a batch."""
-    return np.sum(weights[-1] * last ** power, axis=-1).tolist()
+def _weighted_moment(weights: list, last, power):
+    """E[last ** power] for the terminal layer ``last``: a float, or one per row of a batch.
+
+    ``power`` is one exponent, or a sequence with one exponent per row.
+    """
+    if np.ndim(power) == 0:
+        return np.sum(weights[-1] * last ** power, axis=-1).tolist()
+    return [float(np.sum(weights[-1] * row ** pw)) for row, pw in zip(last, power, strict=True)]
 
 
 def accumulated_along(lattice: Lattice, addends, weights: list):
@@ -237,11 +242,12 @@ def lattice_sup_moment(lattice: Lattice, values, power: float, weights: list):
     return _weighted_moment(weights, sup, power)
 
 
-def lattice_accumulation_moment(lattice: Lattice, addends, power: float, weights: list):
+def lattice_accumulation_moment(lattice: Lattice, addends, power, weights: list):
     """E[(sum_k addends_k)^power] with lattice weights (node-conditioned sum).
 
     ``addends`` yields one layer per step, k = 0 .. n_steps-1; a leading
-    axis and ``weights`` act as in ``lattice_sup_moment``.
+    axis and ``weights`` act as in ``lattice_sup_moment``. With a batch,
+    ``power`` may also give one exponent per row.
     """
     for acc in accumulated_along(lattice, addends, weights):
         pass

@@ -612,6 +612,34 @@ def test_convergence_csv_matches_the_row_by_row_reference(tmp_path):
         assert (out / "convergence.csv").read_text() == "".join(lines)
 
 
+@pytest.mark.parametrize(
+    "rows", [3, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1], ids=["short", "chunk", "chunk+1"]
+)
+def test_csv_writer_matches_joined_rows(tmp_path, rows):
+    # the chunked writer against the one-row-at-a-time zip and join it
+    # replaced, on blocks shorter than, equal to and one row over a chunk
+    special = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324, 0.1, -2.5]
+    values = np.resize(np.array(special), rows)
+
+    def blocks():
+        for k in (rows, 1, rows):
+            yield (
+                [str(k)] * k,
+                map(str, range(k)),
+                cli._floats(values[:k]),
+                cli._floats(-values[:k]),
+                cli._flags(values[:k] > 0.0),
+            )
+
+    expected = ["k,j,a,b,flag\n"]
+    for columns in blocks():
+        expected.extend(",".join(row) + "\n" for row in zip(*columns))
+    path = tmp_path / "block.csv"
+    cli._write_csv(path, "k,j,a,b,flag", blocks())
+    assert path.read_text() == "".join(expected)
+    assert "-0.0,0.0," in path.read_text() and "nan,nan" in path.read_text()
+
+
 def test_snell_csv_export(tmp_path, put_snell_512):
     path = tmp_path / "snell.csv"
     snell_to_csv(put_snell_512, path)

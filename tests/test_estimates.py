@@ -13,10 +13,17 @@ from rbsde_lab.estimates import (
     check_stability,
     check_y_estimate,
     check_z_estimate,
+    solution_moments,
 )
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import solve_penalized
-from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
+from rbsde_lab.problem import (
+    ProblemSpec,
+    make_generator,
+    make_obstacle,
+    make_terminal,
+    validate_solution,
+)
 from rbsde_lab.snell import solve_snell
 
 BASELINES = json.loads(
@@ -28,11 +35,15 @@ def solve(lattice, spec):
     return solve_snell(lattice, spec).triple
 
 
+def moments(sol, spec, lattice):
+    return solution_moments(sol, spec, lattice, validate_solution(sol, spec, lattice))
+
+
 def test_all_zero_instance_has_zero_ratio():
     lat = build_lattice(ForwardModel.geometric(0.0, 0.3, 10.0), TimeGrid(12, 1.0))
     spec = ProblemSpec(make_generator("zero"), make_terminal("zero"), far_obstacle, 0.0)
     sol = solve(lat, spec)
-    report = check_y_estimate(sol, spec, lat)
+    report = check_y_estimate(moments(sol, spec, lat))
     assert report.lhs == 0.0
     assert report.empirical_ratio == 0.0
 
@@ -43,7 +54,7 @@ def test_constant_instance_ratio_one():
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
     sol = solve(lat, spec)
-    report = check_y_estimate(sol, spec, lat)
+    report = check_y_estimate(moments(sol, spec, lat))
     assert report.lhs == pytest.approx(1.0, abs=1e-13)
     assert report.rhs_data_functional == pytest.approx(1.0, abs=1e-13)
     assert report.empirical_ratio == pytest.approx(1.0, abs=1e-12)
@@ -54,7 +65,7 @@ def test_z_estimate_zero_integrand():
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    report = check_z_estimate(solve(lat, spec), spec, lat)
+    report = check_z_estimate(moments(solve(lat, spec), spec, lat))
     assert report.lhs == 0.0
 
 
@@ -68,7 +79,7 @@ def test_z_estimate_linear_terminal_hand_value():
     )
     sol = solve(lat, spec)
     assert all(np.allclose(z, 1.0, atol=1e-13) for z in sol.z)
-    report = check_z_estimate(sol, spec, lat)
+    report = check_z_estimate(moments(sol, spec, lat))
     assert report.lhs == pytest.approx(horizon ** (p / 2.0), rel=1e-12)
     assert report.rhs_data_functional > 0.0
 
@@ -78,7 +89,7 @@ def test_k_estimate_zero_when_obstacle_never_binds():
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    report = check_k_estimate(solve(lat, spec), spec, lat)
+    report = check_k_estimate(moments(solve(lat, spec), spec, lat))
     assert report.lhs == 0.0
 
 
@@ -90,7 +101,7 @@ def test_k_estimate_compensated_drift_is_positive():
         make_obstacle("constant:1"),
         0.0,
     )
-    report = check_k_estimate(solve(lat, spec), spec, lat)
+    report = check_k_estimate(moments(solve(lat, spec), spec, lat))
     assert report.lhs > 0.0
     assert report.empirical_ratio > 0.0
 
@@ -102,15 +113,17 @@ def test_put_family_ratios_stay_within_recorded_baselines(sigma):
     lat = build_lattice(model, TimeGrid(256, 1.0))
     sol = solve(lat, spec)
     base = BASELINES[f"american_put_sigma_{sigma}"]
-    assert check_y_estimate(sol, spec, lat).empirical_ratio <= base["y_ratio"] * 1.01
-    assert check_z_estimate(sol, spec, lat).empirical_ratio <= base["z_ratio"] * 1.01
-    assert check_k_estimate(sol, spec, lat).empirical_ratio <= base["k_ratio"] * 1.01
+    m = moments(sol, spec, lat)
+    assert check_y_estimate(m).empirical_ratio <= base["y_ratio"] * 1.01
+    assert check_z_estimate(m).empirical_ratio <= base["z_ratio"] * 1.01
+    assert check_k_estimate(m).empirical_ratio <= base["k_ratio"] * 1.01
 
 
 def test_estimates_reject_unreflected_solutions(put_lattice_512, put_spec):
     pen = solve_penalized(put_lattice_512, put_spec, [4.0]).row(0)
+    report = validate_solution(pen, put_spec, put_lattice_512)
     with pytest.raises(ValueError, match="Skorokhod"):
-        check_y_estimate(pen, put_spec, put_lattice_512)
+        solution_moments(pen, put_spec, put_lattice_512, report)
 
 
 def test_scale_covariance_of_y_estimate():
@@ -128,8 +141,8 @@ def test_scale_covariance_of_y_estimate():
 
     one = build(1.0)
     two = build(lam)
-    r1 = check_y_estimate(solve(lat, one), one, lat)
-    r2 = check_y_estimate(solve(lat, two), two, lat)
+    r1 = check_y_estimate(moments(solve(lat, one), one, lat))
+    r2 = check_y_estimate(moments(solve(lat, two), two, lat))
     assert r2.lhs == pytest.approx(lam**p * r1.lhs, rel=1e-12)
     assert r2.rhs_data_functional == pytest.approx(lam**p * r1.rhs_data_functional, rel=1e-12)
     assert r2.empirical_ratio == pytest.approx(r1.empirical_ratio, rel=1e-12)
@@ -140,7 +153,7 @@ def test_stability_identical_specs_is_uniqueness():
     spec = put_problem()
     a = solve(lat, spec)
     b = solve(lat, spec)
-    report = check_stability(a, b, spec, spec, lat)
+    report = check_stability(moments(a, spec, lat), moments(b, spec, lat))
     assert report.delta_y_norm <= 1e-12
     assert report.delta_data_norm == 0.0
 
@@ -157,9 +170,35 @@ def test_stability_epsilon_shift_respects_exponential_bound():
     sol_a, sol_b = solve(lat, spec_a), solve(lat, spec_b)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(sol_a.y, sol_b.y))
     assert worst <= eps * math.exp(kappa * horizon)
-    report = check_stability(sol_a, sol_b, spec_a, spec_b, lat)
+    report = check_stability(moments(sol_a, spec_a, lat), moments(sol_b, spec_b, lat))
     assert report.delta_y_norm <= (eps * math.exp(kappa * horizon)) ** spec_a.p_exponent
     assert report.ratio > 0.0
+
+
+# check_stability of criterion 9's pair on the 16-step put lattice: the
+# terminal shifted by eps = 0.05, as written when each check computed its own
+# moments.
+STABILITY_16_SHIFTED_TERMINAL = (
+    '{"delta_data_norm": 0.011180339887499027, "delta_f_term": 0.0, '
+    '"delta_obstacle_term": 0.0, "delta_xi_term": 0.011180339887499027, '
+    '"delta_y_norm": 0.011180339887499027, "psi_t": 131.0262330709213, "ratio": 1.0}\n'
+)
+
+
+def test_stability_of_a_real_pair_is_unchanged(tmp_path):
+    lat = build_lattice(put_model(), TimeGrid(16, 1.0))
+    spec_a = put_problem()
+
+    def shifted(x):
+        return spec_a.terminal(x) + 0.05
+
+    spec_b = ProblemSpec(spec_a.generator, shifted, spec_a.obstacle, spec_a.lipschitz_kappa)
+    report = check_stability(
+        moments(solve(lat, spec_a), spec_a, lat), moments(solve(lat, spec_b), spec_b, lat)
+    )
+    path = tmp_path / "stability.jsonl"
+    append_report_jsonl(report, path)
+    assert path.read_text() == STABILITY_16_SHIFTED_TERMINAL
 
 
 def test_growth_sign_of_exponential_factor():
@@ -200,8 +239,10 @@ def test_stability_lattice_mismatch_rejected():
     spec = put_problem()
     lat_a = build_lattice(put_model(), TimeGrid(16, 1.0))
     lat_b = build_lattice(put_model(), TimeGrid(32, 1.0))
+    a = moments(solve(lat_a, spec), spec, lat_a)
+    b = moments(solve(lat_b, spec), spec, lat_b)
     with pytest.raises(ValueError, match="mismatch"):
-        check_stability(solve(lat_a, spec), solve(lat_b, spec), spec, spec, lat_b)
+        check_stability(a, b)
 
 
 def test_reports_append_as_json_lines(tmp_path):
@@ -209,8 +250,9 @@ def test_reports_append_as_json_lines(tmp_path):
     spec = put_problem()
     sol = solve(lat, spec)
     path = tmp_path / "reports.jsonl"
-    append_report_jsonl(check_y_estimate(sol, spec, lat, "put"), path)
-    append_report_jsonl(check_z_estimate(sol, spec, lat, "put"), path)
+    m = moments(sol, spec, lat)
+    append_report_jsonl(check_y_estimate(m, "put"), path)
+    append_report_jsonl(check_z_estimate(m, "put"), path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(rows) == 2
     assert rows[0]["instance_id"] == "put"
