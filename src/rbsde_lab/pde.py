@@ -18,7 +18,9 @@ the constraint by the driver term n * (u - h)^- and never projects: active
 rows carry n * dt on the diagonal and n * dt * h on the right-hand side,
 which makes each iteration a Newton step for the piecewise-linear equation.
 The active set is warm-started from the previous solve, so most solves take
-one iteration. In both schemes f is coupled through a lagged generator
+one iteration. An affine generator f = a * y + b is linear in the unknown, so
+-a * dt joins the diagonal and b * dt the right-hand side, and one LCP solve
+finishes each time step. Any other f is coupled through a lagged generator
 iteration run by ``snell.fixed_point``: y and z = sigma * u_x are taken from
 the previous iterate, so each inner solve stays (piecewise) linear.
 """
@@ -31,8 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
-from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _reflected_step, _require_contraction, fixed_point, snell_root
+from .problem import AffineGenerator, ProblemSpec, check_terminal_dominates
+from .snell import (
+    FP_TOL,
+    _reflected_step,
+    _require_contraction,
+    _require_finite,
+    fixed_point,
+    snell_root,
+)
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
@@ -92,8 +101,9 @@ class PdeField:
     negative operator residual, where the residual is A v - rhs of the
     step's implicit solve: for the projected scheme the LCP multiplier, for
     the penalized scheme the penalty force. Both schemes count the most
-    policy iterations one LCP solve took and the most lagged generator
-    solves one time step took.
+    policy iterations one LCP solve took and the most LCP solves one time
+    step took: 1 for an affine generator, the lagged generator solves of the
+    step otherwise.
     """
 
     u: np.ndarray
@@ -257,10 +267,12 @@ def check_start_time(model: ForwardModel) -> None:
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
-    Each step runs the lagged generator iteration through ``fixed_point`` on
-    full space rows (the boundary entries stay at the Dirichlet data); each
-    lagged update is one ``_policy_lcp`` call, warm-started from the active
-    set of the previous call.
+    Every ``_policy_lcp`` call is warm-started from the active set of the
+    previous call. For an affine generator a * y + b each step is one call:
+    -a * dt sits on the diagonal and b * dt on the right-hand side. Any
+    other generator runs the lagged generator iteration through
+    ``fixed_point`` on full space rows (the boundary entries stay at the
+    Dirichlet data), one call per lagged update.
     """
     dt = grid.time.dt
     _require_contraction(spec, dt)
@@ -277,6 +289,12 @@ def _backward_solve(grid, spec, model, n):
     lower[0] = upper[-1] = 0.0
     sig_int = np.asarray(model.vol(0.0, x_int), dtype=float)
     weight = None if n is None else n * dt
+    affine = isinstance(spec.generator, AffineGenerator)
+    if affine:
+        # 1 - a * dt > 0 (checked by _require_contraction) keeps the rows
+        # strictly diagonally dominant
+        diag = diag - dt * spec.generator.y_coeff
+        force = dt * spec.generator.const
 
     u = np.empty((grid.time.n_steps + 1, grid.m_nodes))
     u[-1] = np.asarray(spec.terminal(xs), dtype=float)
@@ -290,26 +308,35 @@ def _backward_solve(grid, spec, model, n):
         bc = np.zeros_like(x_int)
         bc[0] -= edge_lower * left[k]
         bc[-1] -= edge_upper * right[k]
-        lag = 0
-
-        def lagged_solve(row):
-            nonlocal active, resid, lag, max_policy
-            z = sig_int * _gradient(row, dx)
-            fval = np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
-            rhs = u[k + 1][1:-1] + dt * fval + bc
+        if affine:
             v, resid, active, iterations = _policy_lcp(
-                lower, diag, upper, rhs, h_int, weight, active, k
+                lower, diag, upper, u[k + 1][1:-1] + force + bc, h_int, weight, active, k
             )
-            lag += 1
+            u[k, 0], u[k, 1:-1], u[k, -1] = left[k], v, right[k]
+            _require_finite(u[k], k, "PDE time step")
             max_policy = max(max_policy, iterations)
-            new_row = row.copy()
-            new_row[1:-1] = v
-            return new_row
+            max_lag = 1
+        else:
+            lag = 0
 
-        start = u[k + 1].copy()
-        start[0], start[-1] = left[k], right[k]
-        u[k] = fixed_point(lagged_solve, start, k, "lagged generator iteration")
-        max_lag = max(max_lag, lag)
+            def lagged_solve(row):
+                nonlocal active, resid, lag, max_policy
+                z = sig_int * _gradient(row, dx)
+                fval = np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
+                rhs = u[k + 1][1:-1] + dt * fval + bc
+                v, resid, active, iterations = _policy_lcp(
+                    lower, diag, upper, rhs, h_int, weight, active, k
+                )
+                lag += 1
+                max_policy = max(max_policy, iterations)
+                new_row = row.copy()
+                new_row[1:-1] = v
+                return new_row
+
+            start = u[k + 1].copy()
+            start[0], start[-1] = left[k], right[k]
+            u[k] = fixed_point(lagged_solve, start, k, "lagged generator iteration")
+            max_lag = max(max_lag, lag)
         gap = u[k][1:-1] - h_int
         worst_resid = min(worst_resid, float(np.min(resid)))
         worst_comp = max(worst_comp, float(np.max(np.abs(resid * gap))))
@@ -321,9 +348,9 @@ def solve_pde_projected(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel) -
     """Implicit scheme with the obstacle enforced by projection.
 
     Each backward step solves the linear complementarity problem of the
-    discretized operator exactly by policy iteration; generator arguments
-    are lagged. The solution dominates the obstacle exactly at every grid
-    point.
+    discretized operator exactly by policy iteration; the arguments of a
+    generator that is not affine are lagged. The solution dominates the
+    obstacle exactly at every grid point.
     """
     return _backward_solve(grid, spec, model, None)
 

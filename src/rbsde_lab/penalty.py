@@ -10,9 +10,15 @@ stable in n); the scalar equation
 
     y = E_k[Y_{k+1}] + dt * f(t, x, y, z) + n * dt * (y - h)^-
 
-is piecewise in y and is solved exactly by computing the fixed point of each
-branch and selecting the consistent one (strict monotonicity in y guarantees
-a unique root when lipschitz_kappa * dt < 1).
+is piecewise in y and is solved exactly by computing the root of each branch
+and selecting the consistent one (strict monotonicity in y guarantees a
+unique root when lipschitz_kappa * dt < 1). For an affine generator
+f = a * y + b each branch root is closed form,
+
+    y >= h:  (E_k[Y_{k+1}] + b * dt) / (1 - a * dt),
+    y <  h:  (E_k[Y_{k+1}] + b * dt + n * dt * h) / (1 - a * dt + n * dt);
+
+for any other generator it is the fixed point of the branch.
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
 monotone-convergence diagnostics toward the reflected (Snell) solution;
@@ -28,6 +34,7 @@ import numpy as np
 
 from .lattice import Lattice
 from .problem import (
+    AffineGenerator,
     ProblemSpec,
     SolutionTriple,
     lattice_accumulation_moment,
@@ -35,38 +42,51 @@ from .problem import (
     lattice_sup_moment,
     obstacle_layers,
 )
-from .snell import backward_induction, fixed_point, solve_snell
+from .snell import _require_finite, backward_induction, fixed_point, solve_snell
 
 # A root of the y < h branch may sit this far above h (relative to 1 + |h|)
 # before the branch is declared inconsistent: float noise on a tie.
 BRANCH_TIE_TOL = 1e-9
+
+PLUS_BRANCH = "penalized one-step solve (branch y >= h)"
+MINUS_BRANCH = "penalized one-step solve (branch y < h)"
 
 
 class BranchSelectionError(ValueError):
     """Raised when neither branch of the penalized one-step equation is consistent."""
 
 
-def _penalized_step(f, cond, h_layer, dt, n, k, rows):
+def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
     """Exact root of the piecewise one-step equation at step k; returns (y, dk).
 
     ``n`` is a column of intensities, one per row of the batch ``cond``;
-    ``rows`` names each row in an error.
+    ``rows`` names each row in an error. The root of each branch is closed
+    form for an affine f = a * y + b and a fixed point for any other f.
     """
-    # Branch y >= h: plain implicit step.
-    y_plus = fixed_point(
-        lambda y: cond + dt * f(y), cond, k, "penalized one-step solve (branch y >= h)", rows=rows
-    )
-
-    # Branch y < h: penalty active, contraction factor kappa*dt / (1 + n*dt).
-    scale = 1.0 + n * dt
     push = n * dt * h_layer
-    y_minus = fixed_point(
-        lambda y: (cond + dt * f(y) + push) / scale,
-        (cond + push) / scale,
-        k,
-        "penalized one-step solve (branch y < h)",
-        rows=rows,
-    )
+    if isinstance(generator, AffineGenerator):
+        scale = 1.0 - generator.y_coeff * dt
+        base = cond + generator.const * dt
+        y_plus = base / scale
+        y_minus = (base + push) / (scale + n * dt)
+        _require_finite(y_plus, k, PLUS_BRANCH, rows)
+        _require_finite(y_minus, k, MINUS_BRANCH, rows)
+    else:
+
+        def f(y):
+            return np.asarray(generator(t, x, y, z), dtype=float)
+
+        # Branch y >= h: plain implicit step.
+        y_plus = fixed_point(lambda y: cond + dt * f(y), cond, k, PLUS_BRANCH, rows=rows)
+        # Branch y < h: penalty active, contraction factor kappa*dt / (1 + n*dt).
+        scale = 1.0 + n * dt
+        y_minus = fixed_point(
+            lambda y: (cond + dt * f(y) + push) / scale,
+            (cond + push) / scale,
+            k,
+            MINUS_BRANCH,
+            rows=rows,
+        )
 
     # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
     take_plus = (y_plus >= h_layer) | (n == 0.0)
@@ -100,12 +120,10 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     rows = [f"intensity {n!r}" for n in ns]
 
     def step(k, cond, z, h_k):
-        t, x = lattice.times[k], lattice.nodes[k]
-
-        def f(y):
-            return np.asarray(spec.generator(t, x, y, z), dtype=float)
-
-        return _penalized_step(f, cond, h_k, lattice.dt, column, k, rows)
+        return _penalized_step(
+            spec.generator, lattice.times[k], lattice.nodes[k], z, cond, h_k, lattice.dt,
+            column, k, rows,
+        )
 
     return backward_induction(lattice, spec, step, rows=len(ns))
 

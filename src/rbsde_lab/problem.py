@@ -109,15 +109,37 @@ def _parse_form(name: str):
     return head, param
 
 
+@dataclass(frozen=True)
+class AffineGenerator:
+    """Generator f(t, x, y, z) = y_coeff * y + const, affine in y with constant coefficients.
+
+    It is called like any generator. The solvers read its coefficients and
+    solve each implicit step in closed form, where any other callable goes
+    through a fixed point (lattice) or a lagged iteration (PDE).
+    """
+
+    y_coeff: float
+    const: float
+
+    def __call__(self, t, x, y, z):
+        y = np.asarray(y, dtype=float)
+        if self.y_coeff == 0.0:
+            return np.full_like(y, self.const)
+        return self.y_coeff * y + self.const
+
+
 def make_generator(name: str) -> Callable:
-    """Generator f(t, x, y, z) from a registry name ('zero', 'constant:c', 'linear_discount:r')."""
+    """Generator f(t, x, y, z) from a registry name ('zero', 'constant:c', 'linear_discount:r').
+
+    Every registry generator is an ``AffineGenerator``; 'linear_discount:r' is -r * y.
+    """
     head, param = _parse_form(name)
     if head == "zero":
-        return lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float))
+        return AffineGenerator(0.0, 0.0)
     if head == "constant":
-        return lambda t, x, y, z: np.full_like(np.asarray(y, dtype=float), param)
+        return AffineGenerator(0.0, param)
     if head == "linear_discount":
-        return lambda t, x, y, z: -param * np.asarray(y, dtype=float)
+        return AffineGenerator(-param, 0.0)
     raise ValueError(f"form {name!r} cannot be used as a generator")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .lattice import Lattice, lattice_expectation
 from .problem import (
+    AffineGenerator,
     ProblemSpec,
     SolutionTriple,
     check_terminal_dominates,
@@ -44,10 +45,24 @@ class DataOverflowError(ValueError):
 
 
 def _require_contraction(spec: ProblemSpec, dt: float) -> None:
+    """Raise unless the one-step implicit solve is well posed at the time step dt.
+
+    That needs lipschitz_kappa * dt < 1 and, for an affine generator, the
+    divisor 1 - y_coeff * dt of its exact step to be > 0 (a kappa declared
+    below |y_coeff| does not imply it).
+    """
     if spec.lipschitz_kappa * dt >= 1.0:
         raise ContractionError(
             f"one-step implicit solve requires lipschitz_kappa * dt < 1; "
             f"got {spec.lipschitz_kappa} * {dt} = {spec.lipschitz_kappa * dt:.6g}"
+        )
+    generator = spec.generator
+    if isinstance(generator, AffineGenerator) and not 1.0 - generator.y_coeff * dt > 0.0:
+        raise ContractionError(
+            f"exact one-step solve of the affine generator {generator.y_coeff!r} * y + "
+            f"{generator.const!r} requires 1 - y_coeff * dt > 0; got 1 - {generator.y_coeff!r} "
+            f"* {dt} = {1.0 - generator.y_coeff * dt:.6g} (lipschitz_kappa "
+            f"{spec.lipschitz_kappa} is below |y_coeff|)"
         )
 
 
@@ -155,6 +170,21 @@ def _overflow_error(y, y_new, step, what, row) -> DataOverflowError:
     )
 
 
+def _require_finite(y, step, what, rows=None) -> None:
+    """Raise DataOverflowError at the first non-finite value of a layer or of a batch of rows.
+
+    An exact step has no iterate for ``fixed_point`` to test, so it tests its
+    layer with this; the message is the one ``fixed_point`` raises.
+    """
+    finite = np.isfinite(y)
+    if finite.all():
+        return
+    if rows is None:
+        raise _overflow_error(y, y, step, what, "")
+    b = int(np.argmin(finite.all(axis=-1)))
+    raise _overflow_error(y[b], y[b], step, what, f", {rows[b]}")
+
+
 def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
     """Backward recursion shared by the reflected and the penalized solvers.
 
@@ -199,7 +229,17 @@ def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
     Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
     and splits off the increment dK = (h - c)^+. ``k`` and ``what`` name the
     step in a failed solve; h = -inf gives the unreflected step.
+
+    An affine f = a * y + b is solved exactly, y = max(h, (cond + b * dt) /
+    (1 - a * dt)); any other f by ``fixed_point``.
     """
+    if isinstance(generator, AffineGenerator):
+        a, b = generator.y_coeff, generator.const
+        y = np.maximum(h, (cond + b * dt) / (1.0 - a * dt))
+        _require_finite(y, k, what)
+        cont = cond + dt * (a * y + b)
+        return y, np.maximum(h - cont, 0.0), cont
+
     cont = None
 
     def reflect(y):

@@ -19,6 +19,15 @@ def far_obstacle(t, x):
     return np.full_like(np.asarray(x, dtype=float), NO_OBSTACLE)
 
 
+def plain(generator):
+    """``generator`` as a plain callable: the solvers take its fixed-point and lagged paths.
+
+    The registry's generators are affine, and the solvers solve an affine
+    step exactly; wrapping one hides its coefficients, not its values.
+    """
+    return lambda t, x, y, z: generator(t, x, y, z)
+
+
 def put_problem(strike=40.0, r=0.06, p=1.5) -> ProblemSpec:
     return ProblemSpec(
         generator=make_generator(f"linear_discount:{r}"),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rbsde_lab import cli, penalty
+from rbsde_lab import cli, config, penalty
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import TimeGrid, build_lattice
@@ -13,7 +13,7 @@ from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
 from rbsde_lab.snell import solve_snell
 
-from helpers import put_model, put_problem
+from helpers import plain, put_model, put_problem
 
 BASE_CONFIG = """\
 [run]
@@ -45,6 +45,13 @@ n_steps = 60
 [penalize]
 schedule = 1,8,64,512
 """
+
+
+@pytest.fixture
+def plain_generators(monkeypatch):
+    """Registry generators as plain callables: commands run the fixed-point and lagged paths."""
+    registry = config.make_generator
+    monkeypatch.setattr(config, "make_generator", lambda name: plain(registry(name)))
 
 
 def write_config(tmp_path, command, **edits):
@@ -99,6 +106,19 @@ def test_config_rejects_missing_field(tmp_path):
     path.write_text(text)
     with pytest.raises(ConfigError, match=r"\[problem\] kappa"):
         load_config(path)
+
+
+def test_config_rejects_a_kappa_below_the_generators_y_coefficient(tmp_path, capsys):
+    # f = 9y with kappa = 0.06: kappa * dt passes the contraction check, and
+    # the solve used to blame lipschitz_kappa * dt for a fixed point that blew up
+    path = write_config(tmp_path, "solve", generator="linear_discount:-9", n_steps="8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: [problem] kappa: 0.06 is below the generator's Lipschitz "
+        "constant in y, 9.0\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_bad_schedule(tmp_path):
@@ -243,7 +263,9 @@ def test_crosscheck_rejects_a_decreasing_schedule(tmp_path, capsys):
     assert "schedule must be strictly increasing" in capsys.readouterr().err
 
 
-def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(tmp_path, capsys, monkeypatch):
+def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(
+    tmp_path, capsys, monkeypatch, plain_generators
+):
     # force the two branches to disagree: y >= h lands below h, y < h above it
     def disagreeing(update, y0, step, what, rows):
         return np.full_like(y0, -1e9 if "y >= h" in what else 1e9)
@@ -257,7 +279,9 @@ def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(tmp_path, c
     assert "Traceback" not in err
 
 
-def test_penalize_names_the_intensity_of_an_unconverged_row(tmp_path, capsys, monkeypatch):
+def test_penalize_names_the_intensity_of_an_unconverged_row(
+    tmp_path, capsys, monkeypatch, plain_generators
+):
     # only the row of intensity 8 never settles in the y < h branch, at node 3
     real = penalty.fixed_point
 
@@ -279,13 +303,14 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(tmp_path, capsys, mo
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-# penalization.csv of the config above with schedule 0,1,2, as written before
-# the intensities were solved in one batch; an n = 0 row has no y < h branch.
+# penalization.csv of the config above with schedule 0,1,2, as written since
+# affine one-step equations are solved in closed form; an n = 0 row has no
+# y < h branch.
 SCHEDULE_012_CSV = """\
 n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity
-0.0,6.6963288204709706,0.653266815181529,0.3863068522615353,0.0,61.65219862431942
-1.0,6.807357491160748,0.4848128850755236,0.3055942893926317,0.11496184724318692,62.56422449773435
-2.0,6.875554249891602,0.38110809634638576,0.25205861560907405,0.18582433289414677,63.184752601121694
+0.0,6.696328820470956,0.6532668151815381,0.386306852261542,0.0,61.652198624319325
+1.0,6.8073574911607375,0.4848128850755277,0.3055942893926363,0.11496184724318899,62.564224497734294
+2.0,6.875554249891591,0.38110809634638776,0.252058615609077,0.18582433289414932,63.184752601121644
 """
 
 
@@ -296,19 +321,19 @@ def test_penalize_csv_of_a_schedule_from_zero_is_unchanged(tmp_path):
 
 
 # estimates.jsonl and validation.json of `verify` on the config above with
-# n_steps = 16, as written before the lattice statistics took their node
-# weights from the caller.
+# n_steps = 16, as written since affine one-step equations are solved in
+# closed form.
 VERIFY_16_ESTIMATES_JSONL = """\
-{"empirical_ratio": 0.657442984022651, "instance_id": "verify", "lhs": 43.019901312914634, "p": 1.5, "rhs_data_functional": 65.43518199812816}
-{"empirical_ratio": 0.507894539976374, "instance_id": "verify", "lhs": 21.849572987151785, "p": 1.5, "rhs_data_functional": 43.019901312914634}
-{"empirical_ratio": 0.008307471495170131, "instance_id": "verify", "lhs": 0.35738660388207044, "p": 1.5, "rhs_data_functional": 43.019901312914634}
+{"empirical_ratio": 0.6574429840226513, "instance_id": "verify", "lhs": 43.019901312914655, "p": 1.5, "rhs_data_functional": 65.43518199812816}
+{"empirical_ratio": 0.5078945399763737, "instance_id": "verify", "lhs": 21.84957298715178, "p": 1.5, "rhs_data_functional": 43.019901312914655}
+{"empirical_ratio": 0.00830747149517012, "instance_id": "verify", "lhs": 0.3573866038820701, "p": 1.5, "rhs_data_functional": 43.019901312914655}
 {"delta_data_norm": 0.0, "delta_f_term": 0.0, "delta_obstacle_term": 0.0, "delta_xi_term": 0.0, "delta_y_norm": 0.0, "psi_t": 130.87036399625632, "ratio": 0.0}
 """
 VERIFY_16_VALIDATION_JSON = """\
 {
   "all_pass": true,
   "backward_ok": true,
-  "backward_residual": 4.440892098500626e-16,
+  "backward_residual": 1.7763568394002505e-15,
   "k_initial": 0.0,
   "k_initial_ok": true,
   "k_min_increment": 0.0,
@@ -331,22 +356,22 @@ def test_verify_artifacts_are_unchanged(tmp_path):
 
 
 # sha256 of every artifact of `solve` with n_steps = 16 and of `pde` on a
-# 41x20 grid with penalty_n = 1000, on the config above, as written before
-# the PDE boundary flow took the lattice's reflected step.
+# 41x20 grid with penalty_n = 1000, on the config above, as written since
+# affine one-step equations are solved in closed form.
 ARTIFACT_DIGESTS = {
     "solve": {
-        "snell.csv": "99e789a836a1543d138fef1b5298868f00b9451617c9188a0d6191e678afce9b",
-        "validation.json": "6a6cb944d32feb510b4a62869a8f3445eef6627a918fa5629d4487a542f77d4d",
+        "snell.csv": "90cd90eb515454d3b11e3b6c4c4506a72dd7df0308909f3ef39d27ecd9919900",
+        "validation.json": "c28db2840c2be73276ac98273e3d3975f983e81335690decda94789343072e40",
     },
     "dirichlet-obstacle": {
-        "pde.csv": "727d916bf4558185e1c83729f6938a19f4a565d034229cf1f2cec25db4839a9b",
-        "pde_penalized.csv": "33cbff6ab6a860cc368418bfd537576d8213dc30561e29b8421321e539d9dd58",
-        "pde_report.json": "d1359a7f0cd1ff693871ddcf63df497c75b3dffa7627edd9574250dd6c925616",
+        "pde.csv": "0e0b49dde0fc5b225cb59ac2250c97d9dff10c47f9b068f0e7413dc2420e190f",
+        "pde_penalized.csv": "3fae87db3d287d216f9519e662ad7f6cafb7ce49d13e329e6487120330190dde",
+        "pde_report.json": "a89dc95d094f934f458134efb62c757c6e1285111476efb338122b2d775b2ccf",
     },
     "dirichlet-terminal-extrapolation": {
-        "pde.csv": "7b61ad65c913ef693aa7e0458bcad8507e947d8c08b2f53c0c430c9659f99e33",
-        "pde_penalized.csv": "48fad59a514903fab8e672cc85acf1fe36a40d42182b246d1973d5010e0845c0",
-        "pde_report.json": "d1359a7f0cd1ff693871ddcf63df497c75b3dffa7627edd9574250dd6c925616",
+        "pde.csv": "5c033a2d252ff2992aebca2f870eda094a598f192df450af34708f92dec180ca",
+        "pde_penalized.csv": "25fb8934af41c0381eca8601ae1b1746c84296e7164d5da340bfaa15319cf69f",
+        "pde_report.json": "a89dc95d094f934f458134efb62c757c6e1285111476efb338122b2d775b2ccf",
     },
 }
 
@@ -399,7 +424,7 @@ def test_config_rejects_a_negative_pde_penalty(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys):
+def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys, plain_generators):
     # kappa * dt = 0.9: the lagged generator loop cannot settle
     path = write_config(tmp_path, "pde", generator="linear_discount:9", kappa="9", n_steps="10")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -408,7 +433,9 @@ def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys):
     assert "at step 9" in err
 
 
-def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(tmp_path, capsys):
+def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(
+    tmp_path, capsys, plain_generators
+):
     # kappa * dt = 0.9: the reflected one-step fixed point cannot settle
     path = write_config(tmp_path, "solve", generator="linear_discount:9", kappa="9", n_steps="10")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -763,7 +790,7 @@ def test_convergence_names_both_refinement_deltas(tmp_path, capsys):
     path = write_config(tmp_path, "convergence", x0="41")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
-    assert "refinement_deltas=0.0008417727373410955,0.003010931214199708" in captured.out
+    assert "refinement_deltas=0.00084177273734376,0.003010931214199708" in captured.out
     assert captured.err == (
         "convergence: refinement delta 3.011e-03 (n_steps 128 to 256) "
         "is not smaller than 8.418e-04 (n_steps 64 to 128)\n"

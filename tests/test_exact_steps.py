@@ -1,0 +1,166 @@
+"""Exact one-step solves of affine generators against the general path.
+
+Every registry generator is an ``AffineGenerator``, which the solvers solve
+in closed form. The same f wrapped as a plain callable goes through
+``snell.fixed_point`` on the lattice and the lagged generator iteration in
+the PDE, so it is the reference for the exact steps.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from helpers import plain, put_model
+
+from rbsde_lab import cli, pde, penalty, snell
+from rbsde_lab.config import DEFAULT_SCHEDULE
+from rbsde_lab.lattice import TimeGrid, build_lattice
+from rbsde_lab.pde import (
+    BOUNDARY_EXTRAPOLATION,
+    BOUNDARY_OBSTACLE,
+    PdeGrid,
+    solve_pde_penalized,
+    solve_pde_projected,
+)
+from rbsde_lab.penalty import solve_penalized
+from rbsde_lab.problem import (
+    AffineGenerator,
+    ProblemSpec,
+    make_generator,
+    make_obstacle,
+    make_terminal,
+)
+from rbsde_lab.snell import ContractionError, snell_root, solve_snell
+
+# Agreement of the two paths, relative to the largest |Y| (or |u|) of the solution.
+AGREE_REL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def plain_spec(put_spec):
+    assert isinstance(put_spec.generator, AffineGenerator)
+    return dataclasses.replace(put_spec, generator=plain(put_spec.generator))
+
+
+def _gap(layers_a, layers_b) -> float:
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(layers_a, layers_b, strict=True))
+
+
+def _scale(y_layers) -> float:
+    return max(float(np.max(np.abs(y))) for y in y_layers)
+
+
+def test_lattice_exact_steps_agree_with_the_fixed_point(put_spec, plain_spec, put_fwd):
+    lat = build_lattice(put_fwd, TimeGrid(128, 1.0))
+    exact, general = solve_snell(lat, put_spec), solve_snell(lat, plain_spec)
+    scale = _scale(general.triple.y)
+    for field in ("y", "z", "dk"):
+        gap = _gap(getattr(exact.triple, field), getattr(general.triple, field))
+        assert gap <= AGREE_REL * scale, field
+    assert _gap(exact.continuation, general.continuation) <= AGREE_REL * scale
+    root = snell_root(lat, plain_spec)
+    assert abs(snell_root(lat, put_spec) - root) <= AGREE_REL * abs(root)
+
+    exact = solve_penalized(lat, put_spec, DEFAULT_SCHEDULE)
+    general = solve_penalized(lat, plain_spec, DEFAULT_SCHEDULE)
+    for b in range(len(DEFAULT_SCHEDULE)):
+        row_exact, row_general = exact.row(b), general.row(b)
+        scale = _scale(row_general.y)
+        for field in ("y", "z", "dk"):
+            gap = _gap(getattr(row_exact, field), getattr(row_general, field))
+            assert gap <= AGREE_REL * scale, (DEFAULT_SCHEDULE[b], field)
+
+
+@pytest.mark.parametrize("boundary", [BOUNDARY_OBSTACLE, BOUNDARY_EXTRAPOLATION])
+@pytest.mark.parametrize("penalty_n", [None, 1000.0])
+def test_pde_exact_steps_agree_with_the_lagged_iteration(
+    put_spec, plain_spec, put_fwd, boundary, penalty_n
+):
+    grid = PdeGrid(0.0, 160.0, 121, TimeGrid(100, 1.0), boundary)
+
+    def solve(spec):
+        if penalty_n is None:
+            return solve_pde_projected(grid, spec, put_fwd)
+        return solve_pde_penalized(grid, spec, put_fwd, penalty_n)
+
+    exact, lagged = solve(put_spec), solve(plain_spec)
+    assert np.max(np.abs(exact.u - lagged.u)) <= AGREE_REL * np.max(np.abs(lagged.u))
+    assert exact.max_lag_iterations == 1 < lagged.max_lag_iterations
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        solve_snell,
+        snell_root,
+        lambda lat, spec: solve_penalized(lat, spec, [1.0]),
+        lambda lat, spec: solve_pde_projected(
+            PdeGrid(0.0, 160.0, 41, lat.grid), spec, put_model()
+        ),
+    ],
+    ids=["solve_snell", "snell_root", "solve_penalized", "solve_pde_projected"],
+)
+def test_exact_step_requires_a_positive_divisor(solver):
+    # f = 9y with a declared kappa of 0.06: kappa * dt = 0.0075 passes, but
+    # 1 - 9 * dt < 0 would turn the exact step's division upside down
+    spec = ProblemSpec(
+        make_generator("linear_discount:-9"),
+        make_terminal("put_payoff:40"),
+        make_obstacle("put_payoff:40"),
+        0.06,
+    )
+    lat = build_lattice(put_model(), TimeGrid(8, 1.0))
+    with pytest.raises(ContractionError, match=r"requires 1 - y_coeff \* dt > 0; got 1 - 9\.0 \*"):
+        solver(lat, spec)
+
+
+# The README's put config, with penalty_n set so that `pde` runs both schemes.
+README_CONFIG = """\
+[run]
+command = {command}
+seed = 1234
+tol = 0.02
+
+[problem]
+kind = geometric
+mu = 0.06
+sigma = 0.4
+x0 = 36.0
+generator = linear_discount:0.06
+terminal = put_payoff:40
+obstacle = put_payoff:40
+kappa = 0.06
+p = 1.5
+
+[lattice]
+n_steps = 512
+horizon = 1.0
+
+[pde]
+x_min = 0.0
+x_max = 160.0
+m_nodes = 401
+n_steps = 400
+boundary = dirichlet-obstacle
+penalty_n = 1000
+
+[penalize]
+schedule = default
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "penalize", "pde", "crosscheck"])
+def test_readme_commands_never_iterate(tmp_path, monkeypatch, command):
+    def no_fixed_point(*args, **kwargs):
+        raise AssertionError("an affine generator reached fixed_point")
+
+    for module in (snell, penalty, pde):
+        monkeypatch.setattr(module, "fixed_point", no_fixed_point)
+    path = tmp_path / "put.cfg"
+    path.write_text(README_CONFIG.format(command=command))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+    if command == "pde":
+        assert json.loads((out / "pde_report.json").read_text())["max_lag_iterations"] == 1

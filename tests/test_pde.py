@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, put_model
+from helpers import far_obstacle, plain, put_model
 
 from rbsde_lab import pde
 from rbsde_lab.lattice import ForwardModel, TimeGrid
@@ -214,9 +214,13 @@ def test_policy_iteration_cap_carries_diagnostics(put_spec, put_fwd, monkeypatch
 
 def fast_discount_spec(terminal, obstacle):
     # kappa * dt = 0.9 on a 10-step grid: below 1, yet too close to 1 for
-    # the fixed-point iterations to settle within their caps
+    # the fixed-point iterations to settle within their caps. A plain
+    # callable: the affine registry form would be solved exactly.
     return ProblemSpec(
-        make_generator("linear_discount:9"), make_terminal(terminal), make_obstacle(obstacle), 9.0
+        plain(make_generator("linear_discount:9")),
+        make_terminal(terminal),
+        make_obstacle(obstacle),
+        9.0,
     )
 
 

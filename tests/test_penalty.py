@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, put_model, put_problem
+from helpers import far_obstacle, plain, put_model, put_problem
 
 from rbsde_lab import penalty
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
@@ -37,10 +38,11 @@ def test_zero_intensity_reduces_to_plain_backward_equation():
 
 
 def test_unconverged_branch_names_the_step_and_node():
-    # kappa * dt = 0.9: the branch fixed point cannot settle in its cap
+    # kappa * dt = 0.9: the branch fixed point cannot settle in its cap (a
+    # plain callable: the affine registry form would be solved exactly)
     lat = build_lattice(put_model(), TimeGrid(10, 1.0))
     spec = ProblemSpec(
-        make_generator("linear_discount:9"),
+        plain(make_generator("linear_discount:9")),
         make_terminal("put_payoff:40"),
         make_obstacle("put_payoff:40"),
         9.0,
@@ -230,7 +232,8 @@ def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
 
 
 def test_an_inconsistent_row_names_its_intensity(monkeypatch):
-    # only the row of intensity 16 gets branches that both miss h
+    # only the row of intensity 16 gets branches that both miss h; a plain
+    # generator, so that each branch root goes through fixed_point
     real = penalty.fixed_point
 
     def split(update, y0, step, what, rows):
@@ -240,7 +243,9 @@ def test_an_inconsistent_row_names_its_intensity(monkeypatch):
 
     monkeypatch.setattr(penalty, "fixed_point", split)
     lat = build_lattice(put_model(), TimeGrid(16, 1.0))
+    spec = put_problem()
+    spec = dataclasses.replace(spec, generator=plain(spec.generator))
     with pytest.raises(
         BranchSelectionError, match=r"at step 15, node 0, intensity 16\.0 \(y >= h branch"
     ):
-        solve_penalized(lat, put_problem(), [1.0, 4.0, 16.0])
+        solve_penalized(lat, spec, [1.0, 4.0, 16.0])
