@@ -18,11 +18,11 @@ the constraint by the driver term n * (u - h)^- and never projects: active
 rows carry n * dt on the diagonal and n * dt * h on the right-hand side,
 which makes each iteration a Newton step for the piecewise-linear equation.
 The active set is warm-started from the previous solve, so most solves take
-one iteration. An affine generator f = a * y + b is linear in the unknown, so
--a * dt joins the diagonal and b * dt the right-hand side, and one LCP solve
-finishes each time step. Any other f is coupled through a lagged generator
-iteration run by ``snell.fixed_point``: y and z = sigma * u_x are taken from
-the previous iterate, so each inner solve stays (piecewise) linear.
+one iteration. Each time step is one ``snell.implicit_step``: for
+f = a * y + b, -a * dt joins the diagonal and b * dt the right-hand side of
+one LCP solve. An affine generator takes that solve once; any other f is
+lagged, frozen at the previous iterate with z = sigma * u_x, so each solve
+of the iteration stays (piecewise) linear.
 """
 
 from __future__ import annotations
@@ -33,15 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
-from .problem import AffineGenerator, ProblemSpec, check_terminal_dominates
-from .snell import (
-    FP_TOL,
-    _reflected_step,
-    _require_contraction,
-    _require_finite,
-    fixed_point,
-    snell_root,
-)
+from .problem import ProblemSpec, check_terminal_dominates
+from .snell import FP_TOL, _reflected_step, _require_contraction, implicit_step, snell_root
 
 BOUNDARY_OBSTACLE = "dirichlet-obstacle"
 BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
@@ -102,8 +95,8 @@ class PdeField:
     step's implicit solve: for the projected scheme the LCP multiplier, for
     the penalized scheme the penalty force. Both schemes count the most
     policy iterations one LCP solve took and the most LCP solves one time
-    step took: 1 for an affine generator, the lagged generator solves of the
-    step otherwise.
+    step took: 1 for an affine generator; for any other generator the
+    lagged solves of the step, the start solve with f = 0 included.
     """
 
     u: np.ndarray
@@ -267,12 +260,13 @@ def check_start_time(model: ForwardModel) -> None:
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
-    Every ``_policy_lcp`` call is warm-started from the active set of the
-    previous call. For an affine generator a * y + b each step is one call:
-    -a * dt sits on the diagonal and b * dt on the right-hand side. Any
-    other generator runs the lagged generator iteration through
-    ``fixed_point`` on full space rows (the boundary entries stay at the
-    Dirichlet data), one call per lagged update.
+    Each time step is one ``snell.implicit_step`` on the full space row,
+    whose boundary entries are the Dirichlet data, so an error names a grid
+    node. Its step for f = a * y + b is one ``_policy_lcp`` call with
+    -a * dt on the diagonal and b * dt on the right-hand side; a generator
+    that is not affine is frozen at the previous iterate, z = sigma * u_x
+    included. Every call is warm-started from the active set of the
+    previous call.
     """
     dt = grid.time.dt
     _require_contraction(spec, dt)
@@ -289,12 +283,6 @@ def _backward_solve(grid, spec, model, n):
     lower[0] = upper[-1] = 0.0
     sig_int = np.asarray(model.vol(0.0, x_int), dtype=float)
     weight = None if n is None else n * dt
-    affine = isinstance(spec.generator, AffineGenerator)
-    if affine:
-        # 1 - a * dt > 0 (checked by _require_contraction) keeps the rows
-        # strictly diagonally dominant
-        diag = diag - dt * spec.generator.y_coeff
-        force = dt * spec.generator.const
 
     u = np.empty((grid.time.n_steps + 1, grid.m_nodes))
     u[-1] = np.asarray(spec.terminal(xs), dtype=float)
@@ -302,41 +290,33 @@ def _backward_solve(grid, spec, model, n):
     resid = None
     worst_comp = worst_resid = 0.0
     max_policy = max_lag = 0
+
+    def step(a, b):
+        nonlocal active, resid, lag, max_policy
+        # 1 - a * dt > 0 (checked by _require_contraction) keeps the rows
+        # strictly diagonally dominant
+        v, resid, active, iterations = _policy_lcp(
+            lower, diag - dt * a, upper, u[k + 1][1:-1] + dt * b + bc, h_int, weight, active, k
+        )
+        lag += 1
+        max_policy = max(max_policy, iterations)
+        row = np.empty(grid.m_nodes)
+        row[0], row[1:-1], row[-1] = left[k], v, right[k]
+        return row
+
+    def frozen(row):
+        z = sig_int * _gradient(row, dx)
+        return np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
+
     for k in range(grid.time.n_steps - 1, -1, -1):
         t = times[k]
         h_int = np.asarray(spec.obstacle(t, x_int), dtype=float)
         bc = np.zeros_like(x_int)
         bc[0] -= edge_lower * left[k]
         bc[-1] -= edge_upper * right[k]
-        if affine:
-            v, resid, active, iterations = _policy_lcp(
-                lower, diag, upper, u[k + 1][1:-1] + force + bc, h_int, weight, active, k
-            )
-            u[k, 0], u[k, 1:-1], u[k, -1] = left[k], v, right[k]
-            _require_finite(u[k], k, "PDE time step")
-            max_policy = max(max_policy, iterations)
-            max_lag = 1
-        else:
-            lag = 0
-
-            def lagged_solve(row):
-                nonlocal active, resid, lag, max_policy
-                z = sig_int * _gradient(row, dx)
-                fval = np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
-                rhs = u[k + 1][1:-1] + dt * fval + bc
-                v, resid, active, iterations = _policy_lcp(
-                    lower, diag, upper, rhs, h_int, weight, active, k
-                )
-                lag += 1
-                max_policy = max(max_policy, iterations)
-                new_row = row.copy()
-                new_row[1:-1] = v
-                return new_row
-
-            start = u[k + 1].copy()
-            start[0], start[-1] = left[k], right[k]
-            u[k] = fixed_point(lagged_solve, start, k, "lagged generator iteration")
-            max_lag = max(max_lag, lag)
+        lag = 0
+        u[k] = implicit_step(spec.generator, step, frozen, k, "PDE time step")
+        max_lag = max(max_lag, lag)
         gap = u[k][1:-1] - h_int
         worst_resid = min(worst_resid, float(np.min(resid)))
         worst_comp = max(worst_comp, float(np.max(np.abs(resid * gap))))
@@ -348,9 +328,9 @@ def solve_pde_projected(grid: PdeGrid, spec: ProblemSpec, model: ForwardModel) -
     """Implicit scheme with the obstacle enforced by projection.
 
     Each backward step solves the linear complementarity problem of the
-    discretized operator exactly by policy iteration; the arguments of a
-    generator that is not affine are lagged. The solution dominates the
-    obstacle exactly at every grid point.
+    discretized operator exactly by policy iteration, once for an affine
+    generator and once per lagged iterate for any other. The solution
+    dominates the obstacle exactly at every grid point.
     """
     return _backward_solve(grid, spec, model, None)
 
@@ -425,28 +405,6 @@ def feynman_kac_check(
 # Exponential comparison function and growth-class diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiParams:
-    """Parameters of chi(t, x) = exp[(time_slope*(T-t) + terminal_weight) * psi(x)]
-    with psi(x) = (ln sqrt(x^2 + 1) + 1)^2.
-
-    The associated time window is [window_start, T] with
-    window_start = T - terminal_weight / time_slope.
-    """
-
-    terminal_weight: float
-    time_slope: float
-    horizon: float
-
-    def __post_init__(self):
-        if self.terminal_weight <= 0.0 or self.time_slope <= 0.0:
-            raise ValueError("terminal_weight and time_slope must be > 0")
-
-    @property
-    def window_start(self) -> float:
-        return self.horizon - self.terminal_weight / self.time_slope
-
-
 def log_bump(x) -> np.ndarray:
     """psi(x) = (ln sqrt(x^2 + 1) + 1)^2 (>= 1, even, slowly growing)."""
     x = np.asarray(x, dtype=float)
@@ -474,20 +432,24 @@ class ChiSupersolutionReport:
 
 
 def chi_supersolution_check(
-    params: ChiParams,
+    terminal_weight: float,
     model: ForwardModel,
     kappa: float,
     grid: PdeGrid,
 ) -> ChiSupersolutionReport:
-    """Scan time slopes for a strict supersolution witness on [window_start, T].
+    """Scan time slopes c for a strict supersolution witness on [window_start, T].
 
-    For each candidate slope the discrete operator
+    The comparison function is chi(t, x) = exp[(c * (T - t) + terminal_weight)
+    * psi(x)], psi = ``log_bump``, on the window [T - terminal_weight / c, T];
+    terminal_weight must be > 0. For each candidate slope the discrete operator
     -d_t chi - (1/2) sigma^2 chi_xx - b chi_x - kappa chi - kappa |sigma chi_x|
     (central differences in t and x) is evaluated at every interior grid node
     whose time lies in the window; the scan passes when some slope yields a
     strictly positive minimum. Slopes whose window contains no interior time
     slice, or whose exponents overflow, are reported as not evaluable.
     """
+    if not terminal_weight > 0.0:
+        raise ValueError(f"terminal_weight must be > 0, got {terminal_weight!r}")
     xs = grid.xs()
     times = grid.times()
     horizon = grid.time.horizon
@@ -499,7 +461,7 @@ def chi_supersolution_check(
     rows = []
     witness = None
     for c in C_SCAN_GRID:
-        window_start = horizon - params.terminal_weight / c
+        window_start = horizon - terminal_weight / c
         ks = [k for k in range(1, n) if times[k] >= window_start - 1e-12]
         if not ks:
             rows.append(
@@ -507,7 +469,7 @@ def chi_supersolution_check(
             )
             continue
         k_lo = ks[0] - 1
-        expo = (c * (horizon - times[k_lo:, None]) + params.terminal_weight) * psi[None, :]
+        expo = (c * (horizon - times[k_lo:, None]) + terminal_weight) * psi[None, :]
         if float(np.max(expo)) > EXP_SATURATION:
             rows.append(
                 ChiScanRow(c, window_start, len(ks), None, False, "exponent overflow")

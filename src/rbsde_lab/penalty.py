@@ -12,13 +12,14 @@ stable in n); the scalar equation
 
 is piecewise in y and is solved exactly by computing the root of each branch
 and selecting the consistent one (strict monotonicity in y guarantees a
-unique root when lipschitz_kappa * dt < 1). For an affine generator
-f = a * y + b each branch root is closed form,
+unique root when lipschitz_kappa * dt < 1). For f = a * y + b the root of
+each branch is
 
     y >= h:  (E_k[Y_{k+1}] + b * dt) / (1 - a * dt),
-    y <  h:  (E_k[Y_{k+1}] + b * dt + n * dt * h) / (1 - a * dt + n * dt);
+    y <  h:  (E_k[Y_{k+1}] + b * dt + n * dt * h) / (1 - a * dt + n * dt),
 
-for any other generator it is the fixed point of the branch.
+and ``snell.implicit_step`` solves each branch for the generator at hand:
+in one step for an affine f, with f frozen at the iterate for any other.
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
 monotone-convergence diagnostics toward the reflected (Snell) solution;
@@ -34,7 +35,6 @@ import numpy as np
 
 from .lattice import Lattice
 from .problem import (
-    AffineGenerator,
     ProblemSpec,
     SolutionTriple,
     lattice_accumulation_moment,
@@ -42,7 +42,7 @@ from .problem import (
     lattice_sup_moment,
     obstacle_layers,
 )
-from .snell import _require_finite, backward_induction, fixed_point, solve_snell
+from .snell import backward_induction, implicit_step, solve_snell
 
 # A root of the y < h branch may sit this far above h (relative to 1 + |h|)
 # before the branch is declared inconsistent: float noise on a tie.
@@ -60,33 +60,22 @@ def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
     """Exact root of the piecewise one-step equation at step k; returns (y, dk).
 
     ``n`` is a column of intensities, one per row of the batch ``cond``;
-    ``rows`` names each row in an error. The root of each branch is closed
-    form for an affine f = a * y + b and a fixed point for any other f.
+    ``rows`` names each row in an error. Each branch root, written for
+    f = a * y + b, is solved on its own by ``implicit_step``.
     """
     push = n * dt * h_layer
-    if isinstance(generator, AffineGenerator):
-        scale = 1.0 - generator.y_coeff * dt
-        base = cond + generator.const * dt
-        y_plus = base / scale
-        y_minus = (base + push) / (scale + n * dt)
-        _require_finite(y_plus, k, PLUS_BRANCH, rows)
-        _require_finite(y_minus, k, MINUS_BRANCH, rows)
-    else:
 
-        def f(y):
-            return np.asarray(generator(t, x, y, z), dtype=float)
+    def frozen(y):
+        return np.asarray(generator(t, x, y, z), dtype=float)
 
-        # Branch y >= h: plain implicit step.
-        y_plus = fixed_point(lambda y: cond + dt * f(y), cond, k, PLUS_BRANCH, rows=rows)
-        # Branch y < h: penalty active, contraction factor kappa*dt / (1 + n*dt).
-        scale = 1.0 + n * dt
-        y_minus = fixed_point(
-            lambda y: (cond + dt * f(y) + push) / scale,
-            (cond + push) / scale,
-            k,
-            MINUS_BRANCH,
-            rows=rows,
-        )
+    def plus(a, b):
+        return (cond + b * dt) / (1.0 - a * dt)
+
+    def minus(a, b):
+        return (cond + b * dt + push) / (1.0 - a * dt + n * dt)
+
+    y_plus = implicit_step(generator, plus, frozen, k, PLUS_BRANCH, rows)
+    y_minus = implicit_step(generator, minus, frozen, k, MINUS_BRANCH, rows)
 
     # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
     take_plus = (y_plus >= h_layer) | (n == 0.0)

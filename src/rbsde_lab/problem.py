@@ -113,9 +113,9 @@ def _parse_form(name: str):
 class AffineGenerator:
     """Generator f(t, x, y, z) = y_coeff * y + const, affine in y with constant coefficients.
 
-    It is called like any generator. The solvers read its coefficients and
-    solve each implicit step in closed form, where any other callable goes
-    through a fixed point (lattice) or a lagged iteration (PDE).
+    It is called like any generator. ``snell.implicit_step`` reads its
+    coefficients and takes each scheme's implicit step once, in closed form,
+    where any other callable iterates that step with f frozen at the iterate.
     """
 
     y_coeff: float

@@ -20,10 +20,11 @@ def far_obstacle(t, x):
 
 
 def plain(generator):
-    """``generator`` as a plain callable: the solvers take its fixed-point and lagged paths.
+    """``generator`` as a plain callable: ``snell.implicit_step`` iterates its steps.
 
-    The registry's generators are affine, and the solvers solve an affine
-    step exactly; wrapping one hides its coefficients, not its values.
+    The registry's generators are affine, and an affine step is taken once,
+    in closed form; wrapping one hides its coefficients, not its values, so
+    each step is iterated with f frozen at the iterate.
     """
     return lambda t, x, y, z: generator(t, x, y, z)
 

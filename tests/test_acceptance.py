@@ -17,7 +17,6 @@ from helpers import ordered_instance_pair, random_stopping_instance
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid
 from rbsde_lab.pde import (
-    ChiParams,
     PdeGrid,
     chi_supersolution_check,
     feynman_kac_check,
@@ -121,16 +120,15 @@ def test_criterion_6_penalized_pde(put_pde_field, put_pde_penalized_family):
 
 @criterion("7 supersolution-witness")
 def test_criterion_7_chi_witness(put_fwd):
-    params = ChiParams(terminal_weight=1.0, time_slope=1.0, horizon=1.0)
     grid = PdeGrid(-100.0, 100.0, 201, TimeGrid(512, 1.0))
-    report = chi_supersolution_check(params, put_fwd, kappa=1.0, grid=grid)
+    report = chi_supersolution_check(1.0, put_fwd, kappa=1.0, grid=grid)
     assert report.passed
     witness = next(r for r in report.rows if r.time_slope == report.witness_time_slope)
     assert witness.min_operator > 0.0
 
     control_grid = PdeGrid(-100.0, 100.0, 101, TimeGrid(4096, 1.0))
     control = chi_supersolution_check(
-        params, ForwardModel.arithmetic(0.0, 0.0, 0.0), kappa=0.0, grid=control_grid
+        1.0, ForwardModel.arithmetic(0.0, 0.0, 0.0), kappa=0.0, grid=control_grid
     )
     assert all(r.evaluable and r.min_operator > 0.0 for r in control.rows)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rbsde_lab import cli, config, penalty
+from rbsde_lab import cli, config, snell
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import TimeGrid, build_lattice
@@ -270,7 +270,7 @@ def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(
     def disagreeing(update, y0, step, what, rows):
         return np.full_like(y0, -1e9 if "y >= h" in what else 1e9)
 
-    monkeypatch.setattr(penalty, "fixed_point", disagreeing)
+    monkeypatch.setattr(snell, "fixed_point", disagreeing)
     path = write_config(tmp_path, "crosscheck")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -283,7 +283,7 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(
     tmp_path, capsys, monkeypatch, plain_generators
 ):
     # only the row of intensity 8 never settles in the y < h branch, at node 3
-    real = penalty.fixed_point
+    real = snell.fixed_point
 
     def stuck(update, y0, step, what, rows):
         def update_row_1(y):
@@ -294,7 +294,7 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(
 
         return real(update_row_1, y0, step, what, rows=rows)
 
-    monkeypatch.setattr(penalty, "fixed_point", stuck)
+    monkeypatch.setattr(snell, "fixed_point", stuck)
     path = write_config(tmp_path, "penalize")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -429,7 +429,7 @@ def test_pde_rejects_unconverged_lagged_iteration(tmp_path, capsys, plain_genera
     path = write_config(tmp_path, "pde", generator="linear_discount:9", kappa="9", n_steps="10")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("pde: lagged generator iteration did not converge")
+    assert err.startswith("pde: PDE time step did not converge")
     assert "at step 9" in err
 
 

@@ -1,9 +1,10 @@
 """Exact one-step solves of affine generators against the general path.
 
-Every registry generator is an ``AffineGenerator``, which the solvers solve
-in closed form. The same f wrapped as a plain callable goes through
-``snell.fixed_point`` on the lattice and the lagged generator iteration in
-the PDE, so it is the reference for the exact steps.
+Every registry generator is an ``AffineGenerator``: ``snell.implicit_step``
+takes each scheme's exact step at its coefficients. The same f wrapped as a
+plain callable takes the same step with f frozen at the iterate, iterated by
+``snell.fixed_point``, so it is the reference for the exact steps. With
+y_coeff = 0 the two paths evaluate one formula and agree bit for bit.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 
 from helpers import plain, put_model
 
-from rbsde_lab import cli, pde, penalty, snell
+from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
 from rbsde_lab.lattice import TimeGrid, build_lattice
 from rbsde_lab.pde import (
@@ -90,6 +91,44 @@ def test_pde_exact_steps_agree_with_the_lagged_iteration(
     assert exact.max_lag_iterations == 1 < lagged.max_lag_iterations
 
 
+def _same_bits(layers_a, layers_b) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(layers_a, layers_b, strict=True))
+
+
+@pytest.mark.parametrize("generator", ["zero", "constant:1.5"])
+def test_a_zero_y_coeff_gives_the_same_bits_on_both_paths(put_fwd, generator):
+    # with a = 0 the exact step and the step with f frozen at the iterate are
+    # one formula, so the iteration ends on the exact step's bits
+    spec = ProblemSpec(
+        make_generator(generator),
+        make_terminal("put_payoff:40"),
+        make_obstacle("put_payoff:40"),
+        0.0,
+    )
+    general = dataclasses.replace(spec, generator=plain(spec.generator))
+    lat = build_lattice(put_fwd, TimeGrid(128, 1.0))
+
+    exact, iterated = solve_snell(lat, spec), solve_snell(lat, general)
+    for field in ("y", "z", "dk"):
+        assert _same_bits(getattr(exact.triple, field), getattr(iterated.triple, field)), field
+    assert _same_bits(exact.continuation, iterated.continuation)
+    assert snell_root(lat, spec) == snell_root(lat, general)
+
+    exact = solve_penalized(lat, spec, DEFAULT_SCHEDULE)
+    iterated = solve_penalized(lat, general, DEFAULT_SCHEDULE)
+    for field in ("y", "z", "dk"):
+        assert _same_bits(getattr(exact, field), getattr(iterated, field)), field
+
+    grid = PdeGrid(0.0, 160.0, 121, TimeGrid(100, 1.0))
+    assert np.array_equal(
+        solve_pde_projected(grid, spec, put_fwd).u, solve_pde_projected(grid, general, put_fwd).u
+    )
+    assert np.array_equal(
+        solve_pde_penalized(grid, spec, put_fwd, 1000.0).u,
+        solve_pde_penalized(grid, general, put_fwd, 1000.0).u,
+    )
+
+
 @pytest.mark.parametrize(
     "solver",
     [
@@ -156,8 +195,7 @@ def test_readme_commands_never_iterate(tmp_path, monkeypatch, command):
     def no_fixed_point(*args, **kwargs):
         raise AssertionError("an affine generator reached fixed_point")
 
-    for module in (snell, penalty, pde):
-        monkeypatch.setattr(module, "fixed_point", no_fixed_point)
+    monkeypatch.setattr(snell, "fixed_point", no_fixed_point)
     path = tmp_path / "put.cfg"
     path.write_text(README_CONFIG.format(command=command))
     out = tmp_path / "out"

@@ -9,7 +9,6 @@ from rbsde_lab import pde
 from rbsde_lab.lattice import ForwardModel, TimeGrid
 from rbsde_lab.pde import (
     BOUNDARY_EXTRAPOLATION,
-    ChiParams,
     LcpConvergenceError,
     PdeGrid,
     chi_supersolution_check,
@@ -19,7 +18,7 @@ from rbsde_lab.pde import (
     solve_pde_projected,
 )
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
-from rbsde_lab.snell import ContractionError
+from rbsde_lab.snell import ContractionError, DataOverflowError
 
 
 def frozen_model():
@@ -236,6 +235,21 @@ def test_lagged_generator_iteration_rejects_unconverged_step():
         solve_pde_projected(grid, fast_discount_spec("put_payoff:40", "put_payoff:40"), put_model())
 
 
+def test_a_non_finite_time_step_names_its_grid_node(put_spec, put_fwd, monkeypatch):
+    # interior row i of the LCP is grid node i + 1
+    real = pde._policy_lcp
+
+    def overflowing(*args):
+        v, resid, active, iterations = real(*args)
+        v[4] = math.inf
+        return v, resid, active, iterations
+
+    monkeypatch.setattr(pde, "_policy_lcp", overflowing)
+    grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
+    with pytest.raises(DataOverflowError, match=r"^PDE time step reached .* inf at step 9, node 5;"):
+        solve_pde_projected(grid, put_spec, put_fwd)
+
+
 def test_pde_requires_terminal_domination():
     grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
     spec = ProblemSpec(
@@ -280,16 +294,15 @@ def test_probe_outside_grid_rejected(put_pde_field, put_fwd, put_spec):
 
 
 def test_chi_params_validation():
-    with pytest.raises(ValueError):
-        ChiParams(0.0, 1.0, 1.0)
-    params = ChiParams(1.0, 4.0, 1.0)
-    assert params.window_start == pytest.approx(0.75)
+    grid = PdeGrid(-100.0, 100.0, 51, TimeGrid(64, 1.0))
+    with pytest.raises(ValueError, match="terminal_weight must be > 0"):
+        chi_supersolution_check(0.0, put_model(), 1.0, grid)
 
 
 def test_supersolution_scan_finds_witness_for_gbm():
     model = put_model()
     grid = PdeGrid(-100.0, 100.0, 201, TimeGrid(512, 1.0))
-    report = chi_supersolution_check(ChiParams(1.0, 1.0, 1.0), model, 1.0, grid)
+    report = chi_supersolution_check(1.0, model, 1.0, grid)
     assert report.passed
     assert report.witness_time_slope is not None
     row = next(r for r in report.rows if r.time_slope == report.witness_time_slope)
@@ -299,7 +312,7 @@ def test_supersolution_scan_finds_witness_for_gbm():
 def test_supersolution_control_positive_for_every_slope():
     grid = PdeGrid(-100.0, 100.0, 101, TimeGrid(4096, 1.0))
     report = chi_supersolution_check(
-        ChiParams(1.0, 1.0, 1.0), ForwardModel.arithmetic(0.0, 0.0, 0.0), 0.0, grid
+        1.0, ForwardModel.arithmetic(0.0, 0.0, 0.0), 0.0, grid
     )
     evaluable = [r for r in report.rows if r.evaluable]
     assert len(evaluable) == len(report.rows)
@@ -309,7 +322,7 @@ def test_supersolution_control_positive_for_every_slope():
 def test_supersolution_scan_reports_unevaluable_windows():
     model = put_model()
     grid = PdeGrid(-100.0, 100.0, 51, TimeGrid(64, 1.0))
-    report = chi_supersolution_check(ChiParams(1.0, 1.0, 1.0), model, 1.0, grid)
+    report = chi_supersolution_check(1.0, model, 1.0, grid)
     skipped = [r for r in report.rows if not r.evaluable]
     assert skipped and all("window" in r.reason or "overflow" in r.reason for r in skipped)
 

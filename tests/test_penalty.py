@@ -6,7 +6,6 @@ import pytest
 
 from helpers import far_obstacle, plain, put_model, put_problem
 
-from rbsde_lab import penalty
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import (
     BranchSelectionError,
@@ -23,7 +22,7 @@ from rbsde_lab.problem import (
     obstacle_layers,
     validate_solution,
 )
-from rbsde_lab.snell import ContractionError, solve_snell
+from rbsde_lab.snell import ContractionError, fixed_point, solve_snell
 
 
 def test_zero_intensity_reduces_to_plain_backward_equation():
@@ -234,14 +233,14 @@ def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
 def test_an_inconsistent_row_names_its_intensity(monkeypatch):
     # only the row of intensity 16 gets branches that both miss h; a plain
     # generator, so that each branch root goes through fixed_point
-    real = penalty.fixed_point
+    real = fixed_point
 
     def split(update, y0, step, what, rows):
         y = real(update, y0, step, what, rows=rows)
         y[2] = -1e9 if "y >= h" in what else 1e9
         return y
 
-    monkeypatch.setattr(penalty, "fixed_point", split)
+    monkeypatch.setattr("rbsde_lab.snell.fixed_point", split)
     lat = build_lattice(put_model(), TimeGrid(16, 1.0))
     spec = put_problem()
     spec = dataclasses.replace(spec, generator=plain(spec.generator))
