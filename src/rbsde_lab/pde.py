@@ -136,14 +136,15 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     reflected at h(t_k, x): for a deep-in-the-money put boundary this pins
     the obstacle value, at the opposite end it carries the discounted
     terminal payoff, matching the usual truncation policy at both ends.
-    Each step is the lattice's reflected step on one state; extrapolation
-    mode reflects at h = -inf, which leaves the step unreflected.
+    Each value is the lattice's reflected step value on one state;
+    extrapolation mode reflects at h = -inf, which leaves the step
+    unreflected.
     """
     times = grid.times()
     n = grid.time.n_steps
     dt = grid.time.dt
     xb = np.array([x_bnd])
-    z = np.zeros(1)
+    zero = np.zeros(1)
     reflect = grid.boundary_mode == BOUNDARY_OBSTACLE
     values = np.empty(n + 1)
     values[n] = float(spec.terminal(xb)[0])
@@ -151,7 +152,8 @@ def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
     for k in range(n - 1, -1, -1):
         h_b = float(spec.obstacle(times[k], xb)[0]) if reflect else -math.inf
         cond = values[k + 1 : k + 2]
-        values[k] = _reflected_step(spec.generator, times[k], xb, z, cond, h_b, dt, k, what)[0][0]
+        y, _ = _reflected_step(spec.generator, times[k], xb, lambda: zero, cond, h_b, dt, k, what)
+        values[k] = y[0]
     return values
 
 

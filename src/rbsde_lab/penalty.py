@@ -42,7 +42,7 @@ from .problem import (
     lattice_sup_moment,
     obstacle_layers,
 )
-from .snell import backward_induction, implicit_step, solve_snell
+from .snell import backward_induction, estimate_z, implicit_step, solve_snell
 
 # A root of the y < h branch may sit this far above h (relative to 1 + |h|)
 # before the branch is declared inconsistent: float noise on a tie.
@@ -108,11 +108,13 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     column = np.array(ns).reshape(-1, 1)
     rows = [f"intensity {n!r}" for n in ns]
 
-    def step(k, cond, z, h_k):
-        return _penalized_step(
+    def step(k, cond, y_next, h_k):
+        z = estimate_z(lattice, y_next, k)
+        y, dk = _penalized_step(
             spec.generator, lattice.times[k], lattice.nodes[k], z, cond, h_k, lattice.dt,
             column, k, rows,
         )
+        return y, z, dk
 
     return backward_induction(lattice, spec, step, rows=len(ns))
 
@@ -163,9 +165,11 @@ def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
 def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:
     """Solve along an increasing penalty schedule and collect diagnostics.
 
-    One backward pass solves every intensity. Each diagnostic is then one
-    forward pass over all intensities at once, with the node weights
-    computed once, reading one layer at a time.
+    One backward pass solves every intensity. The diagnostics then take two
+    forward passes over all intensities at once, with the node weights
+    computed once, reading one layer at a time: one sup pass over the rows
+    (Y - Y_snell, (h - Y)^+, Y) and one accumulation pass over the rows
+    (Z^2 dt, dK), with the exponents p / 2 and p.
     """
     ns = _check_schedule(schedule)
 
@@ -175,30 +179,41 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
     p = spec.p_exponent
     dt = lattice.dt
     weights = lattice.node_weights()
+    b = len(ns)
 
     batch = solve_penalized(lattice, spec, ns)
-    gaps = lattice_sup_moment(lattice, (y - ys for y, ys in zip(batch.y, y_snell)), p, weights)
-    neg_norms = lattice_sup_moment(
-        lattice, (np.maximum(hk - y, 0.0) for hk, y in zip(h, batch.y)), p, weights
+    sups = lattice_sup_moment(
+        lattice,
+        (
+            np.concatenate((y - ys, np.maximum(hk - y, 0.0), y))
+            for y, ys, hk in zip(batch.y, y_snell, h)
+        ),
+        p,
+        weights,
     )
-    y_parts = lattice_sup_moment(lattice, batch.y, p, weights)
-    z_parts = lattice_accumulation_moment(lattice, (z * z * dt for z in batch.z), p / 2.0, weights)
-    k_parts = lattice_accumulation_moment(lattice, batch.dk, p, weights)
+    accs = lattice_accumulation_moment(
+        lattice,
+        (np.concatenate((z * z * dt, dk)) for z, dk in zip(batch.z, batch.dk)),
+        [p / 2.0] * b + [p] * b,
+        weights,
+    )
     k_roots = lattice_expected_total(batch.dk, weights)
     # Schedule entry i against i+1: the largest rise of Y over any node.
-    mono = np.zeros(len(ns) - 1)
+    mono = np.zeros(b - 1)
     for y in batch.y:
         mono = np.maximum(mono, np.max(y[:-1] - y[1:], axis=-1))
 
     return PenalizationTrace(
         n_values=tuple(ns),
-        solutions=tuple(batch.row(b) for b in range(len(ns))),
+        solutions=tuple(batch.row(i) for i in range(b)),
         y0=tuple(batch.y[0][:, 0].tolist()),
-        sup_gap_to_snell=tuple(m ** (1.0 / p) for m in gaps),
-        negative_part_norm=tuple(m ** (1.0 / p) for m in neg_norms),
+        sup_gap_to_snell=tuple(m ** (1.0 / p) for m in sups[:b]),
+        negative_part_norm=tuple(m ** (1.0 / p) for m in sups[b : 2 * b]),
         monotonicity_violation=tuple(mono.tolist()) + (0.0,),
         k_t_root=tuple(k_roots),
-        bound_quantity=tuple(a + b + c for a, b, c in zip(y_parts, z_parts, k_parts)),
+        bound_quantity=tuple(
+            a + z + k for a, z, k in zip(sups[2 * b :], accs[:b], accs[b:], strict=True)
+        ),
         snell_y0=float(y_snell[0][0]),
     )
 

@@ -5,7 +5,8 @@ construction: backward through the lattice it solves the one-step equation
 implicitly in y, reflects at the obstacle, and reads the pushing increment
 off the reflection gap (the discrete decomposition of the resulting
 supermartingale into martingale minus nondecreasing part). ``snell_root``
-runs the same pass but keeps no layer, for callers that read only Y0.
+runs the same pass for callers that read only Y0: it keeps no layer and
+computes only Y.
 
 ``brute_force_stopping_value`` is the independent oracle: an exhaustive
 max-over-stop/continue recursion on the full (non-recombining) binary tree
@@ -209,67 +210,70 @@ def implicit_step(generator, step, frozen, k, what, rows=None):
 def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
     """Backward recursion shared by the reflected and the penalized solvers.
 
-    Starting from the terminal layer ``y_terminal``, each layer k estimates
-    z from the next layer, takes the conditional expectation
-    cond = E_k[Y_{k+1}], evaluates the obstacle h(t_k, .) and calls
-    ``step(k, cond, z, h_k)``, which returns the layer's (y, dk). Yields
-    (k, y, z, dk) for k = n_steps - 1 down to 0 and holds only the layer
-    after k, so a caller that keeps nothing runs in O(n_steps) memory. A
-    (rows, n_steps + 1) ``y_terminal`` makes every layer a batch of rows.
+    Starting from the terminal layer ``y_terminal``, each layer k takes the
+    conditional expectation cond = E_k[Y_{k+1}], evaluates the obstacle
+    h(t_k, .) and calls ``step(k, cond, y_next, h_k)`` with the next layer
+    y_next = Y_{k+1}. The step returns a tuple whose first entry is the
+    layer's y, and only a step that keeps or reads Z estimates it from
+    y_next (``estimate_z``). Yields (k, that tuple) for k = n_steps - 1 down
+    to 0 and holds only the layer after k, so a caller that keeps nothing
+    runs in O(n_steps) memory. A (rows, n_steps + 1) ``y_terminal`` makes
+    every layer a batch of rows.
     """
     _require_contraction(spec, lattice.dt)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
     y = y_terminal
     for k in range(lattice.n_steps - 1, -1, -1):
         h_k = np.asarray(spec.obstacle(lattice.times[k], lattice.nodes[k]), dtype=float)
-        z = estimate_z(lattice, y, k)
-        cond = lattice_expectation(lattice, y, k)
-        y, dk = step(k, cond, z, h_k)
-        yield k, y, z, dk
+        layer = step(k, lattice_expectation(lattice, y, k), y, h_k)
+        y = layer[0]
+        yield k, layer
 
 
 def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
     """Every layer of ``backward_layers``, collected into a SolutionTriple.
 
-    With ``rows`` set, every layer is a (rows, k+1) batch that starts from
-    one copy of the terminal payoff per row.
+    ``step`` returns each layer's (y, z, dk). With ``rows`` set, every
+    layer is a (rows, k+1) batch that starts from one copy of the terminal
+    payoff per row.
     """
     n = lattice.n_steps
     g = terminal_values(spec, lattice)
     y_layers = [None] * n + [g if rows is None else np.tile(g, (rows, 1))]
     z_layers = [None] * n
     dk_layers = [None] * n
-    for k, y, z, dk in backward_layers(lattice, spec, step, y_layers[-1]):
-        y_layers[k], z_layers[k], dk_layers[k] = y, z, dk
+    for k, layer in backward_layers(lattice, spec, step, y_layers[-1]):
+        y_layers[k], z_layers[k], dk_layers[k] = layer
     return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
 
 
 def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
-    """One reflected step at time t on the states x; returns (y, dk, continuation).
+    """The value of one reflected step at time t on the states x; returns (y, (a, b)).
 
     Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
-    and splits off the increment dK = (h - c)^+. ``k`` and ``what`` name the
-    step in a failed solve; h = -inf gives the unreflected step. For
-    f = a * y + b the step is y = max(h, (cond + b * dt) / (1 - a * dt)),
-    solved by ``implicit_step``.
+    by ``implicit_step``: for f = a * y + b the step is
+    y = max(h, (cond + b * dt) / (1 - a * dt)). (a, b) are the coefficients
+    of the newest step taken, so that c = cond + dt * (a * y + b) is the
+    continuation y was reflected from (with f frozen, a = 0 and y is exactly
+    max(h, c)); ``solve_snell`` splits off dK = (h - c)^+ from it. ``z()``
+    gives Z on the states x and is called once, on the first evaluation of
+    f, so an affine f never estimates Z. ``k`` and ``what`` name the step in
+    a failed solve; h = -inf gives the unreflected step.
     """
-    coeffs = None
+    coeffs = z_x = None
 
     def step(a, b):
-        # Keep the coefficients of the newest call, so that the continuation
-        # c = cond + dt * (a * y + b) is the one y was reflected from; with f
-        # frozen (a = 0) y is exactly max(h, c), and dK = (h - c)^+ splits it.
         nonlocal coeffs
         coeffs = a, b
         return np.maximum(h, (cond + b * dt) / (1.0 - a * dt))
 
     def frozen(y):
-        return np.asarray(generator(t, x, y, z), dtype=float)
+        nonlocal z_x
+        if z_x is None:
+            z_x = z()
+        return np.asarray(generator(t, x, y, z_x), dtype=float)
 
-    y = implicit_step(generator, step, frozen, k, what)
-    a, b = coeffs
-    cont = cond + dt * (a * y + b)
-    return y, np.maximum(h - cont, 0.0), cont
+    return implicit_step(generator, step, frozen, k, what), coeffs
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -285,12 +289,14 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     exercised = [None] * (lattice.n_steps + 1)
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
 
-    def step(k, cond, z, h_k):
-        y, dk, cont_layers[k] = _reflected_step(
-            spec.generator, times[k], nodes[k], z, cond, h_k, dt, k, ONE_STEP
+    def step(k, cond, y_next, h_k):
+        z = estimate_z(lattice, y_next, k)
+        y, (a, b) = _reflected_step(
+            spec.generator, times[k], nodes[k], lambda: z, cond, h_k, dt, k, ONE_STEP
         )
-        exercised[k] = h_k >= cont_layers[k] - TIE_TOL
-        return y, dk
+        cont_layers[k] = cont = cond + dt * (a * y + b)
+        exercised[k] = h_k >= cont - TIE_TOL
+        return y, z, np.maximum(h_k - cont, 0.0)
 
     triple = backward_induction(lattice, spec, step)
     g = triple.y[-1]
@@ -301,16 +307,20 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
 
 
 def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
-    """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory."""
+    """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory.
 
+    Each step computes the reflected value alone: no continuation, no dK,
+    and Z only when a generator that is not affine reads it.
+    """
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
 
-    def step(k, cond, z, h_k):
+    def step(k, cond, y_next, h_k):
         return _reflected_step(
-            spec.generator, times[k], nodes[k], z, cond, h_k, dt, k, ONE_STEP
-        )[:2]
+            spec.generator, times[k], nodes[k], lambda: estimate_z(lattice, y_next, k),
+            cond, h_k, dt, k, ONE_STEP,
+        )
 
-    for _, y, _, _ in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
+    for _, (y, _) in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
         pass
     return float(y[0])
 

@@ -78,14 +78,14 @@ def test_crosscheck_traces_one_snell_and_one_penalized_solve(tracing, tmp_path):
 
 def test_penalize_traces_one_batched_solve_and_one_node_weights(tracing, tmp_path):
     # the sweep solves every intensity in one pass and computes the node
-    # weights once; three sup moments (gap, negative part, Y) and two
-    # accumulation moments (Z, K) each run once over all intensities
+    # weights once; one sup pass over (gap, negative part, Y) and one
+    # accumulation pass over (Z, K) cover all intensities
     text = CROSSCHECK_CONFIG.replace("command = crosscheck", "command = penalize")
     spans = Counter(span.name for span in traced_run(tracing, tmp_path, text))
     assert spans["penalty.solve"] == 1
     assert spans["lattice.node_weights"] == 1
-    assert spans["problem.sup_moment"] == 3
-    assert spans["problem.accumulation_moment"] == 2
+    assert spans["problem.sup_moment"] == 1
+    assert spans["problem.accumulation_moment"] == 1
 
 
 @pytest.mark.parametrize("command, count", [("verify", 1), ("solve", 1)])

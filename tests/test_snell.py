@@ -14,7 +14,9 @@ from helpers import (
     random_stopping_instance,
 )
 
+from rbsde_lab import snell
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice, sample_node_paths
+from rbsde_lab.pde import PdeGrid, feynman_kac_check, solve_pde_projected
 from rbsde_lab.problem import (
     ProblemSpec,
     make_generator,
@@ -270,7 +272,7 @@ def _root_instance(kind, generator, n_steps):
     else:
         model, strike = ForwardModel.arithmetic(0.3, 4.0, 36.0), 38.0
     spec = ProblemSpec(
-        make_generator(generator),
+        generator if callable(generator) else make_generator(generator),
         make_terminal(f"put_payoff:{strike}"),
         make_obstacle(f"put_payoff:{strike}"),
         0.06,
@@ -279,11 +281,42 @@ def _root_instance(kind, generator, n_steps):
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 64, 384])
-@pytest.mark.parametrize("generator", ["zero", "constant:0.5", "linear_discount:0.06"])
+@pytest.mark.parametrize(
+    "generator",
+    [
+        "zero",
+        "constant:0.5",
+        "linear_discount:0.06",
+        # not affine and reads z: the root pass estimates Z only for it
+        pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
+    ],
+)
 @pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
 def test_root_solve_is_the_full_solves_root_bit_for_bit(kind, generator, n_steps):
     lat, spec = _root_instance(kind, generator, n_steps)
     assert snell_root(lat, spec) == solve_snell(lat, spec).triple.y[0][0]
+
+
+def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_spec, put_fwd):
+    # an affine f never reads z, so only a pass that keeps the Z layers
+    # estimates them: the root passes of convergence, the Feynman-Kac
+    # probes and the PDE boundary flow make no estimate
+    steps = []
+    estimate = snell.estimate_z
+
+    def counted(lattice, y_next, k):
+        steps.append(k)
+        return estimate(lattice, y_next, k)
+
+    monkeypatch.setattr(snell, "estimate_z", counted)
+    lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
+    snell_root(lat, put_spec)
+    grid = PdeGrid(0.0, 160.0, 41, TimeGrid(40, 1.0))
+    field = solve_pde_projected(grid, put_spec, put_fwd)
+    feynman_kac_check(field, put_fwd, put_spec, [(0.0, 36.0), (0.5, 40.0)], lattice_steps=64)
+    assert steps == []
+    solve_snell(lat, put_spec)
+    assert steps == list(range(63, -1, -1))
 
 
 def _peak_traced_bytes(fn):
