@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,8 @@ EXERCISE_TIE_TOL = 1e-8
 # once raised the peak memory of `solve`, 64 rows keep it flat
 _CSV_CHUNK_ROWS = 64
 
+_FLAG_TEXTS = np.array(["0", "1"], dtype=object)
+
 
 def _floats(values):
     """A float column: ``repr`` of each value as a Python float."""
@@ -53,27 +56,64 @@ def _floats(values):
 
 def _flags(mask):
     """A 0/1 column from a boolean mask."""
-    return map(str, np.asarray(mask, dtype=int).tolist())
+    return _FLAG_TEXTS[np.asarray(mask, dtype=np.intp)].tolist()
+
+
+class _FloatColumns:
+    """The float columns of a table written block by block, as ``_floats`` texts.
+
+    Each call formats the next block's columns. A value in row j whose
+    float64 bits equal those of row j - ``shift`` of the same column, in the
+    block ``lag`` calls back, reuses that value's text, and only the other
+    values go through ``repr``. Equal bits give equal ``repr``, so the text
+    is the one ``_floats`` gives; 0.0 and -0.0, or two NaN payloads, differ
+    in their bits and never share a text. Only the last ``lag`` blocks' bits
+    and texts are kept.
+    """
+
+    def __init__(self, lag: int, shift: int):
+        self._shift = shift
+        self._kept = deque(maxlen=lag)
+
+    def __call__(self, *columns) -> list:
+        values = np.array(columns, dtype=float)
+        bits = values.view(np.int64)
+        texts = np.empty(values.shape, dtype=object)
+        same = np.zeros(values.shape, dtype=bool)
+        if len(self._kept) == self._kept.maxlen:
+            old_bits, old_texts = self._kept[0]
+            lo = self._shift
+            hi = max(lo, min(values.shape[1], old_bits.shape[1] + lo))
+            window = same[:, lo:hi]
+            np.equal(bits[:, lo:hi], old_bits[:, : hi - lo], out=window)
+            texts[:, lo:hi][window] = old_texts[:, : hi - lo][window]
+        fresh = ~same
+        texts[fresh] = list(_floats(values[fresh]))
+        self._kept.append((bits, texts))
+        return texts.tolist()
 
 
 def _write_csv(path, header: str, blocks) -> None:
     """Write ``header``, then each block of equally long columns as rows.
 
     Blocks are consumed one at a time (one lattice layer or PDE time row),
-    and each block _CSV_CHUNK_ROWS rows at a time, so the text of the whole
-    table, or of one whole layer, is never held at once. A chunk is one list
-    of cells and separators, filled column by column, and one write.
+    so the text of the whole table is never held at once: one block's texts
+    per column, plus the blocks a ``_FloatColumns`` compares with. Each block
+    is written _CSV_CHUNK_ROWS rows at a time: a chunk is one list of cells
+    and separators, filled column by column from slices, and one write.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for columns in blocks:
+            columns = [list(c) for c in columns]
             width = 2 * len(columns)
-            rows = zip(*columns)
-            while chunk := [row for _, row in zip(range(_CSV_CHUNK_ROWS), rows)]:
-                parts = [","] * (width * len(chunk))
-                for c, cells in enumerate(zip(*chunk)):
-                    parts[2 * c :: width] = cells
-                parts[width - 1 :: width] = ["\n"] * len(chunk)
+            n_rows = len(columns[0])
+            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+                stop = min(start + _CSV_CHUNK_ROWS, n_rows)
+                parts = [","] * (width * (stop - start))
+                for c, cells in enumerate(columns):
+                    parts[2 * c :: width] = cells[start:stop]
+                parts[width - 1 :: width] = ["\n"] * (stop - start)
                 fh.write("".join(parts))
 
 
@@ -93,16 +133,18 @@ def snell_to_csv(out: SnellOutput, path) -> None:
     nodes = triple.lattice.nodes
     k_cum = triple.k_nodewise()
     n = triple.n_steps
+    j_texts = [str(j) for j in range(n + 1)]
+    # Node j of layer k and node j - 1 of layer k - 2 are one state on the
+    # geometric lattice (views of one parity table), and Y = h(x) where it
+    # stops, Y = Z = continuation = 0 where the payoff cannot be reached.
+    floats = _FloatColumns(lag=2, shift=1)
 
     def layer(k):
+        z = triple.z[k] if k < n else np.zeros(k + 1)
         return (
             [str(k)] * (k + 1),
-            map(str, range(k + 1)),
-            _floats(nodes[k]),
-            _floats(triple.y[k]),
-            _floats(triple.z[k] if k < n else np.zeros(k + 1)),
-            _floats(k_cum[k]),
-            _floats(out.continuation[k]),
+            j_texts[: k + 1],
+            *floats(nodes[k], triple.y[k], z, k_cum[k], out.continuation[k]),
             _flags(out.exercise_region[k]),
         )
 
@@ -114,14 +156,15 @@ def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
     """CSV export with header ``t,x,u,u_minus_h,exercised``, one block per time row."""
     xs = field.grid.xs()
     x_col = list(_floats(xs))
+    # the previous time row at the same x: u = h(x) and u - h = 0 where exercised
+    floats = _FloatColumns(lag=1, shift=0)
 
     def row(k, t):
         gap = field.u[k] - np.asarray(spec.obstacle(t, xs), dtype=float)
         return (
             [repr(float(t))] * len(xs),
             x_col,
-            _floats(field.u[k]),
-            _floats(gap),
+            *floats(field.u[k], gap),
             _flags(gap <= EXERCISE_TIE_TOL),
         )
 
@@ -361,7 +404,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"{config.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from rbsde_lab import cli, config, snell
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
-from rbsde_lab.lattice import TimeGrid, build_lattice
-from rbsde_lab.pde import PdeGrid, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
+from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
 from rbsde_lab.snell import solve_snell
 
@@ -222,6 +224,22 @@ def test_solve_command_writes_summary_and_files(tmp_path, capsys):
     assert (out / "snell.csv").exists()
     report = json.loads((out / "validation.json").read_text())
     assert report["all_pass"]
+
+
+@pytest.mark.parametrize("blocked", ["out", "artifact"])
+def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys, blocked):
+    # --out naming a file, or a directory where snell.csv goes: the OSError
+    # is reported like any other error that stops a run
+    path = write_config(tmp_path, "solve", n_steps="8")
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (out / "snell.csv").mkdir(parents=True)
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: [Errno ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_penalize_and_verify_and_convergence(tmp_path, capsys):
@@ -597,20 +615,65 @@ def reference_sweep_csv(trace):
     return "".join(lines)
 
 
-def test_snell_csv_matches_the_row_by_row_reference(tmp_path):
-    out = solve_snell(build_lattice(put_model(), TimeGrid(16, 1.0)), put_problem())
+@pytest.fixture
+def counted_reprs(monkeypatch):
+    """The number of values the CSV writers pass through ``repr``."""
+    counts = [0]
+    real = cli._floats
+
+    def counting(values):
+        counts[0] += np.size(values)
+        return real(values)
+
+    monkeypatch.setattr(cli, "_floats", counting)
+    return counts
+
+
+# the share of float cells that go through repr: the geometric lattice
+# reuses every inner state and the stopping region's Y from two layers back
+@pytest.mark.parametrize(
+    "case, repr_share", [("geometric-16", 1.0), ("geometric-512", 0.4), ("arithmetic-256", 0.8)]
+)
+def test_snell_csv_matches_the_row_by_row_reference(
+    tmp_path, request, counted_reprs, case, repr_share
+):
+    if case == "geometric-16":
+        out = solve_snell(build_lattice(put_model(), TimeGrid(16, 1.0)), put_problem())
+    elif case == "geometric-512":
+        out = request.getfixturevalue("put_snell_512")
+    else:
+        model = ForwardModel.arithmetic(b0=2.16, sigma0=14.4, x0=36.0)
+        out = solve_snell(build_lattice(model, TimeGrid(256, 1.0)), put_problem())
     path = tmp_path / "snell.csv"
     snell_to_csv(out, path)
     assert path.read_text() == reference_snell_csv(out)
     assert {line[-1] for line in path.read_text().splitlines()[1:]} == {"0", "1"}
+    n = out.triple.n_steps
+    assert counted_reprs[0] <= repr_share * 5 * (n + 1) * (n + 2) / 2
 
 
-def test_pde_csv_matches_the_row_by_row_reference(tmp_path, put_spec):
-    field = solve_pde_projected(PdeGrid(0.0, 80.0, 5, TimeGrid(2, 1.0)), put_spec, put_model())
+@pytest.mark.parametrize(
+    "case, repr_share",
+    [("5x2", 1.0), ("121x100-projected", 0.8), ("121x100-penalized", 0.9)],
+)
+def test_pde_csv_matches_the_row_by_row_reference(
+    tmp_path, put_spec, counted_reprs, case, repr_share
+):
+    if case == "5x2":
+        grid = PdeGrid(0.0, 80.0, 5, TimeGrid(2, 1.0))
+    else:
+        grid = PdeGrid(0.0, 120.0, 121, TimeGrid(100, 1.0))
+    if case.endswith("penalized"):
+        field = solve_pde_penalized(grid, put_spec, put_model(), 1000.0)
+    else:
+        field = solve_pde_projected(grid, put_spec, put_model())
     path = tmp_path / "pde.csv"
     pde_field_to_csv(field, put_spec, path)
     assert path.read_text() == reference_pde_csv(field, put_spec)
     assert {line[-1] for line in path.read_text().splitlines()[1:]} == {"0", "1"}
+    # x once, then u and u - h in every time row
+    m, rows = grid.m_nodes, grid.time.n_steps + 1
+    assert counted_reprs[0] <= repr_share * (m + 2 * m * rows)
 
 
 def test_sweep_csv_matches_the_row_by_row_reference(tmp_path):
@@ -665,6 +728,61 @@ def test_csv_writer_matches_joined_rows(tmp_path, rows):
     cli._write_csv(path, "k,j,a,b,flag", blocks())
     assert path.read_text() == "".join(expected)
     assert "-0.0,0.0," in path.read_text() and "nan,nan" in path.read_text()
+
+
+def test_float_columns_reuse_only_texts_of_equal_bits():
+    # two columns, lag 2, shift 1: row j of a block is compared with row
+    # j - 1 of the same column two blocks back, as in snell_to_csv
+    nan_bits = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64)
+    nan, other_nan = nan_bits.view(float)
+    special = [0.0, -0.0, nan, float("inf"), -float("inf"), 5e-324, 1e16, 0.1]
+    blocks = [
+        special,  # first block: nothing to compare with
+        [1.0, 2.0],
+        [7.0, -0.0, 0.0, nan, float("inf"), -float("inf"), 5e-324, 1e16, 0.1, 3.0],
+        [nan],  # a single row has no row j - 1 to compare with
+        [5.0, 7.0, 8.0],  # shorter than the block it is compared with
+        [6.0, other_nan],
+    ]
+    formatter = cli._FloatColumns(lag=2, shift=1)
+    texts = []
+    for values in blocks:
+        values = np.array(values)
+        texts.append(formatter(values, -values))
+        for column, got in zip((values, -values), texts[-1]):
+            assert got == [repr(float(v)) for v in column]
+
+    def reused(k, j, c=0):
+        return texts[k][c][j] is texts[k - 2][c][j - 1]
+
+    # 0.0 two blocks back and -0.0 now, and the other way round
+    assert texts[2][0][1:3] == ["-0.0", "0.0"] and not reused(2, 1) and not reused(2, 2)
+    assert texts[2][1][1:3] == ["0.0", "-0.0"] and not reused(2, 1, 1) and not reused(2, 2, 1)
+    # the same bits reuse the text in both columns
+    for j in range(3, 9):
+        assert reused(2, j) and reused(2, j, 1)
+    assert texts[4][0][1] == "7.0" and reused(4, 1) and not reused(4, 2)
+    # another NaN payload prints the same but is formatted anew
+    assert texts[5][0][1] == "nan" and not reused(5, 1)
+
+
+def test_float_columns_keep_only_the_blocks_they_compare_with():
+    # 513-row blocks as in snell_to_csv at N = 512: rows below 400 repeat
+    # row j - 1 of two blocks back, the others are new in every block
+    j = np.arange(513)
+
+    def peak(n_blocks):
+        floats = cli._FloatColumns(lag=2, shift=1)
+        values = (np.where(j < 400, (2 * j - k) * 0.1, k + j / 7.0) for k in range(n_blocks))
+        tracemalloc.start()
+        try:
+            cli._write_csv(os.devnull, "a,b", (floats(v, -v) for v in values))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(100), peak(1000)
+    assert many <= 1.1 * few, (few, many)
 
 
 def test_snell_csv_export(tmp_path, put_snell_512):
