@@ -102,7 +102,7 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 def _generator_at_origin(spec: ProblemSpec, t, x) -> np.ndarray:
     """|f(t, x, 0, 0)| on one layer of states."""
-    zeros = np.zeros_like(x)
+    zeros = np.zeros(x.shape)
     return np.abs(np.asarray(spec.generator(t, x, zeros, zeros), dtype=float))
 
 

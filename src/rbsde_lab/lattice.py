@@ -97,7 +97,7 @@ class Lattice:
     ``up_prob[k][j]`` is the probability of the j -> j+1 branch. ``times`` are
     absolute times, starting at the model's ``start_time``. The layers are
     read-only: geometric states are views of two shared tables, and every
-    ``up_prob[k]`` is a view of one probability.
+    ``up_prob[k]`` is a slice of one table.
     """
 
     grid: TimeGrid
@@ -135,6 +135,11 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     p = (exp(mu*dt) - d)/(u - d), which matches the one-step mean exactly and
     the variance to O(dt^2).
 
+    Every ``up_prob[k]`` is the first k + 1 entries of one read-only table
+    of the probability. Arithmetic layers are one array each, the drifted
+    mean plus every other entry of one offset table; geometric layers are
+    slices of two power tables.
+
     Raises
     ------
     CoarseTimeStepError
@@ -146,17 +151,20 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     times = model.start_time + dt * np.arange(n + 1)
     p = 0.5
     if model.kind == ARITHMETIC:
-        # The drift moves every layer, so each holds its own states.
+        # The drift moves every layer, so each holds its own states: layer k
+        # is its drifted mean plus every other entry of one offset table
+        # s0*sqrt(dt)*m, m = -n..n, from m = -k to m = k.
         b0, s0 = model.drift_coeff, model.vol_coeff
-        root = math.sqrt(dt)
-        nodes = [
-            model.x0 + b0 * k * dt + s0 * root * (2.0 * np.arange(k + 1) - k)
-            for k in range(n + 1)
-        ]
+        offsets = s0 * math.sqrt(dt) * np.arange(-n, n + 1, dtype=float)
+        nodes = [model.x0 + b0 * k * dt + offsets[n - k : n + k + 1 : 2] for k in range(n + 1)]
+        for layer in nodes:
+            layer.setflags(write=False)
     elif model.vol_coeff == 0.0:
         # Deterministic ODE: exact exponential states, probabilities moot.
         mu = model.drift_coeff
         nodes = [np.full(k + 1, model.x0 * math.exp(mu * k * dt)) for k in range(n + 1)]
+        for layer in nodes:
+            layer.setflags(write=False)
     else:
         mu, sigma = model.drift_coeff, model.vol_coeff
         u = math.exp(sigma * math.sqrt(dt))
@@ -169,17 +177,19 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
             )
         # Node j of layer k is x0 * u**(2j - k): layer k is the slice of the
         # exponents of parity (n - k) % 2 that starts at -k. Two tables of
-        # about n + 1 states hold every layer.
+        # about n + 1 states hold every layer; they are made read-only before
+        # they are sliced, since a view takes the flag its base has then.
         tables = [model.x0 * u ** np.arange(-n + par, n + 1, 2.0) for par in (0, 1)]
+        for table in tables:
+            table.setflags(write=False)
         nodes = []
         for k in range(n + 1):
             par = (n - k) % 2
             start = (n - k - par) // 2
             nodes.append(tables[par][start : start + k + 1])
-    for layer in nodes:
-        # Geometric layers share two tables: a write into one would corrupt others.
-        layer.flags.writeable = False
-    up_prob = [np.broadcast_to(p, (k + 1,)) for k in range(n)]
+    probs = np.full(n, p)
+    probs.setflags(write=False)
+    up_prob = [probs[: k + 1] for k in range(n)]
     return Lattice(grid, model, times, tuple(nodes), tuple(up_prob))
 
 

@@ -237,7 +237,7 @@ def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
         resid[1:] += lower[1:] * v[:-1]
         resid[:-1] += upper[:-1] * v[1:]
         settled = np.where(active, resid >= noise, v < h)
-        if np.array_equal(settled, active):
+        if (settled == active).all():
             return v, resid, active, iteration
         active, previous = settled, active
     gap = np.minimum(resid, v - h)
@@ -292,13 +292,19 @@ def _backward_solve(grid, spec, model, n):
     resid = None
     worst_comp = worst_resid = 0.0
     max_policy = max_lag = 0
+    # diag - dt * a for each a a step is called with: one per solve, since an
+    # affine generator passes its own a and any other f passes 0
+    shifted = {}
 
     def step(a, b):
         nonlocal active, resid, lag, max_policy
         # 1 - a * dt > 0 (checked by _require_contraction) keeps the rows
         # strictly diagonally dominant
+        diag_a = shifted.get(a)
+        if diag_a is None:
+            diag_a = shifted[a] = diag - dt * a
         v, resid, active, iterations = _policy_lcp(
-            lower, diag - dt * a, upper, u[k + 1][1:-1] + dt * b + bc, h_int, weight, active, k
+            lower, diag_a, upper, u[k + 1][1:-1] + dt * b + bc, h_int, weight, active, k
         )
         lag += 1
         max_policy = max(max_policy, iterations)
@@ -313,7 +319,7 @@ def _backward_solve(grid, spec, model, n):
     for k in range(grid.time.n_steps - 1, -1, -1):
         t = times[k]
         h_int = np.asarray(spec.obstacle(t, x_int), dtype=float)
-        bc = np.zeros_like(x_int)
+        bc = np.zeros(x_int.shape)
         bc[0] -= edge_lower * left[k]
         bc[-1] -= edge_upper * right[k]
         lag = 0

@@ -214,7 +214,7 @@ def _forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarra
     # every layer (k_nodewise), the other order leaves a freed gap next to
     # each kept layer and raises the process's peak memory.
     avg = np.zeros(stat.shape[:-1] + (k + 2,))
-    num = np.zeros_like(avg)
+    num = np.zeros(avg.shape)
     num[..., 1:] += w * p * stat
     num[..., :-1] += w * (1.0 - p) * stat
     denom = weights[k + 1]
@@ -382,7 +382,7 @@ def validate_solution(
 
     dt = lattice.dt
     k_min_increment = min(
-        (float(np.min(sol.dk[k])) for k in range(n)), default=0.0
+        (float(sol.dk[k].min()) for k in range(n)), default=0.0
     )
     k_initial = 0.0  # increments accumulate from zero by construction
 
@@ -390,7 +390,7 @@ def validate_solution(
     skorokhod = 0.0
     backward = 0.0
     for k, h_k in enumerate(obstacle_layers(spec, lattice)):
-        violations.append(float(np.max(h_k - sol.y[k])))
+        violations.append(float((h_k - sol.y[k]).max()))
         if k == n:
             break
         cond = lattice_expectation(lattice, sol.y[k + 1], k)
@@ -399,8 +399,8 @@ def validate_solution(
             dtype=float,
         )
         resid = sol.y[k] - (cond + dt * fval + sol.dk[k])
-        backward = max(backward, float(np.max(np.abs(resid))))
-        skorokhod += float(np.max(np.abs((sol.y[k] - h_k) * sol.dk[k])))
+        backward = max(backward, float(np.abs(resid).max()))
+        skorokhod += float(np.abs((sol.y[k] - h_k) * sol.dk[k]).max())
     obstacle_violation = max(violations)
 
     flags = {

@@ -94,9 +94,9 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     if y_next.shape[-1] != k + 2:
         raise ValueError(f"expected {k + 2} next-layer values, got {y_next.shape[-1]}")
     x_next = lattice.nodes[k + 1]
-    dx = np.diff(x_next)
-    dy = np.diff(y_next, axis=-1)
-    slope = np.divide(dy, dx, out=np.zeros_like(dy), where=dx != 0.0)
+    dx = x_next[1:] - x_next[:-1]
+    dy = y_next[..., 1:] - y_next[..., :-1]
+    slope = np.divide(dy, dx, out=np.zeros(dy.shape), where=dx != 0.0)
     sigma = lattice.model.vol(lattice.times[k], lattice.nodes[k])
     return slope * sigma
 

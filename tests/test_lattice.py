@@ -138,6 +138,41 @@ def test_geometric_nodes_are_the_reference_powers_bit_for_bit(n_steps):
         assert lat.up_prob[k].tobytes() == np.full(k + 1, p).tobytes()
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])
+@pytest.mark.parametrize(
+    "b0,s0,x0",
+    # sigma0 = 0 with x0 = b0 = -0.0 gives layers of mixed signed zeros
+    [(0.3, 0.7, 2.0), (-0.45, 1.3, -0.8), (-0.0, 0.0, -0.0)],
+    ids=["drift", "negative", "signed-zeros"],
+)
+def test_arithmetic_nodes_are_the_reference_formula_bit_for_bit(n_steps, b0, s0, x0):
+    lat = build_lattice(ForwardModel.arithmetic(b0, s0, x0), TimeGrid(n_steps, 1.0))
+    dt = lat.dt
+    for k in range(n_steps + 1):
+        # the oracle: node j of layer k is x0 + b0 k dt + s0 sqrt(dt) (2j - k)
+        reference = x0 + b0 * k * dt + s0 * math.sqrt(dt) * (2.0 * np.arange(k + 1) - k)
+        assert lat.nodes[k].tobytes() == reference.tobytes()
+    if s0 == 0.0:
+        assert np.signbit(lat.nodes[-1][0]) and not np.signbit(lat.nodes[-1][-1])
+    for k in range(n_steps):
+        assert lat.up_prob[k].tobytes() == np.full(k + 1, 0.5).tobytes()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ForwardModel.geometric(0.06, 0.4, 36.0), ForwardModel.arithmetic(0.3, 0.7, 2.0)],
+    ids=["geometric", "arithmetic"],
+)
+def test_up_probabilities_share_one_read_only_table(model):
+    lat = build_lattice(model, TimeGrid(9, 1.0))
+    table = lat.up_prob[-1]
+    assert not table.flags.writeable
+    for k, p in enumerate(lat.up_prob):
+        assert p.shape == (k + 1,)
+        assert np.shares_memory(p, table)
+        assert p.base is table.base and not p.base.flags.writeable
+
+
 @pytest.mark.parametrize(
     "model",
     [ForwardModel.geometric(0.06, 0.4, 36.0), ForwardModel.arithmetic(0.3, 0.7, 2.0)],

@@ -117,6 +117,24 @@ def test_estimate_z_degenerate_spacing_gives_zero():
     assert np.all(estimate_z(lat, np.ones(3), 1) == 0.0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [ForwardModel.geometric(0.06, 0.4, 36.0), ForwardModel.arithmetic(0.3, 0.0, 2.0)],
+    ids=["spaced", "zero-spacing"],
+)
+def test_estimate_z_batch_is_the_diff_formula_bit_for_bit(model):
+    lat = build_lattice(model, TimeGrid(9, 1.0))
+    k = 6
+    y_next = np.random.default_rng(5).normal(size=(11, k + 2))
+    dx = np.diff(lat.nodes[k + 1])
+    slope = np.divide(np.diff(y_next, axis=-1), dx, out=np.zeros((11, k + 1)), where=dx != 0.0)
+    reference = slope * model.vol(lat.times[k], lat.nodes[k])
+    z = estimate_z(lat, y_next, k)
+    assert z.tobytes() == reference.tobytes()
+    assert np.all(z[:, dx == 0.0] == 0.0)
+    assert np.all(dx == 0.0) == (model.vol_coeff == 0.0)
+
+
 def test_estimate_z_shape_check():
     lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(4, 1.0))
     with pytest.raises(ValueError):
