@@ -4,9 +4,9 @@ Every command writes machine-readable artifacts (CSV/JSON) under the output
 directory and a short human-readable summary to stdout. This module is the
 only one that writes artifacts: the solvers return arrays and report
 dataclasses, and the writers below format them. Outputs are a pure function
-of (config, seed): re-running the same experiment produces byte-identical
-files. Any invariant failure yields exit status 1 and one stderr line that
-names each failed check.
+of the config: re-running the same experiment produces byte-identical files.
+Any invariant failure yields exit status 1 and one stderr line that names
+each failed check.
 """
 
 from __future__ import annotations
@@ -383,15 +383,12 @@ def main(argv=None) -> int:
         description="Config-driven experiments for reflected backward equations.",
     )
     parser.add_argument("--config", required=True, help="path to the experiment config file")
-    parser.add_argument("--seed", type=int, default=None, help="64-bit seed override")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     args = parser.parse_args(argv)
 
     overrides = {"quiet": args.quiet}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
     if args.tol is not None:

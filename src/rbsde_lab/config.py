@@ -6,7 +6,6 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
 
     [run]
     command = crosscheck
-    seed = 1234
     tol = 0.02
 
     [problem]
@@ -33,7 +32,9 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
     [penalize]
     schedule = default
 
-``schedule = default`` expands to the doubling schedule 2^0 .. 2^10.
+``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. A key
+that the loader does not read, such as a leftover ``[run] seed``, is
+ignored.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class ExperimentConfig:
     pde_grid: PdeGrid | None
     pde_penalty_n: float | None
     schedule: tuple
-    seed: int
     tol: float
     out_dir: str
     quiet: bool = False
@@ -150,8 +150,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"[run] command: unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
         )
-    seed = int(overrides.get("seed", _get(cp, "run", "seed", int, 0)))
     tol = _cast("run", "tol", float, overrides.get("tol", _get(cp, "run", "tol", float, 0.02)))
+    if tol < 0.0:
+        raise ConfigError(f"[run] tol: must be >= 0, got {tol!r}")
     out_dir = str(overrides.get("out", _get(cp, "run", "out", str, ".")))
     quiet = bool(overrides.get("quiet", False))
 
@@ -233,7 +234,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         pde_grid=pde_grid,
         pde_penalty_n=pde_penalty_n,
         schedule=schedule,
-        seed=seed,
         tol=tol,
         out_dir=out_dir,
         quiet=quiet,

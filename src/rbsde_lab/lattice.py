@@ -2,9 +2,8 @@
 
 The forward diffusion dX_t = b(t,X_t) dt + sigma(t,X_t) dB_t is approximated
 by a recombining binomial lattice with exact one-step conditional
-expectations (arithmetic and geometric Brownian models). Monte Carlo paths
-are node-index paths drawn from the lattice's own branch law
-(``sample_node_paths``, numpy's PCG64 generator).
+expectations (arithmetic and geometric Brownian models). Every expectation
+over the lattice is an exact probability-weighted sum: nothing is sampled.
 
 Driving noise is one-dimensional; multi-dimensional drivers are a documented
 extension point, not built.
@@ -208,18 +207,3 @@ def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np
         )
     p = lattice.up_prob[k]
     return p * values_next[..., 1:] + (1.0 - p) * values_next[..., :-1]
-
-
-def sample_node_paths(lattice: Lattice, n_paths: int, seed: int) -> np.ndarray:
-    """Sample node-index paths (n_paths, n_steps+1) from the lattice branch law."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = lattice.n_steps
-    uniforms = rng.random((n_paths, n))
-    idx = np.zeros((n_paths, n + 1), dtype=np.int64)
-    for k in range(n):
-        p = lattice.up_prob[k][idx[:, k]]
-        idx[:, k + 1] = idx[:, k] + (uniforms[:, k] < p)
-    return idx
-

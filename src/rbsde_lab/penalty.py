@@ -98,8 +98,8 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     """Backward induction for every penalty intensity n >= 0 in one pass (n = 0: no reflection).
 
     Returns one batched SolutionTriple: each lattice layer holds one row per
-    intensity, in order, and ``row(b)`` is the solution at intensity b. Each
-    row is bit for bit the solve at that intensity alone.
+    intensity, in order, and row b of every layer is the solution at
+    intensity b, bit for bit the solve at that intensity alone.
     """
     ns = [float(n) for n in intensities]
     for n in ns:
@@ -121,7 +121,7 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
 
 @dataclass(frozen=True)
 class PenalizationTrace:
-    """Per-intensity solutions and convergence diagnostics of one sweep.
+    """Per-intensity root values and convergence diagnostics of one sweep.
 
     ``monotonicity_violation[i]`` compares schedule entries i and i+1 (last
     entry 0); ``sup_gap_to_snell`` and ``negative_part_norm`` are sup-norm
@@ -129,7 +129,6 @@ class PenalizationTrace:
     """
 
     n_values: tuple
-    solutions: tuple
     y0: tuple
     sup_gap_to_snell: tuple
     negative_part_norm: tuple
@@ -205,7 +204,6 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
 
     return PenalizationTrace(
         n_values=tuple(ns),
-        solutions=tuple(batch.row(i) for i in range(b)),
         y0=tuple(batch.y[0][:, 0].tolist()),
         sup_gap_to_snell=tuple(m ** (1.0 / p) for m in sups[:b]),
         negative_part_norm=tuple(m ** (1.0 / p) for m in sups[b : 2 * b]),

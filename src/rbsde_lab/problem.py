@@ -168,36 +168,6 @@ def make_obstacle(name: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Empirical norms on path arrays
-# ---------------------------------------------------------------------------
-
-def sp_norm(process_paths: np.ndarray, p: float) -> float:
-    """Empirical sup-norm: (mean over paths of sup_k |value|^p)^(1/p)."""
-    a = np.asarray(process_paths, dtype=float)
-    if a.size == 0:
-        raise ValueError("sp_norm of an empty path array")
-    if a.ndim == 1:
-        a = a[None, :]
-    pw = _check_exponent(p)
-    sup = np.max(np.abs(a), axis=1)
-    return float(np.mean(sup**pw) ** (1.0 / pw))
-
-
-def mp_norm(z_paths: np.ndarray, dt: float, p: float) -> float:
-    """Empirical quadratic-integral norm: (mean of (sum_k z_k^2 dt)^(p/2))^(1/p)."""
-    a = np.asarray(z_paths, dtype=float)
-    if a.size == 0:
-        raise ValueError("mp_norm of an empty path array")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if a.ndim == 1:
-        a = a[None, :]
-    pw = _check_exponent(p)
-    quad = np.sum(a**2, axis=1) * dt
-    return float(np.mean(quad ** (pw / 2.0)) ** (1.0 / pw))
-
-
-# ---------------------------------------------------------------------------
 # Noise-free lattice functionals
 # ---------------------------------------------------------------------------
 
@@ -319,19 +289,6 @@ class SolutionTriple:
     def k_nodewise(self) -> list:
         """Cumulative K conditioned on the current node (K[0][0] = 0)."""
         return list(accumulated_along(self.lattice, self.dk, self.lattice.node_weights()))
-
-    def expected_k_total(self) -> float:
-        """Exact E[K_T]."""
-        return lattice_expected_total(self.dk, self.lattice.node_weights())
-
-    def row(self, b: int) -> SolutionTriple:
-        """Row b of a batched triple (one row per intensity), as views of its layers."""
-        return SolutionTriple(
-            tuple(layer[b] for layer in self.y),
-            tuple(layer[b] for layer in self.z),
-            tuple(layer[b] for layer in self.dk),
-            self.lattice,
-        )
 
 
 @dataclass(frozen=True)

@@ -325,21 +325,6 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     return float(y[0])
 
 
-def optimal_stopping_times(out: SnellOutput, node_paths: np.ndarray) -> np.ndarray:
-    """First step at which each node-index path enters the exercise region, else n_steps."""
-    node_paths = np.asarray(node_paths, dtype=np.int64)
-    n = out.triple.n_steps
-    stops = np.full(node_paths.shape[0], n, dtype=np.int64)
-    undecided = np.ones(node_paths.shape[0], dtype=bool)
-    for k in range(n + 1):
-        hit = undecided & out.exercise_region[k][node_paths[:, k]]
-        stops[hit] = k
-        undecided &= ~hit
-        if not undecided.any():
-            break
-    return stops
-
-
 def brute_force_stopping_value(lattice: Lattice, spec: ProblemSpec) -> float:
     """Optimal stopping value by exhaustive recursion over branch histories.
 

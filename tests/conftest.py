@@ -9,13 +9,14 @@ from helpers import put_model, put_problem  # noqa: E402
 
 from rbsde_lab.lattice import TimeGrid, build_lattice  # noqa: E402
 from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected  # noqa: E402
-from rbsde_lab.penalty import run_sweep  # noqa: E402
+from rbsde_lab.penalty import run_sweep, solve_penalized  # noqa: E402
 from rbsde_lab.snell import solve_snell  # noqa: E402
 
 PUT_STRIKE = 40.0
 PUT_RATE = 0.06
 PUT_SIGMA = 0.4
 PUT_X0 = 36.0
+PUT_SCHEDULE = [2.0**i for i in range(11)]
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +51,13 @@ def put_snell_2048(put_lattice_2048, put_spec):
 
 @pytest.fixture(scope="session")
 def put_sweep_512(put_lattice_512, put_spec):
-    return run_sweep(put_lattice_512, put_spec, [2.0**i for i in range(11)])
+    return run_sweep(put_lattice_512, put_spec, PUT_SCHEDULE)
+
+
+@pytest.fixture(scope="session")
+def put_penalized_512(put_lattice_512, put_spec):
+    """The sweep's batched penalized solve: row b of each layer is intensity PUT_SCHEDULE[b]."""
+    return solve_penalized(put_lattice_512, put_spec, PUT_SCHEDULE)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,13 @@ import math
 import numpy as np
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
+from rbsde_lab.problem import (
+    ProblemSpec,
+    SolutionTriple,
+    make_generator,
+    make_obstacle,
+    make_terminal,
+)
 
 NO_OBSTACLE = -1e9
 
@@ -41,6 +47,45 @@ def put_problem(strike=40.0, r=0.06, p=1.5) -> ProblemSpec:
 
 def put_model(sigma=0.4, x0=36.0, r=0.06) -> ForwardModel:
     return ForwardModel.geometric(r, sigma, x0)
+
+
+def batch_row(triple, b) -> SolutionTriple:
+    """Row b of a batched triple (one row per intensity), as views of its layers."""
+    return SolutionTriple(
+        tuple(layer[b] for layer in triple.y),
+        tuple(layer[b] for layer in triple.z),
+        tuple(layer[b] for layer in triple.dk),
+        triple.lattice,
+    )
+
+
+def sample_node_paths(lattice, n_paths, seed) -> np.ndarray:
+    """Node-index paths (n_paths, n_steps + 1) drawn from the lattice's branch law."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = lattice.n_steps
+    uniforms = rng.random((n_paths, n))
+    idx = np.zeros((n_paths, n + 1), dtype=np.int64)
+    for k in range(n):
+        p = lattice.up_prob[k][idx[:, k]]
+        idx[:, k + 1] = idx[:, k] + (uniforms[:, k] < p)
+    return idx
+
+
+def optimal_stopping_times(out, node_paths) -> np.ndarray:
+    """First step at which each node-index path enters ``out``'s exercise region, else n_steps.
+
+    Replaying sampled paths against the region is a Monte Carlo check of
+    the ``exercised`` column: the mean discounted reward at these stops
+    must match the root value.
+    """
+    n = out.triple.n_steps
+    stops = np.full(node_paths.shape[0], n, dtype=np.int64)
+    undecided = np.ones(node_paths.shape[0], dtype=bool)
+    for k in range(n + 1):
+        hit = undecided & out.exercise_region[k][node_paths[:, k]]
+        stops[hit] = k
+        undecided &= ~hit
+    return stops
 
 
 def american_put_tree(s0, strike, r, sigma, horizon, n_steps) -> float:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from rbsde_lab.cli import main
+from rbsde_lab.config import load_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -58,6 +59,12 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
 def test_every_trace_hook_resolves_to_a_plain_function(tracing):
     assert tracing.PATCHES
     for target, attr, _ in tracing.PATCHES:
@@ -79,10 +86,12 @@ def test_crosscheck_traces_one_snell_and_one_penalized_solve(tracing, tmp_path):
 def test_penalize_traces_one_batched_solve_and_one_node_weights(tracing, tmp_path):
     # the sweep solves every intensity in one pass and computes the node
     # weights once; one sup pass over (gap, negative part, Y) and one
-    # accumulation pass over (Z, K) cover all intensities
+    # accumulation pass over (Z, K) cover all intensities; the Snell
+    # reference is reached through its hooked name in penalty
     text = CROSSCHECK_CONFIG.replace("command = crosscheck", "command = penalize")
     spans = Counter(span.name for span in traced_run(tracing, tmp_path, text))
     assert spans["penalty.solve"] == 1
+    assert spans["snell.solve"] == 1
     assert spans["lattice.node_weights"] == 1
     assert spans["problem.sup_moment"] == 1
     assert spans["problem.accumulation_moment"] == 1
@@ -116,3 +125,14 @@ def test_csv_writers_trace_one_span_per_file(tracing, tmp_path, command, extra, 
     writes = [span for span in spans if span.name == layer]
     assert len(writes) == count
     assert all(span.counts["bytes"] > 0 for span in writes)
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_every_bench_config_loads(workloads, tmp_path, size):
+    # the bench writes keys the loader must keep accepting: [run] seed,
+    # which it ignores, and [pde] boundary
+    for workload in workloads.WORKLOADS:
+        for exp in workloads.experiments(workload, 7, size):
+            path = tmp_path / f"{workload}-{exp.ident}.cfg"
+            path.write_text(exp.config)
+            assert load_config(path).command == exp.command, path.name

@@ -140,8 +140,9 @@ def test_config_requires_x0_inside_pde_domain(tmp_path):
         ({"p": "2.5"}, "[problem]: p must lie in (1,2)"),
         ({"n_steps": "0"}, "[lattice]: n_steps must be >= 1"),
         ({"m_nodes": "2"}, "[pde]: m_nodes must be >= 3"),
+        ({"tol": "-1"}, "[run] tol: must be >= 0, got -1.0"),
     ],
-    ids=["model", "problem", "lattice", "pde"],
+    ids=["model", "problem", "lattice", "pde", "run"],
 )
 def test_config_names_the_section_of_an_invalid_value(tmp_path, edit, message):
     with pytest.raises(ConfigError) as exc:

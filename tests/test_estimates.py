@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, put_model, put_problem
+from helpers import batch_row, far_obstacle, put_model, put_problem
 
 from rbsde_lab.cli import append_report_jsonl
 from rbsde_lab.estimates import (
@@ -120,7 +120,7 @@ def test_put_family_ratios_stay_within_recorded_baselines(sigma):
 
 
 def test_estimates_reject_unreflected_solutions(put_lattice_512, put_spec):
-    pen = solve_penalized(put_lattice_512, put_spec, [4.0]).row(0)
+    pen = batch_row(solve_penalized(put_lattice_512, put_spec, [4.0]), 0)
     report = validate_solution(pen, put_spec, put_lattice_512)
     with pytest.raises(ValueError, match="Skorokhod"):
         solution_moments(pen, put_spec, put_lattice_512, report)

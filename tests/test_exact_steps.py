@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import plain, put_model
+from helpers import batch_row, plain, put_model
 
 from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
@@ -67,7 +67,7 @@ def test_lattice_exact_steps_agree_with_the_fixed_point(put_spec, plain_spec, pu
     exact = solve_penalized(lat, put_spec, DEFAULT_SCHEDULE)
     general = solve_penalized(lat, plain_spec, DEFAULT_SCHEDULE)
     for b in range(len(DEFAULT_SCHEDULE)):
-        row_exact, row_general = exact.row(b), general.row(b)
+        row_exact, row_general = batch_row(exact, b), batch_row(general, b)
         scale = _scale(row_general.y)
         for field in ("y", "z", "dk"):
             gap = _gap(getattr(row_exact, field), getattr(row_general, field))

@@ -9,7 +9,6 @@ from rbsde_lab.lattice import (
     TimeGrid,
     build_lattice,
     lattice_expectation,
-    sample_node_paths,
 )
 
 
@@ -113,15 +112,6 @@ def test_expectation_length_mismatch():
     lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(3, 1.0))
     with pytest.raises(ValueError, match="expected 3 values"):
         lattice_expectation(lat, np.zeros(5), 1)
-
-
-def test_node_path_sampler_is_deterministic_and_consistent():
-    lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(30, 1.0))
-    a = sample_node_paths(lat, 100, seed=7)
-    b = sample_node_paths(lat, 100, seed=7)
-    assert np.array_equal(a, b)
-    steps = np.diff(a, axis=1)
-    assert set(np.unique(steps)) <= {0, 1}
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, plain, put_model, put_problem
+from helpers import batch_row, far_obstacle, plain, put_model, put_problem
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import (
@@ -16,6 +16,7 @@ from rbsde_lab.penalty import (
 )
 from rbsde_lab.problem import (
     ProblemSpec,
+    lattice_expected_total,
     make_generator,
     make_obstacle,
     make_terminal,
@@ -28,7 +29,7 @@ from rbsde_lab.snell import ContractionError, fixed_point, solve_snell
 def test_zero_intensity_reduces_to_plain_backward_equation():
     lat = build_lattice(put_model(), TimeGrid(64, 1.0))
     spec = put_problem()
-    pen = solve_penalized(lat, spec, [0.0]).row(0)
+    pen = batch_row(solve_penalized(lat, spec, [0.0]), 0)
     assert all(np.all(layer == 0.0) for layer in pen.dk)
     free = ProblemSpec(spec.generator, spec.terminal, far_obstacle, spec.lipschitz_kappa)
     plain = solve_snell(lat, free).triple
@@ -58,30 +59,29 @@ def test_inactive_penalty_on_dominated_obstacle(intensity):
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    sol = solve_penalized(lat, spec, [intensity]).row(0)
+    sol = batch_row(solve_penalized(lat, spec, [intensity]), 0)
     for k in range(lat.n_steps + 1):
         assert np.allclose(sol.y[k], 1.0, atol=1e-13)
     assert all(np.all(layer == 0.0) for layer in sol.dk)
 
 
-def test_put_sweep_diagnostics(put_sweep_512, put_lattice_512, put_spec):
+def test_put_sweep_diagnostics(put_sweep_512, put_penalized_512, put_lattice_512, put_spec):
     trace = put_sweep_512
     # discrete comparison in the penalty intensity
     assert max(trace.monotonicity_violation) <= 1e-10
-    # penalized values never exceed the reflected solution
+    # penalized values never exceed the reflected solution, at any intensity
     snell = solve_snell(put_lattice_512, put_spec).triple
-    for sol in trace.solutions:
-        worst = max(float(np.max(ya - yb)) for ya, yb in zip(sol.y, snell.y))
-        assert worst <= 1e-10
+    worst = max(float(np.max(ya - yb)) for ya, yb in zip(put_penalized_512.y, snell.y))
+    assert worst <= 1e-10
     # negative part decays (monotone up to tiny slack) and the root gap closes
     neg = trace.negative_part_norm
     assert all(b <= a + 1e-10 for a, b in zip(neg, neg[1:]))
     assert trace.sup_gap_to_snell[-1] < trace.sup_gap_to_snell[0]
 
 
-def test_penalty_acts_only_below_the_obstacle(put_sweep_512, put_lattice_512, put_spec):
+def test_penalty_acts_only_below_the_obstacle(put_penalized_512, put_lattice_512, put_spec):
     h = list(obstacle_layers(put_spec, put_lattice_512))
-    sol = put_sweep_512.solutions[5]
+    sol = batch_row(put_penalized_512, 5)
     crossing = 0.0
     for k in range(put_lattice_512.n_steps):
         above = np.maximum(sol.y[k] - h[k], 0.0)
@@ -91,10 +91,10 @@ def test_penalty_acts_only_below_the_obstacle(put_sweep_512, put_lattice_512, pu
     assert crossing == 0.0
 
 
-def test_skorokhod_residual_shrinks_with_intensity(put_sweep_512, put_lattice_512, put_spec):
+def test_skorokhod_residual_shrinks_with_intensity(put_penalized_512, put_lattice_512, put_spec):
     residuals = []
-    for sol in put_sweep_512.solutions:
-        rep = validate_solution(sol, put_spec, put_lattice_512)
+    for b in range(len(put_penalized_512.y[0])):
+        rep = validate_solution(batch_row(put_penalized_512, b), put_spec, put_lattice_512)
         assert rep.backward_ok and rep.k_monotone_ok
         residuals.append(rep.skorokhod_residual)
     assert residuals[0] > 0.0
@@ -103,8 +103,8 @@ def test_skorokhod_residual_shrinks_with_intensity(put_sweep_512, put_lattice_51
     assert residuals[-1] <= residuals[0] / 10.0
 
 
-def test_k_root_converges_along_the_tail(put_sweep_512, put_snell_512):
-    k_snell = put_snell_512.triple.expected_k_total()
+def test_k_root_converges_along_the_tail(put_sweep_512, put_snell_512, put_lattice_512):
+    k_snell = lattice_expected_total(put_snell_512.triple.dk, put_lattice_512.node_weights())
     errs = [abs(k - k_snell) for k in put_sweep_512.k_t_root]
     assert errs[-1] < errs[-2] < errs[-3]
 
@@ -121,7 +121,7 @@ def test_undershoot_reported_when_obstacle_sits_above_continuation():
     spec = ProblemSpec(make_generator("zero"), make_terminal("constant:1"), lofty_obstacle, 0.0)
     trace = run_sweep(lat, spec, [1000.0])
     assert trace.negative_part_norm[0] > 0.0
-    sol = trace.solutions[0]
+    sol = batch_row(solve_penalized(lat, spec, [1000.0]), 0)
     h = list(obstacle_layers(spec, lat))
     assert any(np.any(sol.y[k] < h[k]) for k in range(lat.n_steps))
 
@@ -192,10 +192,11 @@ def test_compensator_instance_pushes_against_negative_drift():
         make_obstacle("constant:1"),
         0.0,
     )
-    sol = solve_penalized(lat, spec, [4096.0]).row(0)
-    assert sol.expected_k_total() > 0.5
+    weights = lat.node_weights()
+    sol = batch_row(solve_penalized(lat, spec, [4096.0]), 0)
+    assert lattice_expected_total(sol.dk, weights) > 0.5
     snell = solve_snell(lat, spec).triple
-    assert snell.expected_k_total() == pytest.approx(1.0, abs=1e-10)
+    assert lattice_expected_total(snell.dk, weights) == pytest.approx(1.0, abs=1e-10)
     assert float(np.max(np.abs(sol.y[0][0] - snell.y[0][0]))) <= 1e-3
 
 
@@ -221,13 +222,13 @@ def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
     batch = solve_penalized(lat, spec, schedule)
     assert all(len(layer) == len(schedule) for layer in batch.y)
     for b, n in enumerate(schedule):
-        sol, alone = batch.row(b), solve_penalized(lat, spec, [n]).row(0)
+        sol, alone = batch_row(batch, b), batch_row(solve_penalized(lat, spec, [n]), 0)
         for field in ("y", "z", "dk"):
             layers, reference = getattr(sol, field), getattr(alone, field)
             assert len(layers) == len(reference)
             for k, (a, b) in enumerate(zip(layers, reference)):
                 assert np.array_equal(a, b), f"n={n} {field}[{k}]"
-    assert all(np.all(layer == 0.0) for layer in batch.row(0).dk)
+    assert all(np.all(layer == 0.0) for layer in batch_row(batch, 0).dk)
 
 
 def test_an_inconsistent_row_names_its_intensity(monkeypatch):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,6 @@ from rbsde_lab.problem import (
     make_generator,
     make_obstacle,
     make_terminal,
-    mp_norm,
-    sp_norm,
     validate_solution,
 )
 from rbsde_lab.snell import solve_snell
@@ -25,11 +21,8 @@ from rbsde_lab.snell import solve_snell
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 0.3])
 def test_exponent_range(p):
-    paths = np.ones((2, 3))
     with pytest.raises(ValueError, match=r"p must lie in \(1,2\)"):
-        sp_norm(paths, p)
-    with pytest.raises(ValueError, match=r"p must lie in \(1,2\)"):
-        mp_norm(paths, 0.1, p)
+        put_problem(p=p)
 
 
 def test_problem_spec_validation():
@@ -79,64 +72,6 @@ def test_terminal_domination_check():
     )
     with pytest.raises(ValueError, match="dominate the obstacle"):
         check_terminal_dominates(bad, lat.times[-1], lat.nodes[-1])
-
-
-# -- empirical norms -------------------------------------------------------
-
-
-def test_sp_norm_constant_process():
-    paths = np.full((11, 5), 3.0)
-    assert sp_norm(paths, 1.5) == pytest.approx(3.0, abs=1e-14)
-
-
-def test_sp_norm_single_path_sup():
-    assert sp_norm(np.array([0.0, -2.0, 1.0]), 1.5) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_sp_norm_matches_independent_accumulation():
-    rng = np.random.default_rng(31)
-    paths = np.exp(rng.normal(0.0, 0.3, size=(10_000, 16))).cumprod(axis=1)
-    p = 1.5
-    got = sp_norm(paths, p)
-    # brute-force recomputation with a different summation order
-    acc = math.fsum(sorted(float(np.max(np.abs(row))) ** p for row in paths))
-    expected = (acc / paths.shape[0]) ** (1.0 / p)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("lam", [0.5, 2.0])
-def test_norms_are_positively_homogeneous(lam):
-    rng = np.random.default_rng(7)
-    paths = rng.normal(size=(50, 9))
-    p = 1.7
-    assert sp_norm(lam * paths, p) == pytest.approx(lam * sp_norm(paths, p), rel=1e-12)
-    assert mp_norm(lam * paths, 0.1, p) == pytest.approx(lam * mp_norm(paths, 0.1, p), rel=1e-12)
-
-
-def test_sp_norm_monotone_under_domination():
-    rng = np.random.default_rng(8)
-    small = rng.normal(size=(40, 6))
-    large = small * rng.uniform(1.0, 2.0, size=small.shape)
-    assert sp_norm(large, 1.5) >= sp_norm(small, 1.5)
-
-
-def test_mp_norm_values():
-    assert mp_norm(np.zeros((4, 10)), 0.1, 1.5) == 0.0
-    # Z == 1 on [0, 1]: integral of 1 is 1 for any p
-    assert mp_norm(np.ones((3, 10)), 0.1, 1.5) == pytest.approx(1.0, abs=1e-14)
-    # Z == c on [0, T]: (c^2 T)^(1/2) = c sqrt(T)
-    c, horizon, steps = 2.5, 0.81, 27
-    z = np.full((5, steps), c)
-    assert mp_norm(z, horizon / steps, 1.9) == pytest.approx(c * math.sqrt(horizon), rel=1e-13)
-
-
-def test_norms_reject_empty_and_bad_dt():
-    with pytest.raises(ValueError):
-        sp_norm(np.empty((0, 4)), 1.5)
-    with pytest.raises(ValueError):
-        mp_norm(np.empty((0, 4)), 0.1, 1.5)
-    with pytest.raises(ValueError):
-        mp_norm(np.ones((2, 2)), 0.0, 1.5)
 
 
 # -- lattice functionals ---------------------------------------------------

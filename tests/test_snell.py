@@ -9,13 +9,15 @@ from helpers import (
     american_put_tree,
     enumerate_markov_stopping_rules,
     far_obstacle,
+    optimal_stopping_times,
     put_model,
     put_problem,
     random_stopping_instance,
+    sample_node_paths,
 )
 
 from rbsde_lab import snell
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice, sample_node_paths
+from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.pde import PdeGrid, feynman_kac_check, solve_pde_projected
 from rbsde_lab.problem import (
     ProblemSpec,
@@ -30,7 +32,6 @@ from rbsde_lab.snell import (
     brute_force_stopping_value,
     estimate_z,
     fixed_point,
-    optimal_stopping_times,
     snell_root,
     solve_snell,
 )
