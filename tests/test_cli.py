@@ -204,6 +204,42 @@ def test_a_non_finite_tol_override_is_a_config_error(tmp_path, capsys, value):
     assert capsys.readouterr().err == f"config error: [run] tol: must be a finite number, got {value}\n"
 
 
+def test_a_negative_tol_override_exits_2_before_any_work(tmp_path, capsys):
+    path = write_config(tmp_path, "crosscheck")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--tol", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: [run] tol: must be >= 0, got -1.0\n"
+    assert not out.exists()
+
+
+def test_a_zero_tol_is_accepted(tmp_path):
+    assert load_config(write_config(tmp_path, "solve", tol="0")).tol == 0.0
+    assert load_config(write_config(tmp_path, "solve"), {"tol": -0.0}).tol == 0.0
+
+
+def test_a_leftover_run_seed_is_ignored(tmp_path):
+    # no command draws a random path, so [run] seed is not read: any value
+    # loads, and the files are those of a config without it
+    text = write_config(tmp_path, "solve", n_steps="8").read_text()
+    written = []
+    for name, seed_line in [("none", ""), ("small", "seed = -5\n"), ("huge", "seed = 1e999\n")]:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text.replace("seed = 11\n", seed_line))
+        out = tmp_path / name
+        assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert written[0] and written[0] == written[1] == written[2]
+
+
+def test_there_is_no_seed_flag(tmp_path, capsys):
+    path = write_config(tmp_path, "solve")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_inside_a_section_pass_through_unchanged(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(write_config(tmp_path, "solve", kind="cubic"))

@@ -11,6 +11,8 @@ from rbsde_lab.lattice import (
     lattice_expectation,
 )
 
+from helpers import sample_node_paths
+
 
 def test_time_grid_partitions_horizon_exactly():
     grid = TimeGrid(7, 1.3)
@@ -112,6 +114,26 @@ def test_expectation_length_mismatch():
     lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(3, 1.0))
     with pytest.raises(ValueError, match="expected 3 values"):
         lattice_expectation(lat, np.zeros(5), 1)
+
+
+def test_node_path_sampler_is_deterministic_and_consistent():
+    lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(30, 1.0))
+    a = sample_node_paths(lat, 100, seed=7)
+    b = sample_node_paths(lat, 100, seed=7)
+    assert np.array_equal(a, b)
+    steps = np.diff(a, axis=1)
+    assert set(np.unique(steps)) <= {0, 1}
+
+
+def test_node_path_sampler_follows_the_branch_law():
+    # the stopping-time replays in test_snell.py are only as good as this oracle
+    # (a fair coin instead of up_prob, 0.4954 here, is off by more than 10 sigma)
+    lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(30, 1.0))
+    paths = sample_node_paths(lat, 50_000, seed=11)
+    assert np.all(paths[:, 0] == 0)
+    p = float(lat.up_prob[0][0])
+    ups = np.diff(paths, axis=1).mean()
+    assert ups == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / paths[:, 1:].size))
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])

@@ -56,3 +56,29 @@ def unused_public_names(src=SRC, users=USERS) -> list:
 def test_every_public_definition_is_used_outside_the_tests():
     unused = unused_public_names()
     assert not unused, f"public, but referenced only by tests: {', '.join(unused)}"
+
+
+def test_the_guard_names_definitions_reached_only_from_their_own_body(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def _private():\n"
+        "    return 0\n"
+        "class Box:\n"
+        "    def open(self):\n"
+        "        return 2\n"
+        "    def size(self):\n"
+        "        return self.size()\n"
+        "    def _hidden(self):\n"
+        "        return 3\n"
+    )
+    user = tmp_path / "bench.py"
+    user.write_text("from pkg.mod import Box, used\nused()\nBox().open()\n")
+    assert unused_public_names(src, (user,)) == ["recursive", "Box.size"]
+    assert unused_public_names(src, ()) == ["used", "recursive", "Box", "Box.open", "Box.size"]
