@@ -213,7 +213,6 @@ def _contract_failures(report: ValidationReport) -> list:
     items = (
         (report.obstacle_ok, f"obstacle_violation {report.obstacle_violation:.3e} > tol {tol:.3e}"),
         (report.k_monotone_ok, f"k_min_increment {report.k_min_increment:.3e} < -tol {-tol:.3e}"),
-        (report.k_initial_ok, f"|k_initial| {abs(report.k_initial):.3e} > tol {tol:.3e}"),
         (
             report.skorokhod_ok,
             f"skorokhod_residual {report.skorokhod_residual:.3e} > tol {SKOROKHOD_TOL:.3e}",

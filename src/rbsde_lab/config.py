@@ -32,9 +32,9 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
     [penalize]
     schedule = default
 
-``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. A key
-that the loader does not read, such as a leftover ``[run] seed``, is
-ignored.
+``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. Text
+after a whitespace-preceded ``;`` is a comment. A key that the loader does
+not read, such as a leftover ``[run] seed``, is ignored.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass
 
 from .lattice import ForwardModel, TimeGrid
-from .pde import BOUNDARY_OBSTACLE, PdeGrid
+from .pde import PdeGrid
+from .penalty import check_schedule
 from .problem import (
     AffineGenerator,
     ProblemSpec,
@@ -56,6 +57,8 @@ from .problem import (
 
 COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
 DEFAULT_SCHEDULE = tuple(float(2**i) for i in range(11))
+# the PDE's one boundary rule (``pde.PdeGrid``); the key may name it
+BOUNDARY = "dirichlet-obstacle"
 
 _REQUIRED = object()
 
@@ -112,18 +115,15 @@ def _section_errors(prefix: str):
 
 
 def _parse_schedule(raw: str) -> tuple:
+    """'default' or comma-separated intensities, checked as ``penalty`` checks them."""
     raw = raw.strip()
     if raw == "default":
         return DEFAULT_SCHEDULE
     try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"schedule must be 'default' or comma-separated numbers, got {raw!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"schedule entries must be finite numbers, got {raw!r}")
-    if not values:
-        raise ValueError("schedule is empty")
-    return values
+    return tuple(check_schedule(values))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -131,7 +131,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     Raises ConfigError naming the offending section/field on any problem.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -208,7 +208,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 x_max=_get(cp, "pde", "x_max", float),
                 m_nodes=_get(cp, "pde", "m_nodes", int),
                 time=TimeGrid(_get(cp, "pde", "n_steps", int), lattice_grid.horizon),
-                boundary_mode=_get(cp, "pde", "boundary", str, BOUNDARY_OBSTACLE).strip(),
+            )
+        boundary = _get(cp, "pde", "boundary", str, BOUNDARY).strip()
+        if boundary != BOUNDARY:
+            raise ConfigError(
+                f"[pde] boundary: the only boundary rule is {BOUNDARY!r}, got {boundary!r}"
             )
         pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
         if pde_penalty_n is not None and pde_penalty_n < 0.0:

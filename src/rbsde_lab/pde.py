@@ -34,10 +34,7 @@ import numpy as np
 
 from .lattice import ForwardModel, TimeGrid, build_lattice
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _reflected_step, _require_contraction, implicit_step, snell_root
-
-BOUNDARY_OBSTACLE = "dirichlet-obstacle"
-BOUNDARY_EXTRAPOLATION = "dirichlet-terminal-extrapolation"
+from .snell import FP_TOL, _require_contraction, implicit_step, snell_root
 
 POLICY_MAX_ITER = 100
 EXP_SATURATION = 700.0
@@ -51,27 +48,25 @@ class LcpConvergenceError(RuntimeError):
 class PdeGrid:
     """Uniform space-time grid on [x_min, x_max] x [0, horizon].
 
-    ``boundary_mode`` fixes the Dirichlet data, computed by carrying the
-    terminal payoff backward at the frozen boundary state through the
-    generator-only flow (for a linear discounting generator: the discounted
-    payoff). ``dirichlet-obstacle`` additionally reflects that flow at the
-    obstacle, so a binding boundary pins the obstacle value;
-    ``dirichlet-terminal-extrapolation`` uses the unreflected flow.
+    The two end nodes carry Dirichlet data with one rule: the state is held
+    there (the lateral operator is not available), so each time step takes
+    the one-point reflected step max(h, u_next + dt * f) at the end node,
+    solved with the interior in the same implicit step. For a linear
+    discounting generator that is the discounted payoff, pinned to the
+    obstacle where it binds (a deep in-the-money put end), so u >= h holds
+    at both ends in either scheme.
     """
 
     x_min: float
     x_max: float
     m_nodes: int
     time: TimeGrid
-    boundary_mode: str = BOUNDARY_OBSTACLE
 
     def __post_init__(self):
         if self.m_nodes < 3:
             raise ValueError("m_nodes must be >= 3")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
-        if self.boundary_mode not in (BOUNDARY_OBSTACLE, BOUNDARY_EXTRAPOLATION):
-            raise ValueError(f"unknown boundary_mode {self.boundary_mode!r}")
 
     @property
     def dx(self) -> float:
@@ -125,36 +120,6 @@ class PdeField:
         return float(
             (1 - wt) * ((1 - wx) * u00 + wx * u01) + wt * ((1 - wx) * u10 + wx * u11)
         )
-
-
-def _carry_boundary(grid: PdeGrid, spec: ProblemSpec, x_bnd: float):
-    """Dirichlet data at a frozen boundary state, one value per time index.
-
-    The state is held at the boundary (the lateral operator is not available
-    there), so the value solves the one-point backward equation
-    v_k = v_{k+1} + dt * f(t_k, x, v_k, 0). In obstacle mode the step is
-    reflected at h(t_k, x): for a deep-in-the-money put boundary this pins
-    the obstacle value, at the opposite end it carries the discounted
-    terminal payoff, matching the usual truncation policy at both ends.
-    Each value is the lattice's reflected step value on one state;
-    extrapolation mode reflects at h = -inf, which leaves the step
-    unreflected.
-    """
-    times = grid.times()
-    n = grid.time.n_steps
-    dt = grid.time.dt
-    xb = np.array([x_bnd])
-    zero = np.zeros(1)
-    reflect = grid.boundary_mode == BOUNDARY_OBSTACLE
-    values = np.empty(n + 1)
-    values[n] = float(spec.terminal(xb)[0])
-    what = f"boundary flow at x = {x_bnd!r}"
-    for k in range(n - 1, -1, -1):
-        h_b = float(spec.obstacle(times[k], xb)[0]) if reflect else -math.inf
-        cond = values[k + 1 : k + 2]
-        y, _ = _reflected_step(spec.generator, times[k], xb, lambda: zero, cond, h_b, dt, k, what)
-        values[k] = y[0]
-    return values
 
 
 def _step_matrix(grid: PdeGrid, model: ForwardModel):
@@ -262,12 +227,14 @@ def check_start_time(model: ForwardModel) -> None:
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
-    Each time step is one ``snell.implicit_step`` on the full space row,
-    whose boundary entries are the Dirichlet data, so an error names a grid
-    node. Its step for f = a * y + b is one ``_policy_lcp`` call with
-    -a * dt on the diagonal and b * dt on the right-hand side; a generator
-    that is not affine is frozen at the previous iterate, z = sigma * u_x
-    included. Every call is warm-started from the active set of the
+    Each time step is one ``snell.implicit_step`` on the full space row, so
+    an error names a grid node. Its step for f = a * y + b takes, at the two
+    end nodes, the held state's reflected step max(h, (u_next + b * dt) /
+    (1 - a * dt)), and on the interior one ``_policy_lcp`` call with -a * dt
+    on the diagonal, b * dt on the right-hand side and those end values as
+    Dirichlet data. A generator that is not affine is frozen on the whole
+    row at the previous iterate, with z = sigma * u_x inside and z = 0 at
+    the held ends. Every call is warm-started from the active set of the
     previous call.
     """
     dt = grid.time.dt
@@ -278,8 +245,7 @@ def _backward_solve(grid, spec, model, n):
     check_terminal_dominates(spec, times[-1], xs)
     x_int = xs[1:-1]
     dx = grid.dx
-    left = _carry_boundary(grid, spec, grid.x_min)
-    right = _carry_boundary(grid, spec, grid.x_max)
+    ends = slice(None, None, grid.m_nodes - 1)  # nodes 0 and m_nodes - 1
     lower, diag, upper = _step_matrix(grid, model)
     edge_lower, edge_upper = lower[0], upper[-1]
     lower[0] = upper[-1] = 0.0
@@ -303,29 +269,32 @@ def _backward_solve(grid, spec, model, n):
         diag_a = shifted.get(a)
         if diag_a is None:
             diag_a = shifted[a] = diag - dt * a
-        v, resid, active, iterations = _policy_lcp(
-            lower, diag_a, upper, u[k + 1][1:-1] + dt * b + bc, h_int, weight, active, k
+        cont = u[k + 1] + b * dt
+        row = np.empty(grid.m_nodes)
+        row[ends] = np.maximum(h[ends], cont[ends] / (1.0 - a * dt))
+        # 0.0 - x rather than -x: a zero product gives +0.0, not -0.0
+        bc = np.zeros(x_int.shape)
+        bc[0] -= edge_lower * row[0]
+        bc[-1] -= edge_upper * row[-1]
+        row[1:-1], resid, active, iterations = _policy_lcp(
+            lower, diag_a, upper, cont[1:-1] + bc, h[1:-1], weight, active, k
         )
         lag += 1
         max_policy = max(max_policy, iterations)
-        row = np.empty(grid.m_nodes)
-        row[0], row[1:-1], row[-1] = left[k], v, right[k]
         return row
 
     def frozen(row):
-        z = sig_int * _gradient(row, dx)
-        return np.asarray(spec.generator(t, x_int, row[1:-1], z), dtype=float)
+        z = np.zeros(grid.m_nodes)
+        z[1:-1] = sig_int * _gradient(row, dx)
+        return np.asarray(spec.generator(t, xs, row, z), dtype=float)
 
     for k in range(grid.time.n_steps - 1, -1, -1):
         t = times[k]
-        h_int = np.asarray(spec.obstacle(t, x_int), dtype=float)
-        bc = np.zeros(x_int.shape)
-        bc[0] -= edge_lower * left[k]
-        bc[-1] -= edge_upper * right[k]
+        h = np.asarray(spec.obstacle(t, xs), dtype=float)
         lag = 0
         u[k] = implicit_step(spec.generator, step, frozen, k, "PDE time step")
         max_lag = max(max_lag, lag)
-        gap = u[k][1:-1] - h_int
+        gap = u[k][1:-1] - h[1:-1]
         worst_resid = min(worst_resid, float(np.min(resid)))
         worst_comp = max(worst_comp, float(np.max(np.abs(resid * gap))))
 

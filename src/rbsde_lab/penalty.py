@@ -138,7 +138,7 @@ class PenalizationTrace:
     snell_y0: float
 
 
-def _check_schedule(schedule) -> list:
+def check_schedule(schedule) -> list:
     """The schedule as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
     ns = [float(v) for v in schedule]
     if not ns:
@@ -157,7 +157,7 @@ def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
     ``run_sweep(lattice, spec, schedule).y0[-1]`` bit for bit, without the
     other rows and the sweep diagnostics.
     """
-    ns = _check_schedule(schedule)
+    ns = check_schedule(schedule)
     return float(solve_penalized(lattice, spec, [ns[-1]]).y[0][0, 0])
 
 
@@ -170,7 +170,7 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
     (Y - Y_snell, (h - Y)^+, Y) and one accumulation pass over the rows
     (Z^2 dt, dK), with the exponents p / 2 and p.
     """
-    ns = _check_schedule(schedule)
+    ns = check_schedule(schedule)
 
     snell = solve_snell(lattice, spec)
     y_snell = snell.triple.y

@@ -295,18 +295,18 @@ class SolutionTriple:
 class ValidationReport:
     """Residuals of the discrete solution contract, with per-item pass flags.
 
-    ``all_pass`` is True iff every item passes.
+    ``all_pass`` is True iff every item passes. K_0 = 0 is not an item: a
+    ``SolutionTriple`` holds only the increments dK, so K starts at 0 by
+    construction.
     """
 
     obstacle_violation: float
     k_min_increment: float
-    k_initial: float
     skorokhod_residual: float
     backward_residual: float
     tol: float
     obstacle_ok: bool
     k_monotone_ok: bool
-    k_initial_ok: bool
     skorokhod_ok: bool
     backward_ok: bool
     all_pass: bool
@@ -323,8 +323,8 @@ def validate_solution(
 
     Items checked, in order: obstacle domination (max of h - Y over nodes),
     minimal reflection increment (K nondecreasing along every path iff
-    >= 0), the starting value K_0, the Skorokhod sum, and the one-step
-    backward equation |Y_k - (E_k[Y_{k+1}] + f(t_k, x, Y_k, Z_k) dt + dK_k)|.
+    >= 0), the Skorokhod sum, and the one-step backward equation
+    |Y_k - (E_k[Y_{k+1}] + f(t_k, x, Y_k, Z_k) dt + dK_k)|.
 
     The Skorokhod residual is a certified bound over all lattice paths:
     sum over steps of the worst nodewise |(Y - h) * dK|, which dominates the
@@ -341,7 +341,6 @@ def validate_solution(
     k_min_increment = min(
         (float(sol.dk[k].min()) for k in range(n)), default=0.0
     )
-    k_initial = 0.0  # increments accumulate from zero by construction
 
     violations = []
     skorokhod = 0.0
@@ -363,14 +362,12 @@ def validate_solution(
     flags = {
         "obstacle_ok": obstacle_violation <= tol,
         "k_monotone_ok": k_min_increment >= -tol,
-        "k_initial_ok": abs(k_initial) <= tol,
         "skorokhod_ok": skorokhod <= skorokhod_tol,
         "backward_ok": backward <= tol,
     }
     return ValidationReport(
         obstacle_violation=obstacle_violation,
         k_min_increment=k_min_increment,
-        k_initial=k_initial,
         skorokhod_residual=skorokhod,
         backward_residual=backward,
         tol=tol,

@@ -247,8 +247,8 @@ def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> 
     return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
 
 
-def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
-    """The value of one reflected step at time t on the states x; returns (y, (a, b)).
+def _reflected_step(generator, t, x, z, cond, h, dt, k):
+    """The value of one reflected lattice step at time t on the states x; returns (y, (a, b)).
 
     Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
     by ``implicit_step``: for f = a * y + b the step is
@@ -257,8 +257,7 @@ def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
     continuation y was reflected from (with f frozen, a = 0 and y is exactly
     max(h, c)); ``solve_snell`` splits off dK = (h - c)^+ from it. ``z()``
     gives Z on the states x and is called once, on the first evaluation of
-    f, so an affine f never estimates Z. ``k`` and ``what`` name the step in
-    a failed solve; h = -inf gives the unreflected step.
+    f, so an affine f never estimates Z. A failed solve names step ``k``.
     """
     coeffs = z_x = None
 
@@ -273,7 +272,7 @@ def _reflected_step(generator, t, x, z, cond, h, dt, k, what):
             z_x = z()
         return np.asarray(generator(t, x, y, z_x), dtype=float)
 
-    return implicit_step(generator, step, frozen, k, what), coeffs
+    return implicit_step(generator, step, frozen, k, ONE_STEP), coeffs
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -292,7 +291,7 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     def step(k, cond, y_next, h_k):
         z = estimate_z(lattice, y_next, k)
         y, (a, b) = _reflected_step(
-            spec.generator, times[k], nodes[k], lambda: z, cond, h_k, dt, k, ONE_STEP
+            spec.generator, times[k], nodes[k], lambda: z, cond, h_k, dt, k
         )
         cont_layers[k] = cont = cond + dt * (a * y + b)
         exercised[k] = h_k >= cont - TIE_TOL
@@ -317,7 +316,7 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     def step(k, cond, y_next, h_k):
         return _reflected_step(
             spec.generator, times[k], nodes[k], lambda: estimate_z(lattice, y_next, k),
-            cond, h_k, dt, k, ONE_STEP,
+            cond, h_k, dt, k,
         )
 
     for _, (y, _) in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):

@@ -66,7 +66,6 @@ def test_criterion_2_definition_contract(put_snell_512, put_lattice_512, put_spe
         assert report.all_pass
         assert report.obstacle_violation <= 0.0
         assert report.k_min_increment >= 0.0
-        assert report.k_initial == 0.0
         assert report.skorokhod_residual <= 1e-12
         assert report.backward_residual <= 1e-10
 

@@ -123,9 +123,19 @@ def test_config_rejects_a_kappa_below_the_generators_y_coefficient(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_bad_schedule(tmp_path):
-    with pytest.raises(ConfigError, match="schedule"):
-        load_config(write_config(tmp_path, "penalize", schedule="3,two,1"))
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ("3,two,1", "schedule must be 'default' or comma-separated numbers, got '3,two,1'"),
+        ("1,-2", "schedule entries must be finite and >= 0, got [1.0, -2.0]"),
+        ("1,1", "schedule must be strictly increasing"),
+        (",", "schedule must be nonempty"),
+    ],
+)
+def test_config_rejects_bad_schedule(tmp_path, schedule, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, "penalize", schedule=schedule))
+    assert str(exc.value) == f"[penalize] schedule: {message}"
 
 
 def test_config_requires_x0_inside_pde_domain(tmp_path):
@@ -313,9 +323,26 @@ def test_crosscheck_exit_codes(tmp_path, capsys):
 
 
 def test_crosscheck_rejects_a_decreasing_schedule(tmp_path, capsys):
+    # the loader checks the schedule, so no solver runs before the error
     path = write_config(tmp_path, "crosscheck", schedule="4,2")
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert "schedule must be strictly increasing" in capsys.readouterr().err
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [penalize] schedule: schedule must be strictly increasing\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_only_the_one_pde_boundary_rule(tmp_path, capsys):
+    path = write_config(tmp_path, "pde", boundary="dirichlet-obstacle")
+    assert load_config(path).pde_grid.m_nodes == 81
+    path = write_config(tmp_path, "pde", boundary="dirichlet-terminal-extrapolation")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: [pde] boundary: the only boundary rule is 'dirichlet-obstacle', "
+        "got 'dirichlet-terminal-extrapolation'\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(
@@ -389,8 +416,6 @@ VERIFY_16_VALIDATION_JSON = """\
   "all_pass": true,
   "backward_ok": true,
   "backward_residual": 1.7763568394002505e-15,
-  "k_initial": 0.0,
-  "k_initial_ok": true,
   "k_min_increment": 0.0,
   "k_monotone_ok": true,
   "obstacle_ok": true,
@@ -412,20 +437,16 @@ def test_verify_artifacts_are_unchanged(tmp_path):
 
 # sha256 of every artifact of `solve` with n_steps = 16 and of `pde` on a
 # 41x20 grid with penalty_n = 1000, on the config above, as written since
-# affine one-step equations are solved in closed form.
+# affine one-step equations are solved in closed form (validation.json:
+# since the contract report dropped its K_0 keys).
 ARTIFACT_DIGESTS = {
     "solve": {
         "snell.csv": "90cd90eb515454d3b11e3b6c4c4506a72dd7df0308909f3ef39d27ecd9919900",
-        "validation.json": "c28db2840c2be73276ac98273e3d3975f983e81335690decda94789343072e40",
+        "validation.json": "6de5a06781e91397b711be9b4366cc4a2f7b61576174ba02a914e8a873faaf6e",
     },
     "dirichlet-obstacle": {
         "pde.csv": "0e0b49dde0fc5b225cb59ac2250c97d9dff10c47f9b068f0e7413dc2420e190f",
         "pde_penalized.csv": "3fae87db3d287d216f9519e662ad7f6cafb7ce49d13e329e6487120330190dde",
-        "pde_report.json": "a89dc95d094f934f458134efb62c757c6e1285111476efb338122b2d775b2ccf",
-    },
-    "dirichlet-terminal-extrapolation": {
-        "pde.csv": "5c033a2d252ff2992aebca2f870eda094a598f192df450af34708f92dec180ca",
-        "pde_penalized.csv": "25fb8934af41c0381eca8601ae1b1746c84296e7164d5da340bfaa15319cf69f",
         "pde_report.json": "a89dc95d094f934f458134efb62c757c6e1285111476efb338122b2d775b2ccf",
     },
 }
@@ -501,7 +522,7 @@ def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(
 
 @pytest.mark.parametrize(
     "command, what",
-    [("solve", "implicit one-step solve"), ("pde", "boundary flow at x = 0.0")],
+    [("solve", "implicit one-step solve"), ("pde", "PDE time step")],
 )
 def test_overflowed_data_is_named_and_not_blamed_on_the_contraction(
     tmp_path, capsys, command, what
@@ -851,13 +872,11 @@ def test_json_reports_keep_their_keys(tmp_path):
     contract = {
         "obstacle_violation",
         "k_min_increment",
-        "k_initial",
         "skorokhod_residual",
         "backward_residual",
         "tol",
         "obstacle_ok",
         "k_monotone_ok",
-        "k_initial_ok",
         "skorokhod_ok",
         "backward_ok",
     }

@@ -18,13 +18,7 @@ from helpers import batch_row, plain, put_model
 from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
 from rbsde_lab.lattice import TimeGrid, build_lattice
-from rbsde_lab.pde import (
-    BOUNDARY_EXTRAPOLATION,
-    BOUNDARY_OBSTACLE,
-    PdeGrid,
-    solve_pde_penalized,
-    solve_pde_projected,
-)
+from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
     AffineGenerator,
@@ -74,12 +68,9 @@ def test_lattice_exact_steps_agree_with_the_fixed_point(put_spec, plain_spec, pu
             assert gap <= AGREE_REL * scale, (DEFAULT_SCHEDULE[b], field)
 
 
-@pytest.mark.parametrize("boundary", [BOUNDARY_OBSTACLE, BOUNDARY_EXTRAPOLATION])
 @pytest.mark.parametrize("penalty_n", [None, 1000.0])
-def test_pde_exact_steps_agree_with_the_lagged_iteration(
-    put_spec, plain_spec, put_fwd, boundary, penalty_n
-):
-    grid = PdeGrid(0.0, 160.0, 121, TimeGrid(100, 1.0), boundary)
+def test_pde_exact_steps_agree_with_the_lagged_iteration(put_spec, plain_spec, put_fwd, penalty_n):
+    grid = PdeGrid(0.0, 160.0, 121, TimeGrid(100, 1.0))
 
     def solve(spec):
         if penalty_n is None:

@@ -8,7 +8,6 @@ from helpers import far_obstacle, plain, put_model
 from rbsde_lab import pde
 from rbsde_lab.lattice import ForwardModel, TimeGrid
 from rbsde_lab.pde import (
-    BOUNDARY_EXTRAPOLATION,
     LcpConvergenceError,
     PdeGrid,
     chi_supersolution_check,
@@ -36,8 +35,6 @@ def test_grid_validation():
         PdeGrid(0.0, 1.0, 2, TimeGrid(4, 1.0))
     with pytest.raises(ValueError):
         PdeGrid(1.0, 0.0, 11, TimeGrid(4, 1.0))
-    with pytest.raises(ValueError, match="boundary_mode"):
-        PdeGrid(0.0, 1.0, 11, TimeGrid(4, 1.0), boundary_mode="robin")
 
 
 def test_constant_solution_on_every_slice():
@@ -48,7 +45,7 @@ def test_constant_solution_on_every_slice():
 
 
 def test_pure_discounting_reduces_to_exponential():
-    grid = PdeGrid(0.0, 2.0, 11, TimeGrid(8192, 1.0), boundary_mode=BOUNDARY_EXTRAPOLATION)
+    grid = PdeGrid(0.0, 2.0, 11, TimeGrid(8192, 1.0))
     spec = ProblemSpec(
         make_generator("linear_discount:0.1"),
         make_terminal("constant:1"),
@@ -58,7 +55,7 @@ def test_pure_discounting_reduces_to_exponential():
     field = solve_pde_projected(grid, spec, frozen_model())
     interior = field.u[0][1:-1]
     assert np.all(np.abs(interior - math.exp(-0.1)) <= 1e-6)
-    # extrapolated boundary carries the same discounted terminal value
+    # the held boundary state carries the same discounted terminal value
     assert field.u[0][-1] == pytest.approx(math.exp(-0.1), abs=1e-6)
 
 
@@ -99,6 +96,19 @@ def test_penalized_rejects_a_negative_or_non_finite_intensity(intensity):
     grid = PdeGrid(0.0, 2.0, 21, TimeGrid(16, 1.0))
     with pytest.raises(ValueError, match="penalty intensity must be finite and >= 0"):
         solve_pde_penalized(grid, constant_spec(), frozen_model(), intensity)
+
+
+def test_both_schemes_keep_the_obstacle_on_the_boundary_columns(
+    put_spec, put_pde_field, put_pde_penalized_family
+):
+    # each end node takes the held state's step reflected at h, in both
+    # schemes: at x = 0 the put's obstacle binds at every time
+    grid = put_pde_field.grid
+    ends = grid.xs()[[0, -1]]
+    for field in (put_pde_field, put_pde_penalized_family[1e3]):
+        for k, t in enumerate(grid.times()):
+            assert np.all(field.u[k, [0, -1]] >= put_spec.obstacle(t, ends))
+        assert np.all(field.u[:, 0] == 40.0)
 
 
 def test_penalized_family_ordered_below_projected(put_pde_field, put_pde_penalized_family):
@@ -223,9 +233,10 @@ def fast_discount_spec(terminal, obstacle):
     )
 
 
-def test_boundary_flow_rejects_unconverged_fixed_point():
+def test_lagged_step_rejects_unconverged_fixed_point_where_nothing_binds():
+    # the end nodes iterate in the same step as the interior
     grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))
-    with pytest.raises(ContractionError, match="did not converge"):
+    with pytest.raises(ContractionError, match="^PDE time step did not converge .* at step 9,"):
         solve_pde_projected(grid, fast_discount_spec("constant:1", "zero"), put_model())
 
 

@@ -1,0 +1,85 @@
+"""The README's config block names every key the loader reads, and only those.
+
+``config.load_config`` reads each key through ``_get(cp, section, key, ...)``;
+the (section, key) pairs are found with ``ast``. Each must appear in the
+README's ``ini`` block under its section, as a key line or named in a
+comment there, and every key line of the block must be a key the loader
+reads. The block must also load as written.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+from rbsde_lab.config import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "src" / "rbsde_lab" / "config.py"
+README = ROOT / "README.md"
+
+
+def loader_keys(source: str) -> set:
+    """The (section, key) pairs of every ``_get`` call in ``source``."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_get":
+            section, key = node.args[1:3]
+            assert isinstance(section, ast.Constant) and isinstance(key, ast.Constant), (
+                f"_get with a computed section or key at line {node.lineno}"
+            )
+            keys.add((section.value, key.value))
+    return keys
+
+
+def readme_block(text: str) -> str:
+    """The first ``ini`` code block of a Markdown text."""
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def block_keys(block: str) -> tuple:
+    """(key lines, names in comments) of an INI block, as (section, name) pairs."""
+    lines, named = set(), set()
+    section = None
+    for line in block.splitlines():
+        body, _, comment = line.partition(";")
+        body = body.strip()
+        if body.startswith("["):
+            section = body.strip("[]")
+        elif "=" in body:
+            lines.add((section, body.split("=", 1)[0].strip()))
+        named |= {(section, word) for word in re.findall(r"[a-z_][a-z0-9_]*", comment)}
+    return lines, named
+
+
+def test_every_key_the_loader_reads_is_in_the_readme_block():
+    lines, named = block_keys(readme_block(README.read_text()))
+    missing = sorted(loader_keys(CONFIG.read_text()) - lines - named)
+    assert not missing, f"read by load_config, not in the README config block: {missing}"
+
+
+def test_every_key_line_of_the_readme_block_is_read_by_the_loader():
+    lines, _ = block_keys(readme_block(README.read_text()))
+    unread = sorted(lines - loader_keys(CONFIG.read_text()))
+    assert not unread, f"in the README config block, not read by load_config: {unread}"
+
+
+def test_the_readme_block_loads_as_written(tmp_path):
+    path = tmp_path / "put.cfg"
+    path.write_text(readme_block(README.read_text()))
+    cfg = load_config(path)
+    assert cfg.command == "crosscheck" and cfg.pde_penalty_n is None
+
+
+def test_the_guard_reads_keys_lines_and_comments():
+    source = (
+        "def load(cp):\n"
+        "    a = _get(cp, 'run', 'command', str)\n"
+        "    b = _get(cp, 'pde', 'penalty_n', float, None)\n"
+        "    return other(cp, 'run', 'seed')\n"
+    )
+    assert loader_keys(source) == {("run", "command"), ("pde", "penalty_n")}
+    block = "[run]\ncommand = solve   ; or: verify\n\n[pde]\n; penalty_n = 10\nx_min = 0\n"
+    lines, named = block_keys(block)
+    assert lines == {("run", "command"), ("pde", "x_min")}
+    assert {("run", "verify"), ("pde", "penalty_n")} <= named
+    assert ("run", "penalty_n") not in named

@@ -318,8 +318,8 @@ def test_root_solve_is_the_full_solves_root_bit_for_bit(kind, generator, n_steps
 
 def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_spec, put_fwd):
     # an affine f never reads z, so only a pass that keeps the Z layers
-    # estimates them: the root passes of convergence, the Feynman-Kac
-    # probes and the PDE boundary flow make no estimate
+    # estimates them: the root passes of convergence and the Feynman-Kac
+    # probes make no estimate
     steps = []
     estimate = snell.estimate_z
 
