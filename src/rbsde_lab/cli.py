@@ -2,9 +2,10 @@
 
 Every command writes machine-readable artifacts (CSV/JSON) under the output
 directory and a short human-readable summary to stdout. This module is the
-only one that writes artifacts: the solvers return arrays and report
-dataclasses, and the writers below format them. Outputs are a pure function
-of the config: re-running the same experiment produces byte-identical files.
+only one that writes artifacts: the solvers return arrays and records
+(``NamedTuple``s), and the writers below format them. Outputs are a pure
+function of the config: re-running the same experiment produces
+byte-identical files.
 Any invariant failure yields exit status 1 and one stderr line that names
 each failed check.
 """
@@ -12,7 +13,6 @@ each failed check.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections import deque
@@ -189,9 +189,9 @@ def emit_convergence_table(trace: PenalizationTrace, path) -> None:
 
 
 def append_report_jsonl(report, path) -> None:
-    """Append one report dataclass to a JSON-lines file."""
+    """Append one report record to a JSON-lines file."""
     with open(path, "a") as fh:
-        fh.write(json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n")
+        fh.write(json.dumps(report._asdict(), sort_keys=True) + "\n")
 
 
 def _say(cfg: ExperimentConfig, message: str) -> None:
@@ -227,7 +227,7 @@ def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     result = solve_snell(lattice, cfg.spec)
     report = validate_solution(result.triple, cfg.spec, lattice)
     snell_to_csv(result, out / "snell.csv")
-    _write_json(dataclasses.asdict(report), out / "validation.json")
+    _write_json(report._asdict(), out / "validation.json")
     _say(cfg, f"Y0={float(result.triple.y[0][0])!r}")
     return _exit_status(cfg, _contract_failures(report))
 
@@ -237,7 +237,7 @@ def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
     trace = run_sweep(lattice, cfg.spec, cfg.schedule)
     emit_convergence_table(trace, out / "penalization.csv")
     bound = check_uniform_bound(trace)
-    _write_json(dataclasses.asdict(bound), out / "bound.json")
+    _write_json(bound._asdict(), out / "bound.json")
     worst_mono = max(trace.monotonicity_violation)
     _say(cfg, f"snell_Y0={trace.snell_y0!r}")
     for i, n in enumerate(trace.n_values):
@@ -285,7 +285,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
     report = validate_solution(result.triple, cfg.spec, lattice)
-    _write_json(dataclasses.asdict(report), out / "validation.json")
+    _write_json(report._asdict(), out / "validation.json")
 
     jsonl = out / "estimates.jsonl"
     jsonl.unlink(missing_ok=True)

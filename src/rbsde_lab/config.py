@@ -33,8 +33,9 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
     schedule = default
 
 ``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. Text
-after a whitespace-preceded ``;`` is a comment. A key that the loader does
-not read, such as a leftover ``[run] seed``, is ignored.
+after a whitespace-preceded ``;`` is a comment. A section or a key that the
+loader never reads is a ConfigError, so a misspelled key cannot fall back to
+its default; ``[run] seed`` is the one key accepted unread.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import ForwardModel, TimeGrid
 from .pde import PdeGrid
@@ -59,6 +60,18 @@ COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
 DEFAULT_SCHEDULE = tuple(float(2**i) for i in range(11))
 # the PDE's one boundary rule (``pde.PdeGrid``); the key may name it
 BOUNDARY = "dirichlet-obstacle"
+# every key load_config reads, by section, plus [run] seed: no command reads
+# it, but the bench writes it
+KEYS = {
+    "run": ("command", "tol", "out", "seed"),
+    "problem": (
+        "kind", "x0", "start_time", "mu", "sigma", "b0", "sigma0",
+        "generator", "terminal", "obstacle", "kappa", "p",
+    ),
+    "lattice": ("n_steps", "horizon"),
+    "pde": ("x_min", "x_max", "m_nodes", "n_steps", "boundary", "penalty_n"),
+    "penalize": ("schedule",),
+}
 
 _REQUIRED = object()
 
@@ -67,8 +80,7 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure, with field diagnostics."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     model: ForwardModel
     spec: ProblemSpec
@@ -114,6 +126,22 @@ def _section_errors(prefix: str):
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
+def _check_keys(cp) -> None:
+    """Raise ConfigError at the first section or key that ``KEYS`` does not name."""
+    for section in cp.sections():
+        known = KEYS.get(section)
+        if known is None:
+            raise ConfigError(
+                f"[{section}]: unknown section; expected one of "
+                + ", ".join(f"[{name}]" for name in KEYS)
+            )
+        for key in cp.options(section):
+            if key not in known:
+                raise ConfigError(
+                    f"[{section}] {key}: unknown key; expected one of {', '.join(known)}"
+                )
+
+
 def _parse_schedule(raw: str) -> tuple:
     """'default' or comma-separated intensities, checked as ``penalty`` checks them."""
     raw = raw.strip()
@@ -140,6 +168,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
 
+    _check_keys(cp)
     overrides = overrides or {}
     for section in ("run", "problem", "lattice"):
         if not cp.has_section(section):

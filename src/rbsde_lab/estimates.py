@@ -22,7 +22,7 @@ pass over (dY, dh) and one accumulation pass over df.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .problem import (
 )
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """One side-by-side evaluation of an a priori estimate."""
 
     lhs: float
@@ -51,8 +50,7 @@ class EstimateReport:
     p: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Data-variation estimate: how far two solutions drift apart."""
 
     delta_y_norm: float
@@ -64,8 +62,7 @@ class StabilityReport:
     ratio: float
 
 
-@dataclass(frozen=True)
-class SolutionMoments:
+class SolutionMoments(NamedTuple):
     """Every lattice statistic of one reflected solution that the checks read.
 
     ``weights`` is the lattice's ``node_weights()`` table; the moments use

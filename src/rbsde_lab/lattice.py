@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +89,7 @@ class ForwardModel:
         return self.vol_coeff * np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Recombining binomial lattice: step k holds k+1 nodes, branch j -> (j, j+1).
 
     ``nodes[k][j]`` is the state at step k, node j (states increasing in j);

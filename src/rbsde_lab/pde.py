@@ -3,11 +3,12 @@
     min[ u - h, -du/dt - (1/2) sigma^2 u_xx - b u_x - f(t, x, u, sigma u_x) ] = 0,
     u(T, x) = g(x),
 
-on a truncated space-time grid, plus the diagnostics that tie the PDE back
-to the probabilistic solvers: a probe-wise comparison of u(t, x) against the
-lattice value started at (t, x), a supersolution witness scan for the
-exponential comparison function used in uniqueness arguments, and growth
-class checks at large |x|.
+on a truncated space-time grid. The diagnostics that tie the PDE back to
+the probabilistic solvers (the Feynman-Kac probe against the lattice value
+started at (t, x), the supersolution scan for the exponential comparison
+function chi, and the growth-class check at large |x|) live in
+``rbsde_lab.diagnostics``: only the acceptance criteria and the tests run
+them.
 
 Two schemes are provided, and one kernel solves each implicit step of
 both: policy (Howard) iteration on the active set {v < h}, one tridiagonal
@@ -29,15 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ForwardModel, TimeGrid, build_lattice
+from .lattice import ForwardModel, TimeGrid
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _require_contraction, implicit_step, snell_root
+from .snell import FP_TOL, _require_contraction, implicit_step
 
 POLICY_MAX_ITER = 100
-EXP_SATURATION = 700.0
 
 
 class LcpConvergenceError(RuntimeError):
@@ -80,8 +81,7 @@ class PdeGrid:
         return self.time.horizon * np.arange(n + 1) / n
 
 
-@dataclass(frozen=True)
-class PdeField:
+class PdeField(NamedTuple):
     """Grid values u[k][i] (time-major), with solver metadata.
 
     ``complementarity`` is the worst nodewise product residual * (u - h)
@@ -319,187 +319,3 @@ def solve_pde_penalized(
     if not 0.0 <= n < math.inf:
         raise ValueError(f"penalty intensity must be finite and >= 0, got {n!r}")
     return _backward_solve(grid, spec, model, float(n))
-
-
-# ---------------------------------------------------------------------------
-# Cross-method probe: PDE value vs lattice value started at (t, x)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeComparison:
-    t: float
-    x: float
-    pde_value: float
-    lattice_value: float
-    abs_error: float
-    rel_error: float
-
-
-@dataclass(frozen=True)
-class FeynmanKacReport:
-    probes: tuple
-    max_abs_error: float
-    max_rel_error: float
-
-
-def feynman_kac_check(
-    field: PdeField,
-    model: ForwardModel,
-    spec: ProblemSpec,
-    probe_points,
-    lattice_steps: int = 2048,
-) -> FeynmanKacReport:
-    """Compare u(t, x) against the backward lattice value started at (t, x).
-
-    For each probe a fresh lattice over [t, T] with the probed initial state
-    is solved by ``snell_root``; at t = T the lattice value degenerates to
-    the terminal payoff. Probes must lie inside the grid.
-    """
-    horizon = field.grid.time.horizon
-    rows = []
-    for t, x in probe_points:
-        u_val = field.interpolate(float(t), float(x))
-        remaining = horizon - float(t)
-        if remaining <= 1e-12:
-            y_val = float(np.asarray(spec.terminal(np.array([float(x)])))[0])
-        else:
-            probe_model = ForwardModel(
-                model.kind, float(x), model.drift_coeff, model.vol_coeff, float(t)
-            )
-            probe_lattice = build_lattice(probe_model, TimeGrid(lattice_steps, remaining))
-            y_val = snell_root(probe_lattice, spec)
-        abs_err = abs(u_val - y_val)
-        rel_err = abs_err / max(abs(y_val), 1e-12)
-        rows.append(ProbeComparison(float(t), float(x), u_val, y_val, abs_err, rel_err))
-    return FeynmanKacReport(
-        probes=tuple(rows),
-        max_abs_error=max(r.abs_error for r in rows),
-        max_rel_error=max(r.rel_error for r in rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exponential comparison function and growth-class diagnostics
-# ---------------------------------------------------------------------------
-
-def log_bump(x) -> np.ndarray:
-    """psi(x) = (ln sqrt(x^2 + 1) + 1)^2 (>= 1, even, slowly growing)."""
-    x = np.asarray(x, dtype=float)
-    return (0.5 * np.log1p(x * x) + 1.0) ** 2
-
-
-C_SCAN_GRID = tuple(float(2**i) for i in range(11))
-
-
-@dataclass(frozen=True)
-class ChiScanRow:
-    time_slope: float
-    window_start: float
-    n_slices: int
-    min_operator: float | None
-    evaluable: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ChiSupersolutionReport:
-    rows: tuple
-    passed: bool
-    witness_time_slope: float | None
-
-
-def chi_supersolution_check(
-    terminal_weight: float,
-    model: ForwardModel,
-    kappa: float,
-    grid: PdeGrid,
-) -> ChiSupersolutionReport:
-    """Scan time slopes c for a strict supersolution witness on [window_start, T].
-
-    The comparison function is chi(t, x) = exp[(c * (T - t) + terminal_weight)
-    * psi(x)], psi = ``log_bump``, on the window [T - terminal_weight / c, T];
-    terminal_weight must be > 0. For each candidate slope the discrete operator
-    -d_t chi - (1/2) sigma^2 chi_xx - b chi_x - kappa chi - kappa |sigma chi_x|
-    (central differences in t and x) is evaluated at every interior grid node
-    whose time lies in the window; the scan passes when some slope yields a
-    strictly positive minimum. Slopes whose window contains no interior time
-    slice, or whose exponents overflow, are reported as not evaluable.
-    """
-    if not terminal_weight > 0.0:
-        raise ValueError(f"terminal_weight must be > 0, got {terminal_weight!r}")
-    xs = grid.xs()
-    times = grid.times()
-    horizon = grid.time.horizon
-    dt = grid.time.dt
-    dx = grid.dx
-    n = grid.time.n_steps
-    psi = log_bump(xs)
-
-    rows = []
-    witness = None
-    for c in C_SCAN_GRID:
-        window_start = horizon - terminal_weight / c
-        ks = [k for k in range(1, n) if times[k] >= window_start - 1e-12]
-        if not ks:
-            rows.append(
-                ChiScanRow(c, window_start, 0, None, False, "no interior time slice in window")
-            )
-            continue
-        k_lo = ks[0] - 1
-        expo = (c * (horizon - times[k_lo:, None]) + terminal_weight) * psi[None, :]
-        if float(np.max(expo)) > EXP_SATURATION:
-            rows.append(
-                ChiScanRow(c, window_start, len(ks), None, False, "exponent overflow")
-            )
-            continue
-        chi = np.exp(expo)  # rows k_lo .. n inclusive
-
-        min_val = math.inf
-        for k in ks:
-            r = k - k_lo
-            dchi_dt = (chi[r + 1] - chi[r - 1]) / (2.0 * dt)
-            chi_x = (chi[r, 2:] - chi[r, :-2]) / (2.0 * dx)
-            chi_xx = (chi[r, 2:] - 2.0 * chi[r, 1:-1] + chi[r, :-2]) / dx**2
-            sig = np.asarray(model.vol(times[k], xs[1:-1]), dtype=float)
-            drift = np.asarray(model.drift(times[k], xs[1:-1]), dtype=float)
-            op = (
-                -dchi_dt[1:-1]
-                - 0.5 * sig**2 * chi_xx
-                - drift * chi_x
-                - kappa * chi[r, 1:-1]
-                - kappa * np.abs(sig * chi_x)
-            )
-            min_val = min(min_val, float(np.min(op)))
-        rows.append(ChiScanRow(c, window_start, len(ks), min_val, True))
-        if witness is None and min_val > 0.0:
-            witness = c
-    return ChiSupersolutionReport(tuple(rows), witness is not None, witness)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    radii: tuple
-    factors: tuple
-    passed: bool
-
-
-def growth_class_check(values, weight: float, radii) -> GrowthReport:
-    """Check |values(x)| * exp(-weight * (ln x)^2) decays along the tail radii.
-
-    ``radii`` must be increasing, all >= 2, with at least three entries; the
-    check passes when the damped factors strictly decrease over the last
-    three radii.
-    """
-    rs = [float(r) for r in radii]
-    if len(rs) < 3:
-        raise ValueError("need at least three radii")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("radii must be strictly increasing")
-    if rs[0] < 2.0:
-        raise ValueError("radii must be >= 2")
-    factors = [
-        abs(float(values(r))) * math.exp(-weight * math.log(r) ** 2) for r in rs
-    ]
-    tail = factors[-3:]
-    passed = tail[0] > tail[1] > tail[2]
-    return GrowthReport(tuple(rs), tuple(factors), passed)

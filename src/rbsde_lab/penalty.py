@@ -29,7 +29,7 @@ monotone-convergence diagnostics toward the reflected (Snell) solution;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +119,7 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     return backward_induction(lattice, spec, step, rows=len(ns))
 
 
-@dataclass(frozen=True)
-class PenalizationTrace:
+class PenalizationTrace(NamedTuple):
     """Per-intensity root values and convergence diagnostics of one sweep.
 
     ``monotonicity_violation[i]`` compares schedule entries i and i+1 (last
@@ -216,8 +215,7 @@ def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrac
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """No-blow-up check: quantities stay within 1.05x the first-half maximum."""
 
     n_values: tuple

@@ -25,7 +25,7 @@ equally-shaped state/value arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ def _parse_form(name: str):
     return head, param
 
 
-@dataclass(frozen=True)
-class AffineGenerator:
+class AffineGenerator(NamedTuple):
     """Generator f(t, x, y, z) = y_coeff * y + const, affine in y with constant coefficients.
 
     It is called like any generator. ``snell.implicit_step`` reads its
@@ -266,8 +265,7 @@ def lattice_terminal_moment(layer_values, power: float, weights: list) -> float:
 # Solution triple and its contract
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionTriple:
+class SolutionTriple(NamedTuple):
     """Node-indexed solution (Y, Z, K) of the discrete reflected equation.
 
     ``y`` has n_steps+1 layers; ``z`` and ``dk`` have n_steps layers each,
@@ -291,8 +289,7 @@ class SolutionTriple:
         return list(accumulated_along(self.lattice, self.dk, self.lattice.node_weights()))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Residuals of the discrete solution contract, with per-item pass flags.
 
     ``all_pass`` is True iff every item passes. K_0 = 0 is not an item: a

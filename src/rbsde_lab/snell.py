@@ -8,16 +8,16 @@ supermartingale into martingale minus nondecreasing part). ``snell_root``
 runs the same pass for callers that read only Y0: it keeps no layer and
 computes only Y.
 
-``brute_force_stopping_value`` is the independent oracle: an exhaustive
-max-over-stop/continue recursion on the full (non-recombining) binary tree
-of branch histories, which realizes the maximum of
-E[sum_{s < tau} f(t_s) dt + reward(tau)] over all adapted stopping rules.
+The independent oracle, ``diagnostics.brute_force_stopping_value``, is an
+exhaustive max-over-stop/continue recursion on the full (non-recombining)
+binary tree of branch histories; only the acceptance criteria and the tests
+run it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .problem import (
     ProblemSpec,
     SolutionTriple,
     check_terminal_dominates,
-    obstacle_layers,
     terminal_values,
 )
 
@@ -67,8 +66,7 @@ def _require_contraction(spec: ProblemSpec, dt: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SnellOutput:
+class SnellOutput(NamedTuple):
     """Solver output: the solution triple plus per-node diagnostics.
 
     ``continuation[k][j]`` is the pre-reflection value (layer n_steps repeats
@@ -322,37 +320,3 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     for _, (y, _) in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
         pass
     return float(y[0])
-
-
-def brute_force_stopping_value(lattice: Lattice, spec: ProblemSpec) -> float:
-    """Optimal stopping value by exhaustive recursion over branch histories.
-
-    Requires a generator that does not depend on (y, z); it is evaluated at
-    f(t, x, 0, 0). Stopping at step k < n_steps collects the obstacle, at
-    n_steps the terminal payoff (the obstacle with overridden endpoint).
-    The recursion never recombines and never reuses the solver's layer
-    arithmetic, so it is an independent check of solve_snell's root value.
-    """
-    n = lattice.n_steps
-    if n > 12:
-        raise ValueError("exhaustive stopping enumeration requires n_steps <= 12")
-    dt = lattice.dt
-    h = list(obstacle_layers(spec, lattice))
-    g = terminal_values(spec, lattice)
-    zeros = [np.zeros(k + 1) for k in range(n + 1)]
-    f0 = [
-        np.asarray(
-            spec.generator(lattice.times[k], lattice.nodes[k], zeros[k], zeros[k]),
-            dtype=float,
-        )
-        for k in range(n)
-    ]
-
-    def best(k: int, j: int) -> float:
-        if k == n:
-            return float(g[j])
-        p = float(lattice.up_prob[k][j])
-        continue_value = float(f0[k][j]) * dt + p * best(k + 1, j + 1) + (1.0 - p) * best(k + 1, j)
-        return max(float(h[k][j]), continue_value)
-
-    return best(0, 0)

@@ -15,17 +15,17 @@ import numpy as np
 
 from helpers import ordered_instance_pair, random_stopping_instance
 
-from rbsde_lab.lattice import ForwardModel, TimeGrid
-from rbsde_lab.pde import (
-    PdeGrid,
+from rbsde_lab.diagnostics import (
+    brute_force_stopping_value,
     chi_supersolution_check,
     feynman_kac_check,
     growth_class_check,
-    solve_pde_projected,
 )
+from rbsde_lab.lattice import ForwardModel, TimeGrid
+from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
 from rbsde_lab.problem import ProblemSpec, validate_solution
-from rbsde_lab.snell import brute_force_stopping_value, solve_snell
+from rbsde_lab.snell import solve_snell
 
 
 CRITERIA = {}

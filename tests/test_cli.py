@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -241,6 +240,36 @@ def test_a_leftover_run_seed_is_ignored(tmp_path):
     assert written[0] and written[0] == written[1] == written[2]
 
 
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        # pde would run without its penalized scheme and exit 0
+        ("pde", "penalty_m = 1000", "[pde] penalty_m: unknown key; expected one of "
+         "x_min, x_max, m_nodes, n_steps, boundary, penalty_n"),
+        # tol and schedule would fall back to their defaults
+        ("run", "tols = 0.5", "[run] tols: unknown key; expected one of "
+         "command, tol, out, seed"),
+        ("penalize", "schedul = 1,2", "[penalize] schedul: unknown key; expected one of "
+         "schedule"),
+        (None, "[pdee]\nx_min = 0.0", "[pdee]: unknown section; expected one of "
+         "[run], [problem], [lattice], [pde], [penalize]"),
+    ],
+    ids=["pde", "run", "penalize", "section"],
+)
+def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, section, line, message):
+    text = BASE_CONFIG.format(command="pde")
+    if section is None:
+        text += f"\n{line}\n"
+    else:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_there_is_no_seed_flag(tmp_path, capsys):
     path = write_config(tmp_path, "solve")
     with pytest.raises(SystemExit) as exc:
@@ -471,7 +500,7 @@ def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "check_uniform_bound",
-        lambda trace: dataclasses.replace(real(trace), passed=False),
+        lambda trace: real(trace)._replace(passed=False),
     )
     path = write_config(tmp_path, "penalize")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -930,7 +959,7 @@ def test_verify_names_the_contract_and_the_self_stability_check(tmp_path, capsys
     monkeypatch.setattr(
         cli,
         "check_stability",
-        lambda *args: dataclasses.replace(real(*args), delta_y_norm=1.0),
+        lambda *args: real(*args)._replace(delta_y_norm=1.0),
     )
     path = write_config(tmp_path, "verify", n_steps="16")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -944,12 +973,12 @@ def test_pde_names_complementarity_and_the_penalized_gap(tmp_path, capsys, monke
 
     def raised(*args):
         field = penalized(*args)
-        return dataclasses.replace(field, u=field.u + 1.0)
+        return field._replace(u=field.u + 1.0)
 
     monkeypatch.setattr(
         cli,
         "solve_pde_projected",
-        lambda *args: dataclasses.replace(projected(*args), complementarity=1.0),
+        lambda *args: projected(*args)._replace(complementarity=1.0),
     )
     monkeypatch.setattr(cli, "solve_pde_penalized", raised)
     path = write_config(tmp_path, "pde", penalty_n="1000")

@@ -6,16 +6,9 @@ import pytest
 from helpers import far_obstacle, plain, put_model
 
 from rbsde_lab import pde
+from rbsde_lab.diagnostics import chi_supersolution_check, feynman_kac_check, growth_class_check
 from rbsde_lab.lattice import ForwardModel, TimeGrid
-from rbsde_lab.pde import (
-    LcpConvergenceError,
-    PdeGrid,
-    chi_supersolution_check,
-    feynman_kac_check,
-    growth_class_check,
-    solve_pde_penalized,
-    solve_pde_projected,
-)
+from rbsde_lab.pde import LcpConvergenceError, PdeGrid, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
 from rbsde_lab.snell import ContractionError, DataOverflowError
 

@@ -17,8 +17,9 @@ from helpers import (
 )
 
 from rbsde_lab import snell
+from rbsde_lab.diagnostics import brute_force_stopping_value, feynman_kac_check
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.pde import PdeGrid, feynman_kac_check, solve_pde_projected
+from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.problem import (
     ProblemSpec,
     make_generator,
@@ -29,7 +30,6 @@ from rbsde_lab.problem import (
 from rbsde_lab.snell import (
     ContractionError,
     DataOverflowError,
-    brute_force_stopping_value,
     estimate_z,
     fixed_point,
     snell_root,

@@ -1,0 +1,163 @@
+"""What a command's process compiles and builds before it runs.
+
+Every ``rbsde-lab`` command is a fresh process, and with
+``PYTHONDONTWRITEBYTECODE=1`` that process compiles each module it imports.
+``import rbsde_lab.cli`` must therefore load only the modules a command can
+run: the diagnostics that only the acceptance criteria and the tests call
+live in ``rbsde_lab.diagnostics``, which no command imports. The records a
+command passes around are ``NamedTuple``s, not dataclasses (each frozen
+dataclass execs six generated methods when its class is created), and like
+the frozen dataclasses they were, none can be assigned to.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rbsde_lab
+from rbsde_lab.config import ExperimentConfig, load_config
+from rbsde_lab.estimates import (
+    EstimateReport,
+    SolutionMoments,
+    StabilityReport,
+    check_stability,
+    check_y_estimate,
+    solution_moments,
+)
+from rbsde_lab.lattice import Lattice, build_lattice
+from rbsde_lab.pde import PdeField, solve_pde_projected
+from rbsde_lab.penalty import BoundReport, PenalizationTrace, check_uniform_bound, run_sweep
+from rbsde_lab.problem import AffineGenerator, SolutionTriple, ValidationReport, validate_solution
+from rbsde_lab.snell import SnellOutput, solve_snell
+
+CLI_MODULES = [
+    "rbsde_lab",
+    "rbsde_lab.cli",
+    "rbsde_lab.config",
+    "rbsde_lab.estimates",
+    "rbsde_lab.lattice",
+    "rbsde_lab.pde",
+    "rbsde_lab.penalty",
+    "rbsde_lab.problem",
+    "rbsde_lab.snell",
+]
+# names that moved to rbsde_lab.diagnostics
+DIAGNOSTICS = (
+    "brute_force_stopping_value",
+    "feynman_kac_check",
+    "chi_supersolution_check",
+    "growth_class_check",
+    "log_bump",
+    "C_SCAN_GRID",
+    "EXP_SATURATION",
+)
+RECORDS = (
+    ExperimentConfig,
+    Lattice,
+    AffineGenerator,
+    SolutionTriple,
+    ValidationReport,
+    SnellOutput,
+    PenalizationTrace,
+    BoundReport,
+    PdeField,
+    EstimateReport,
+    StabilityReport,
+    SolutionMoments,
+)
+
+PROBE = (
+    "import sys\n"
+    "import rbsde_lab.cli\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'rbsde_lab')\n"
+    "print(rbsde_lab.__file__)\n"
+    "print(' '.join(loaded))\n"
+    "print(' '.join(sorted({n for m in loaded for n in vars(sys.modules[m])})))\n"
+)
+
+CONFIG = """\
+[run]
+command = pde
+tol = 0.5
+
+[problem]
+kind = geometric
+mu = 0.06
+sigma = 0.4
+x0 = 36.0
+generator = linear_discount:0.06
+terminal = put_payoff:40
+obstacle = put_payoff:40
+kappa = 0.06
+
+[lattice]
+n_steps = 8
+horizon = 1.0
+
+[pde]
+x_min = 0.0
+x_max = 120.0
+m_nodes = 25
+n_steps = 8
+"""
+
+
+def test_the_cli_loads_only_the_modules_a_command_runs():
+    package_root = Path(rbsde_lab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    origin, loaded, names = done.stdout.splitlines()
+    assert Path(origin).resolve() == Path(rbsde_lab.__file__).resolve()
+    assert loaded.split() == CLI_MODULES
+    assert not set(DIAGNOSTICS) & set(names.split())
+
+
+def test_no_record_is_a_dataclass():
+    assert [r.__name__ for r in RECORDS if dataclasses.is_dataclass(r)] == []
+    assert all(issubclass(r, tuple) and hasattr(r, "_fields") for r in RECORDS)
+
+
+def _one_of_each(tmp_path) -> dict:
+    """An instance of every record, made by the calls a command makes."""
+    path = tmp_path / "put.cfg"
+    path.write_text(CONFIG)
+    cfg = load_config(path)
+    lattice = build_lattice(cfg.model, cfg.lattice_grid)
+    result = solve_snell(lattice, cfg.spec)
+    report = validate_solution(result.triple, cfg.spec, lattice)
+    trace = run_sweep(lattice, cfg.spec, (1.0, 8.0))
+    moments = solution_moments(result.triple, cfg.spec, lattice, report)
+    found = [
+        cfg,
+        lattice,
+        cfg.spec.generator,
+        result.triple,
+        report,
+        result,
+        trace,
+        check_uniform_bound(trace),
+        solve_pde_projected(cfg.pde_grid, cfg.spec, cfg.model),
+        check_y_estimate(moments),
+        check_stability(moments, moments),
+        moments,
+    ]
+    return {type(r): r for r in found}
+
+
+def test_every_record_refuses_assignment(tmp_path):
+    records = _one_of_each(tmp_path)
+    assert set(records) == set(RECORDS)
+    for cls, record in records.items():
+        for name in (*cls._fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, cls._fields[0])
+
