@@ -3,9 +3,13 @@
 Every command writes machine-readable artifacts (CSV/JSON) under the output
 directory and a short human-readable summary to stdout. This module is the
 only one that writes artifacts: the solvers return arrays and records
-(``NamedTuple``s), and the writers below format them. Outputs are a pure
-function of the config: re-running the same experiment produces
-byte-identical files.
+(``NamedTuple``s), and the writers below format them. Every CSV table goes
+through one block writer, ``_write_table``: one block (a lattice layer, a
+PDE time row, a whole sweep) is one table of cells and one write, and a
+float is formatted with ``repr`` only where its bits differ from those of
+the same state in an earlier block and of the earlier column its table
+pairs it with. Outputs are a pure function of the config: re-running the
+same experiment produces byte-identical files.
 Any invariant failure yields exit status 1 and one stderr line that names
 each failed check.
 """
@@ -42,79 +46,73 @@ PDE_TOL = 1e-8
 SELF_STABILITY_TOL = 1e-12
 # a PDE cell counts as exercised where u - h <= EXERCISE_TIE_TOL
 EXERCISE_TIE_TOL = 1e-8
-# rows that _write_csv assembles into one string: a whole 513-node layer at
-# once raised the peak memory of `solve`, 64 rows keep it flat
-_CSV_CHUNK_ROWS = 64
 
-_FLAG_TEXTS = np.array(["0", "1"], dtype=object)
+_FLAG_TEXTS = np.array(["0\n", "1\n"], dtype=object)
 
 
-def _floats(values):
-    """A float column: ``repr`` of each value as a Python float."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
+def _floats(values) -> list:
+    """``repr`` of each value as a Python float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _flags(mask):
-    """A 0/1 column from a boolean mask."""
-    return _FLAG_TEXTS[np.asarray(mask, dtype=np.intp)].tolist()
+def _write_table(path, header: str, rows: int, blocks, texts=(), lag=1, shift=0, same=None):
+    """Write ``header``, then each block of ``blocks`` as CSV rows.
 
+    A block is ``(lead, values, flags)``: ``lead`` is the text of its first
+    column in every row (None: the table has no such column), ``values`` its
+    float columns as a (columns, rows) array, and ``flags`` a boolean mask
+    for a last 0/1 column (None: no such column). ``texts`` (row j's at j)
+    is a column of the same texts in every block, after the lead. No block
+    has more than ``rows`` rows.
 
-class _FloatColumns:
-    """The float columns of a table written block by block, as ``_floats`` texts.
-
-    Each call formats the next block's columns. A value in row j whose
-    float64 bits equal those of row j - ``shift`` of the same column, in the
-    block ``lag`` calls back, reuses that value's text, and only the other
-    values go through ``repr``. Equal bits give equal ``repr``, so the text
-    is the one ``_floats`` gives; 0.0 and -0.0, or two NaN payloads, differ
-    in their bits and never share a text. Only the last ``lag`` blocks' bits
-    and texts are kept.
+    Every cell of a block, separators included, sits in one object table
+    that is allocated once, with its separators and ``texts``, and a block
+    is one ``"".join`` and one write. A float whose bits equal those of row
+    j - ``shift`` of its column, ``lag`` blocks back, reuses that text, and
+    so does one in float column ``same[0]`` whose bits equal those of column
+    ``same[1]`` in its row. Only the other values go through ``_floats``.
+    Equal bits give equal ``repr``; 0.0 and -0.0, or two NaN payloads,
+    differ in their bits and never share a text. Only the last ``lag``
+    blocks' bits and texts are kept.
     """
-
-    def __init__(self, lag: int, shift: int):
-        self._shift = shift
-        self._kept = deque(maxlen=lag)
-
-    def __call__(self, *columns) -> list:
-        values = np.array(columns, dtype=float)
-        bits = values.view(np.int64)
-        texts = np.empty(values.shape, dtype=object)
-        same = np.zeros(values.shape, dtype=bool)
-        if len(self._kept) == self._kept.maxlen:
-            old_bits, old_texts = self._kept[0]
-            lo = self._shift
-            hi = max(lo, min(values.shape[1], old_bits.shape[1] + lo))
-            window = same[:, lo:hi]
-            np.equal(bits[:, lo:hi], old_bits[:, : hi - lo], out=window)
-            texts[:, lo:hi][window] = old_texts[:, : hi - lo][window]
-        fresh = ~same
-        texts[fresh] = list(_floats(values[fresh]))
-        self._kept.append((bits, texts))
-        return texts.tolist()
-
-
-def _write_csv(path, header: str, blocks) -> None:
-    """Write ``header``, then each block of equally long columns as rows.
-
-    Blocks are consumed one at a time (one lattice layer or PDE time row),
-    so the text of the whole table is never held at once: one block's texts
-    per column, plus the blocks a ``_FloatColumns`` compares with. Each block
-    is written _CSV_CHUNK_ROWS rows at a time: a chunk is one list of cells
-    and separators, filled column by column from slices, and one write.
-    """
+    kept = deque(maxlen=lag)
+    cells = None
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for columns in blocks:
-            columns = [list(c) for c in columns]
-            width = 2 * len(columns)
-            n_rows = len(columns[0])
-            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-                stop = min(start + _CSV_CHUNK_ROWS, n_rows)
-                parts = [","] * (width * (stop - start))
-                for c, cells in enumerate(columns):
-                    parts[2 * c :: width] = cells[start:stop]
-                parts[width - 1 :: width] = ["\n"] * (stop - start)
-                fh.write("".join(parts))
+        for lead, values, flags in blocks:
+            values = np.array(values, dtype=float)
+            bits = values.view(np.int64)
+            n = values.shape[1]
+            if cells is None:
+                first = 2 * ((lead is not None) + bool(texts))
+                width = first + 2 * len(values) + (flags is not None)
+                cells = np.full((rows, width), ",", dtype=object)
+                cells[:, -1] = "\n"
+                if texts:
+                    cells[:, first - 2] = texts
+            table = cells[:n]
+            if lead is not None:
+                table[:, 0] = lead
+            if flags is not None:
+                table[:, -1] = _FLAG_TEXTS[np.asarray(flags, dtype=np.intp)]
+            floats = np.empty(values.shape, dtype=object)
+            known = np.zeros(values.shape, dtype=bool)
+            if len(kept) == lag:
+                old_bits, old_texts = kept[0]
+                hi = max(shift, min(n, old_bits.shape[1] + shift))
+                window = known[:, shift:hi]
+                np.equal(bits[:, shift:hi], old_bits[:, : hi - shift], out=window)
+                floats[:, shift:hi][window] = old_texts[:, : hi - shift][window]
+            if same is not None:
+                copied = (bits[same[0]] == bits[same[1]]) & ~known[same[0]]
+                known[same[0]] |= copied
+            fresh = ~known
+            floats[fresh] = _floats(values[fresh])
+            if same is not None:
+                floats[same[0]][copied] = floats[same[1]][copied]
+            kept.append((bits, floats))
+            table[:, first : first + 2 * len(values) : 2] = floats.T
+            fh.write("".join(table.ravel().tolist()))
 
 
 def _write_json(payload: dict, path) -> None:
@@ -133,43 +131,35 @@ def snell_to_csv(out: SnellOutput, path) -> None:
     nodes = triple.lattice.nodes
     k_cum = triple.k_nodewise()
     n = triple.n_steps
-    j_texts = [str(j) for j in range(n + 1)]
     # Node j of layer k and node j - 1 of layer k - 2 are one state on the
     # geometric lattice (views of one parity table), and Y = h(x) where it
-    # stops, Y = Z = continuation = 0 where the payoff cannot be reached.
-    floats = _FloatColumns(lag=2, shift=1)
+    # stops, Y = Z = continuation = 0 where the payoff cannot be reached;
+    # where a node continues, its continuation often has the bits of its Y.
 
     def layer(k):
         z = triple.z[k] if k < n else np.zeros(k + 1)
-        return (
-            [str(k)] * (k + 1),
-            j_texts[: k + 1],
-            *floats(nodes[k], triple.y[k], z, k_cum[k], out.continuation[k]),
-            _flags(out.exercise_region[k]),
-        )
+        values = (nodes[k], triple.y[k], z, k_cum[k], out.continuation[k])
+        return str(k), values, out.exercise_region[k]
 
     blocks = (layer(k) for k in range(n + 1))
-    _write_csv(path, "k,j,state,Y,Z,K,continuation,exercised", blocks)
+    header = "k,j,state,Y,Z,K,continuation,exercised"
+    texts = [str(j) for j in range(n + 1)]
+    _write_table(path, header, n + 1, blocks, texts, lag=2, shift=1, same=(4, 1))
 
 
 def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
     """CSV export with header ``t,x,u,u_minus_h,exercised``, one block per time row."""
     xs = field.grid.xs()
-    x_col = list(_floats(xs))
-    # the previous time row at the same x: u = h(x) and u - h = 0 where exercised
-    floats = _FloatColumns(lag=1, shift=0)
 
     def row(k, t):
         gap = field.u[k] - np.asarray(spec.obstacle(t, xs), dtype=float)
-        return (
-            [repr(float(t))] * len(xs),
-            x_col,
-            *floats(field.u[k], gap),
-            _flags(gap <= EXERCISE_TIE_TOL),
-        )
+        return repr(float(t)), (field.u[k], gap), gap <= EXERCISE_TIE_TOL
 
+    # the previous time row at the same x: u = h(x) and u - h = 0 where
+    # exercised; u - h is u itself wherever h = 0
     blocks = (row(k, t) for k, t in enumerate(field.grid.times()))
-    _write_csv(path, "t,x,u,u_minus_h,exercised", blocks)
+    header = "t,x,u,u_minus_h,exercised"
+    _write_table(path, header, len(xs), blocks, _floats(xs), lag=1, shift=0, same=(1, 0))
 
 
 def emit_convergence_table(trace: PenalizationTrace, path) -> None:
@@ -185,7 +175,7 @@ def emit_convergence_table(trace: PenalizationTrace, path) -> None:
         trace.bound_quantity,
     )
     header = "n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity"
-    _write_csv(path, header, [[_floats(column) for column in columns]])
+    _write_table(path, header, len(trace.n_values), [(None, columns, None)])
 
 
 def append_report_jsonl(report, path) -> None:
@@ -310,7 +300,8 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     for n in ns:
         lattice = build_lattice(cfg.model, type(grid)(n, grid.horizon))
         y0s.append(snell_root(lattice, cfg.spec))
-    _write_csv(out / "convergence.csv", "n_steps,Y0", [(map(str, ns), _floats(y0s))])
+    texts = [str(n) for n in ns]
+    _write_table(out / "convergence.csv", "n_steps,Y0", len(ns), [(None, [y0s], None)], texts)
     first = abs(y0s[1] - y0s[0])
     second = abs(y0s[2] - y0s[1])
     for n, y0 in zip(ns, y0s):

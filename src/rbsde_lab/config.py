@@ -35,7 +35,8 @@ and PDE grid sizes, a penalty schedule, and run controls. Example::
 ``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. Text
 after a whitespace-preceded ``;`` is a comment. A section or a key that the
 loader never reads is a ConfigError, so a misspelled key cannot fall back to
-its default; ``[run] seed`` is the one key accepted unread.
+its default; so is a model key of the other kind (``sigma0`` under
+``kind = geometric``). ``[run] seed`` is the one key accepted unread.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ KEYS = {
     "pde": ("x_min", "x_max", "m_nodes", "n_steps", "boundary", "penalty_n"),
     "penalize": ("schedule",),
 }
+# the [problem] keys of each model kind; the other kind's keys are an error
+MODEL_KEYS = {"geometric": ("mu", "sigma"), "arithmetic": ("b0", "sigma0")}
 
 _REQUIRED = object()
 
@@ -189,6 +192,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     x0 = _get(cp, "problem", "x0", float)
     start_time = _get(cp, "problem", "start_time", float, 0.0)
     with _section_errors("[problem] model"):
+        if kind not in MODEL_KEYS:
+            raise ConfigError(
+                f"[problem] kind: expected 'geometric' or 'arithmetic', got {kind!r}"
+            )
+        for other, keys in MODEL_KEYS.items():
+            for key in keys:
+                if other != kind and cp.has_option("problem", key):
+                    raise ConfigError(
+                        f"[problem] {key}: read only under kind = {other}, not {kind}"
+                    )
         if kind == "geometric":
             model = ForwardModel.geometric(
                 _get(cp, "problem", "mu", float),
@@ -196,16 +209,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 x0,
                 start_time,
             )
-        elif kind == "arithmetic":
+        else:
             model = ForwardModel.arithmetic(
                 _get(cp, "problem", "b0", float),
                 _get(cp, "problem", "sigma0", float),
                 x0,
                 start_time,
-            )
-        else:
-            raise ConfigError(
-                f"[problem] kind: expected 'geometric' or 'arithmetic', got {kind!r}"
             )
 
     with _section_errors("[problem]"):

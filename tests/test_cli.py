@@ -270,6 +270,26 @@ def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, section, line, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key",
+    [("geometric", "b0"), ("geometric", "sigma0"), ("arithmetic", "mu"), ("arithmetic", "sigma")],
+)
+def test_a_model_key_of_the_other_kind_exits_2(tmp_path, capsys, kind, key):
+    # sigma0 = 99 under a geometric model would run with the geometric
+    # sigma and exit 0
+    text = BASE_CONFIG.format(command="solve")
+    if kind == "arithmetic":
+        text = text.replace(*ARITHMETIC)
+    other = "arithmetic" if kind == "geometric" else "geometric"
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text.replace(f"kind = {kind}\n", f"kind = {kind}\n{key} = 99\n"))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    message = f"[problem] {key}: read only under kind = {other}, not {kind}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_there_is_no_seed_flag(tmp_path, capsys):
     path = write_config(tmp_path, "solve")
     with pytest.raises(SystemExit) as exc:
@@ -717,9 +737,10 @@ def counted_reprs(monkeypatch):
 
 
 # the share of float cells that go through repr: the geometric lattice
-# reuses every inner state and the stopping region's Y from two layers back
+# reuses every inner state and the stopping region's Y from two layers back,
+# and the continuation reuses Y's text in its row where the two are equal
 @pytest.mark.parametrize(
-    "case, repr_share", [("geometric-16", 1.0), ("geometric-512", 0.4), ("arithmetic-256", 0.8)]
+    "case, repr_share", [("geometric-16", 0.55), ("geometric-512", 0.35), ("arithmetic-256", 0.7)]
 )
 def test_snell_csv_matches_the_row_by_row_reference(
     tmp_path, request, counted_reprs, case, repr_share
@@ -741,7 +762,7 @@ def test_snell_csv_matches_the_row_by_row_reference(
 
 @pytest.mark.parametrize(
     "case, repr_share",
-    [("5x2", 1.0), ("121x100-projected", 0.8), ("121x100-penalized", 0.9)],
+    [("5x2", 0.5), ("121x100-projected", 0.45), ("121x100-penalized", 0.55)],
 )
 def test_pde_csv_matches_the_row_by_row_reference(
     tmp_path, put_spec, counted_reprs, case, repr_share
@@ -758,7 +779,8 @@ def test_pde_csv_matches_the_row_by_row_reference(
     pde_field_to_csv(field, put_spec, path)
     assert path.read_text() == reference_pde_csv(field, put_spec)
     assert {line[-1] for line in path.read_text().splitlines()[1:]} == {"0", "1"}
-    # x once, then u and u - h in every time row
+    # x once, then u and u - h in every time row; u - h reuses u's text
+    # where h = 0
     m, rows = grid.m_nodes, grid.time.n_steps + 1
     assert counted_reprs[0] <= repr_share * (m + 2 * m * rows)
 
@@ -789,35 +811,48 @@ def test_convergence_csv_matches_the_row_by_row_reference(tmp_path):
         assert (out / "convergence.csv").read_text() == "".join(lines)
 
 
-@pytest.mark.parametrize(
-    "rows", [3, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1], ids=["short", "chunk", "chunk+1"]
-)
-def test_csv_writer_matches_joined_rows(tmp_path, rows):
-    # the chunked writer against the one-row-at-a-time zip and join it
-    # replaced, on blocks shorter than, equal to and one row over a chunk
+@pytest.fixture
+def formatted(monkeypatch):
+    """The float64 bits of the values each ``_floats`` call formats, one list per call."""
+    calls = []
+    real = cli._floats
+
+    def recording(values):
+        calls.append(np.asarray(values, dtype=float).view(np.int64).tolist())
+        return real(values)
+
+    monkeypatch.setattr(cli, "_floats", recording)
+    return calls
+
+
+def bits_of(*values):
+    return sorted(np.array(values, dtype=float).view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("rows", [3, 64, 65], ids=["short", "chunk", "chunk+1"])
+def test_table_writer_matches_joined_rows(tmp_path, rows):
+    # the block writer against the one-row-at-a-time zip and join, on
+    # blocks of 3, 64 and 65 rows with a one-row block between them
     special = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324, 0.1, -2.5]
     values = np.resize(np.array(special), rows)
-
-    def blocks():
-        for k in (rows, 1, rows):
-            yield (
-                [str(k)] * k,
-                map(str, range(k)),
-                cli._floats(values[:k]),
-                cli._floats(-values[:k]),
-                cli._flags(values[:k] > 0.0),
-            )
+    blocks = [(str(k), (values[:k], -values[:k]), values[:k] > 0.0) for k in (rows, 1, rows)]
 
     expected = ["k,j,a,b,flag\n"]
-    for columns in blocks():
+    for lead, (a, b), flags in blocks:
+        columns = ([lead] * len(a), map(str, range(len(a))), map(repr, a.tolist()),
+                   map(repr, b.tolist()), map(str, flags.astype(int).tolist()))
         expected.extend(",".join(row) + "\n" for row in zip(*columns))
     path = tmp_path / "block.csv"
-    cli._write_csv(path, "k,j,a,b,flag", blocks())
+    cli._write_table(path, "k,j,a,b,flag", rows, blocks, [str(j) for j in range(rows)])
     assert path.read_text() == "".join(expected)
     assert "-0.0,0.0," in path.read_text() and "nan,nan" in path.read_text()
+    # no lead, no row texts and no flags: the last float ends the row
+    cli._write_table(path, "a,b", rows, [(None, (values, -values), None)])
+    rows_ab = [f"{a!r},{b!r}\n" for a, b in zip(values.tolist(), (-values).tolist())]
+    assert path.read_text() == "a,b\n" + "".join(rows_ab)
 
 
-def test_float_columns_reuse_only_texts_of_equal_bits():
+def test_table_writer_reuses_only_texts_of_equal_bits(tmp_path, formatted):
     # two columns, lag 2, shift 1: row j of a block is compared with row
     # j - 1 of the same column two blocks back, as in snell_to_csv
     nan_bits = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64)
@@ -831,39 +866,60 @@ def test_float_columns_reuse_only_texts_of_equal_bits():
         [5.0, 7.0, 8.0],  # shorter than the block it is compared with
         [6.0, other_nan],
     ]
-    formatter = cli._FloatColumns(lag=2, shift=1)
-    texts = []
-    for values in blocks:
-        values = np.array(values)
-        texts.append(formatter(values, -values))
-        for column, got in zip((values, -values), texts[-1]):
-            assert got == [repr(float(v)) for v in column]
-
-    def reused(k, j, c=0):
-        return texts[k][c][j] is texts[k - 2][c][j - 1]
-
-    # 0.0 two blocks back and -0.0 now, and the other way round
-    assert texts[2][0][1:3] == ["-0.0", "0.0"] and not reused(2, 1) and not reused(2, 2)
-    assert texts[2][1][1:3] == ["0.0", "-0.0"] and not reused(2, 1, 1) and not reused(2, 2, 1)
-    # the same bits reuse the text in both columns
-    for j in range(3, 9):
-        assert reused(2, j) and reused(2, j, 1)
-    assert texts[4][0][1] == "7.0" and reused(4, 1) and not reused(4, 2)
+    blocks = [np.array(values) for values in blocks]
+    path = tmp_path / "reuse.csv"
+    cli._write_table(path, "a,b", 10, [(None, (v, -v), None) for v in blocks], lag=2, shift=1)
+    rows = [f"{a!r},{b!r}\n" for v in blocks for a, b in zip(v.tolist(), (-v).tolist())]
+    assert path.read_text() == "a,b\n" + "".join(rows)
+    assert len(formatted) == len(blocks)
+    for k in (0, 1, 3):
+        assert sorted(formatted[k]) == bits_of(*blocks[k], *-blocks[k])
+    # 0.0 two blocks back and -0.0 now, and the other way round, are
+    # formatted anew; the same bits (rows 3 to 8) reuse the text in both columns
+    assert sorted(formatted[2]) == bits_of(7.0, -0.0, 0.0, 3.0, -7.0, 0.0, -0.0, -3.0)
+    assert sorted(formatted[4]) == bits_of(5.0, 8.0, -5.0, -8.0)
     # another NaN payload prints the same but is formatted anew
-    assert texts[5][0][1] == "nan" and not reused(5, 1)
+    assert sorted(formatted[5]) == bits_of(6.0, other_nan, -6.0, -other_nan)
 
 
-def test_float_columns_keep_only_the_blocks_they_compare_with():
+def test_table_writer_reuses_the_text_of_an_earlier_column_only_on_equal_bits(
+    tmp_path, formatted
+):
+    # column 1 takes column 0's text in its row (same = (1, 0)), and the
+    # rows of the second block take their texts from the first (lag 1)
+    nan_bits = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64)
+    nan, other_nan = nan_bits.view(float)
+    a = np.array([0.0, nan, 1.5, -0.0, 2.0, nan, float("inf")])
+    b = np.array([-0.0, other_nan, 1.5, -0.0, 3.0, nan, float("inf")])
+    a2 = np.array([0.0, 4.0, 1.5, 6.0, 2.0, -1.0, 9.0])
+    b2 = np.array([0.0, 4.0, 1.5, 7.0, 3.0, -1.0, 9.0])
+    blocks = [("x", (a, b), a > 1.0), ("y", (a2, b2), a2 > 1.0)]
+    path = tmp_path / "same.csv"
+    cli._write_table(path, "t,a,b,flag", 7, blocks, same=(1, 0))
+    expected = "".join(
+        f"{lead},{u!r},{v!r},{int(u > 1.0)}\n"
+        for lead, (us, vs), _ in blocks
+        for u, v in zip(us.tolist(), vs.tolist())
+    )
+    assert path.read_text() == "t,a,b,flag\n" + expected
+    # 0.0 beside -0.0 and two NaN payloads are each formatted on their own
+    assert sorted(formatted[0]) == bits_of(*a, -0.0, other_nan, 3.0)
+    # rows 0, 2 and 4 of column 0 and rows 2 and 4 of column 1 come from the
+    # first block; a value new to column 0 gives its text to column 1 in its row
+    assert sorted(formatted[1]) == bits_of(4.0, 6.0, -1.0, 9.0, 7.0)
+
+
+def test_table_writer_keeps_only_the_blocks_it_compares_with():
     # 513-row blocks as in snell_to_csv at N = 512: rows below 400 repeat
     # row j - 1 of two blocks back, the others are new in every block
     j = np.arange(513)
 
     def peak(n_blocks):
-        floats = cli._FloatColumns(lag=2, shift=1)
         values = (np.where(j < 400, (2 * j - k) * 0.1, k + j / 7.0) for k in range(n_blocks))
+        blocks = ((None, (v, -v), None) for v in values)
         tracemalloc.start()
         try:
-            cli._write_csv(os.devnull, "a,b", (floats(v, -v) for v in values))
+            cli._write_table(os.devnull, "a,b", 513, blocks, lag=2, shift=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
