@@ -33,7 +33,7 @@ from .estimates import (
     solution_moments,
 )
 from .lattice import build_lattice
-from .pde import PdeField, check_start_time, solve_pde_penalized, solve_pde_projected
+from .pde import PdeField, solve_pde_penalized, solve_pde_projected
 from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
 from .problem import SKOROKHOD_TOL, ProblemSpec, ValidationReport, validate_solution
 from .snell import SnellOutput, snell_root, solve_snell
@@ -157,7 +157,7 @@ def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
 
     # the previous time row at the same x: u = h(x) and u - h = 0 where
     # exercised; u - h is u itself wherever h = 0
-    blocks = (row(k, t) for k, t in enumerate(field.grid.times()))
+    blocks = (row(k, t) for k, t in enumerate(field.grid.time.times()))
     header = "t,x,u,u_minus_h,exercised"
     _write_table(path, header, len(xs), blocks, _floats(xs), lag=1, shift=0, same=(1, 0))
 
@@ -317,7 +317,6 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:
-    check_start_time(cfg.model)
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     snell_y0 = float(solve_snell(lattice, cfg.spec).triple.y[0][0])
     pen_y0 = penalized_root(lattice, cfg.spec, cfg.schedule)

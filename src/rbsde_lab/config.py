@@ -66,7 +66,7 @@ BOUNDARY = "dirichlet-obstacle"
 KEYS = {
     "run": ("command", "tol", "out", "seed"),
     "problem": (
-        "kind", "x0", "start_time", "mu", "sigma", "b0", "sigma0",
+        "kind", "x0", "mu", "sigma", "b0", "sigma0",
         "generator", "terminal", "obstacle", "kappa", "p",
     ),
     "lattice": ("n_steps", "horizon"),
@@ -190,7 +190,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     kind = _get(cp, "problem", "kind", str).strip()
     x0 = _get(cp, "problem", "x0", float)
-    start_time = _get(cp, "problem", "start_time", float, 0.0)
     with _section_errors("[problem] model"):
         if kind not in MODEL_KEYS:
             raise ConfigError(
@@ -207,14 +206,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 _get(cp, "problem", "mu", float),
                 _get(cp, "problem", "sigma", float),
                 x0,
-                start_time,
             )
         else:
             model = ForwardModel.arithmetic(
                 _get(cp, "problem", "b0", float),
                 _get(cp, "problem", "sigma0", float),
                 x0,
-                start_time,
             )
 
     with _section_errors("[problem]"):

@@ -19,13 +19,14 @@ import this module, and a command's process never compiles it.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import ForwardModel, Lattice, TimeGrid, build_lattice
 from .pde import PdeField, PdeGrid
-from .problem import ProblemSpec, obstacle_layers, terminal_values
+from .problem import AffineGenerator, ProblemSpec, obstacle_layers, terminal_values
 from .snell import snell_root
 
 EXP_SATURATION = 700.0
@@ -88,6 +89,25 @@ class FeynmanKacReport(NamedTuple):
     max_rel_error: float
 
 
+def _started_at(spec: ProblemSpec, t: float) -> ProblemSpec:
+    """``spec`` on a clock that reads 0 at time t: h and f are read at s + t.
+
+    An ``AffineGenerator`` ignores t and is kept as it is, so its steps stay
+    exact rather than going through the fixed-point iteration.
+    """
+
+    def obstacle(s, x):
+        return spec.obstacle(s + t, x)
+
+    generator = spec.generator
+    if not isinstance(generator, AffineGenerator):
+
+        def generator(s, x, y, z):
+            return spec.generator(s + t, x, y, z)
+
+    return replace(spec, generator=generator, obstacle=obstacle)
+
+
 def feynman_kac_check(
     field: PdeField,
     model: ForwardModel,
@@ -97,9 +117,10 @@ def feynman_kac_check(
 ) -> FeynmanKacReport:
     """Compare u(t, x) against the backward lattice value started at (t, x).
 
-    For each probe a fresh lattice over [t, T] with the probed initial state
-    is solved by ``snell_root``; at t = T the lattice value degenerates to
-    the terminal payoff. Probes must lie inside the grid.
+    For each probe a fresh lattice over [0, T - t] from the probed state is
+    solved by ``snell_root`` on the data started at t (``_started_at``); at
+    t = T the lattice value degenerates to the terminal payoff. Probes must
+    lie inside the grid.
     """
     horizon = field.grid.time.horizon
     rows = []
@@ -109,11 +130,9 @@ def feynman_kac_check(
         if remaining <= 1e-12:
             y_val = float(np.asarray(spec.terminal(np.array([float(x)])))[0])
         else:
-            probe_model = ForwardModel(
-                model.kind, float(x), model.drift_coeff, model.vol_coeff, float(t)
-            )
+            probe_model = replace(model, x0=float(x))
             probe_lattice = build_lattice(probe_model, TimeGrid(lattice_steps, remaining))
-            y_val = snell_root(probe_lattice, spec)
+            y_val = snell_root(probe_lattice, _started_at(spec, float(t)))
         abs_err = abs(u_val - y_val)
         rel_err = abs_err / max(abs(y_val), 1e-12)
         rows.append(ProbeComparison(float(t), float(x), u_val, y_val, abs_err, rel_err))
@@ -172,7 +191,7 @@ def chi_supersolution_check(
     if not terminal_weight > 0.0:
         raise ValueError(f"terminal_weight must be > 0, got {terminal_weight!r}")
     xs = grid.xs()
-    times = grid.times()
+    times = grid.time.times()
     horizon = grid.time.horizon
     dt = grid.time.dt
     dx = grid.dx

@@ -27,7 +27,11 @@ class CoarseTimeStepError(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of a time interval of length ``horizon`` into ``n_steps``."""
+    """Uniform partition of [0, horizon] into ``n_steps``.
+
+    Time starts at 0 in every solver: the lattice and the PDE grid both
+    take their time points from ``times()``.
+    """
 
     n_steps: int
     horizon: float
@@ -42,6 +46,10 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
+    def times(self) -> np.ndarray:
+        n = self.n_steps
+        return self.horizon * np.arange(n + 1) / n
+
 
 @dataclass(frozen=True)
 class ForwardModel:
@@ -52,15 +60,13 @@ class ForwardModel:
     * ``arithmetic``: dX = b0 dt + sigma0 dB (coeffs ``drift_coeff``/``vol_coeff``)
     * ``geometric``:  dX = mu X dt + sigma X dB
 
-    ``start_time`` places the model at an absolute time t0, so a lattice
-    built on a grid with horizon ``T - t0`` covers [t0, T].
+    The model starts at x0 at time 0; the coefficients do not depend on t.
     """
 
     kind: str
     x0: float
     drift_coeff: float = 0.0
     vol_coeff: float = 0.0
-    start_time: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (ARITHMETIC, GEOMETRIC):
@@ -71,12 +77,12 @@ class ForwardModel:
             raise ValueError("geometric model requires x0 > 0")
 
     @classmethod
-    def arithmetic(cls, b0: float, sigma0: float, x0: float, start_time: float = 0.0) -> "ForwardModel":
-        return cls(ARITHMETIC, x0, b0, sigma0, start_time)
+    def arithmetic(cls, b0: float, sigma0: float, x0: float) -> "ForwardModel":
+        return cls(ARITHMETIC, x0, b0, sigma0)
 
     @classmethod
-    def geometric(cls, mu: float, sigma: float, x0: float, start_time: float = 0.0) -> "ForwardModel":
-        return cls(GEOMETRIC, x0, mu, sigma, start_time)
+    def geometric(cls, mu: float, sigma: float, x0: float) -> "ForwardModel":
+        return cls(GEOMETRIC, x0, mu, sigma)
 
     def drift(self, t, x):
         if self.kind == ARITHMETIC:
@@ -94,7 +100,7 @@ class Lattice(NamedTuple):
 
     ``nodes[k][j]`` is the state at step k, node j (states increasing in j);
     ``up_prob[k][j]`` is the probability of the j -> j+1 branch. ``times`` are
-    absolute times, starting at the model's ``start_time``. The layers are
+    the grid's ``TimeGrid.times()``, from 0 to the horizon. The layers are
     read-only: geometric states are views of two shared tables, and every
     ``up_prob[k]`` is a slice of one table.
     """
@@ -147,7 +153,6 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     """
     n = grid.n_steps
     dt = grid.dt
-    times = model.start_time + dt * np.arange(n + 1)
     p = 0.5
     if model.kind == ARITHMETIC:
         # The drift moves every layer, so each holds its own states: layer k
@@ -189,7 +194,7 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     probs = np.full(n, p)
     probs.setflags(write=False)
     up_prob = [probs[: k + 1] for k in range(n)]
-    return Lattice(grid, model, times, tuple(nodes), tuple(up_prob))
+    return Lattice(grid, model, grid.times(), tuple(nodes), tuple(up_prob))
 
 
 def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np.ndarray:

@@ -3,12 +3,13 @@
     min[ u - h, -du/dt - (1/2) sigma^2 u_xx - b u_x - f(t, x, u, sigma u_x) ] = 0,
     u(T, x) = g(x),
 
-on a truncated space-time grid. The diagnostics that tie the PDE back to
-the probabilistic solvers (the Feynman-Kac probe against the lattice value
-started at (t, x), the supersolution scan for the exponential comparison
-function chi, and the growth-class check at large |x|) live in
-``rbsde_lab.diagnostics``: only the acceptance criteria and the tests run
-them.
+on a truncated space-time grid over [0, T], whose time points come from
+the same ``TimeGrid.times()`` as the lattice's. The diagnostics that tie
+the PDE back to the probabilistic solvers (the Feynman-Kac probe against
+the lattice value started at (t, x), the supersolution scan for the
+exponential comparison function chi, and the growth-class check at large
+|x|) live in ``rbsde_lab.diagnostics``: only the acceptance criteria and
+the tests run them.
 
 Two schemes are provided, and one kernel solves each implicit step of
 both: policy (Howard) iteration on the active set {v < h}, one tridiagonal
@@ -49,6 +50,8 @@ class LcpConvergenceError(RuntimeError):
 class PdeGrid:
     """Uniform space-time grid on [x_min, x_max] x [0, horizon].
 
+    The space points are ``xs()``, the time points ``time.times()``.
+
     The two end nodes carry Dirichlet data with one rule: the state is held
     there (the lateral operator is not available), so each time step takes
     the one-point reflected step max(h, u_next + dt * f) at the end node,
@@ -76,10 +79,6 @@ class PdeGrid:
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.m_nodes)
 
-    def times(self) -> np.ndarray:
-        n = self.time.n_steps
-        return self.time.horizon * np.arange(n + 1) / n
-
 
 class PdeField(NamedTuple):
     """Grid values u[k][i] (time-major), with solver metadata.
@@ -103,7 +102,7 @@ class PdeField(NamedTuple):
 
     def interpolate(self, t: float, x: float) -> float:
         """Bilinear interpolation of u at an interior point (t, x)."""
-        times = self.grid.times()
+        times = self.grid.time.times()
         xs = self.grid.xs()
         if not (times[0] - 1e-12 <= t <= times[-1] + 1e-12):
             raise ValueError(f"probe time {t} outside grid")
@@ -215,15 +214,6 @@ def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
     )
 
 
-def check_start_time(model: ForwardModel) -> None:
-    """Reject a model that does not start at t = 0, where the PDE grid starts."""
-    if model.start_time != 0.0:
-        raise ValueError(
-            f"the PDE grid covers [0, horizon], so the model must start at 0; "
-            f"got start_time = {model.start_time!r}"
-        )
-
-
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
@@ -239,9 +229,8 @@ def _backward_solve(grid, spec, model, n):
     """
     dt = grid.time.dt
     _require_contraction(spec, dt)
-    check_start_time(model)
     xs = grid.xs()
-    times = grid.times()
+    times = grid.time.times()
     check_terminal_dominates(spec, times[-1], xs)
     x_int = xs[1:-1]
     dx = grid.dx

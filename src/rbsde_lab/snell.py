@@ -113,15 +113,6 @@ def fixed_point(update, y0, step=None, what=ONE_STEP, rows=None):
     FP_MAX_ITER updates ContractionError is raised. Both messages name
     ``what``, the caller's ``step``, a node and, for a batch, the row by
     its name in ``rows``.
-
-    The 1-D and batch stop tests stay apart for speed: a batch iteration
-    also reduces its (rows,) flags (``delta.max()``, ``done.any()``,
-    ``done.all()``), each numpy call about 1 us however small the array,
-    against 4-5 us for the rest of a reflected step's iteration. Only a
-    generator that is not affine iterates, but that is the reference path
-    the exact steps are tested against, and acceptance criterion 4 alone
-    makes 200 such reflected solves: sent through the batch branch as
-    batches of one, they took about 1.5 times as long.
     """
     y = y0
     done = np.zeros(np.shape(y0)[:-1], dtype=bool)
@@ -130,34 +121,32 @@ def fixed_point(update, y0, step=None, what=ONE_STEP, rows=None):
         change = np.abs(y_new - y)
         delta = change.max(axis=-1)
         settled = delta <= FP_TOL * (1.0 + np.abs(y_new).max(axis=-1))
-        if not done.shape:
-            if not delta < math.inf:
-                raise _overflow_error(y, y_new, step, what, "")
-            if settled:
-                return y_new
-        else:
-            if not delta.max() < math.inf:
-                blown = ~done & ~(delta < math.inf)
-                if blown.any():
-                    b = int(np.argmax(blown))
-                    raise _overflow_error(y[b], y_new[b], step, what, f", {rows[b]}")
-            if done.any():
-                y_new = np.where(done[:, None], y, y_new)
-            done |= settled
-            if done.all():
-                return y_new
+        if not delta.max() < math.inf:
+            blown = ~done & ~(delta < math.inf)
+            if blown.any():
+                b, row = _row(blown, rows)
+                raise _overflow_error(y[b], y_new[b], step, what, row)
+        if done.any():
+            y_new = np.where(done[..., None], y, y_new)
+        done |= settled
+        if done.all():
+            return y_new
         y = y_new
     at = "" if step is None else f" at step {step}"
-    row = ""
-    if done.shape:
-        b = int(np.argmin(done))
-        change, delta = change[b], delta[b]
-        row = f", {rows[b]}"
+    b, row = _row(~done, rows)
     raise ContractionError(
         f"{what} did not converge in {FP_MAX_ITER} iterations{at}, "
-        f"node {int(np.argmax(change))}{row} (last change {delta:.3e}); lipschitz_kappa * dt "
-        f"must lie well below 1 for the fixed point to contract"
+        f"node {int(np.argmax(change[b]))}{row} (last change {delta[b]:.3e}); lipschitz_kappa "
+        f"* dt must lie well below 1 for the fixed point to contract"
     )
+
+
+def _row(bad, rows):
+    """(index, message suffix) of the first row flagged in ``bad``: ((), "") for a single row."""
+    if not np.ndim(bad):
+        return (), ""
+    b = int(np.argmax(bad))
+    return (b,), f", {rows[b]}"
 
 
 def _overflow_error(y, y_new, step, what, row) -> DataOverflowError:
@@ -181,10 +170,8 @@ def _require_finite(y, step, what, rows=None) -> None:
     finite = np.isfinite(y)
     if finite.all():
         return
-    if rows is None:
-        raise _overflow_error(y, y, step, what, "")
-    b = int(np.argmin(finite.all(axis=-1)))
-    raise _overflow_error(y[b], y[b], step, what, f", {rows[b]}")
+    b, row = _row(~finite.all(axis=-1), rows)
+    raise _overflow_error(y[b], y[b], step, what, row)
 
 
 def implicit_step(generator, step, frozen, k, what, rows=None):

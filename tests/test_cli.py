@@ -174,7 +174,6 @@ NUMBER_IN = {"terminal": "put_payoff:{}", "schedule": "1,{}"}
         ("problem", "b0"),
         ("problem", "sigma0"),
         ("problem", "x0"),
-        ("problem", "start_time"),
         ("problem", "kappa"),
         ("problem", "p"),
         ("problem", "terminal"),
@@ -251,10 +250,13 @@ def test_a_leftover_run_seed_is_ignored(tmp_path):
          "command, tol, out, seed"),
         ("penalize", "schedul = 1,2", "[penalize] schedul: unknown key; expected one of "
          "schedule"),
+        # time starts at 0 in every solver: there is no start to set
+        ("problem", "start_time = 0.5", "[problem] start_time: unknown key; expected one of "
+         "kind, x0, mu, sigma, b0, sigma0, generator, terminal, obstacle, kappa, p"),
         (None, "[pdee]\nx_min = 0.0", "[pdee]: unknown section; expected one of "
          "[run], [problem], [lattice], [pde], [penalize]"),
     ],
-    ids=["pde", "run", "penalize", "section"],
+    ids=["pde", "run", "penalize", "start_time", "section"],
 )
 def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, section, line, message):
     text = BASE_CONFIG.format(command="pde")
@@ -609,33 +611,6 @@ def test_pde_report_counts_are_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["pde", "crosscheck"])
-def test_pde_commands_reject_a_nonzero_start_time(tmp_path, capsys, command):
-    text = BASE_CONFIG.format(command=command).replace(
-        "kappa = 0.06\n", "kappa = 0.06\nstart_time = 0.5\n"
-    )
-    path = tmp_path / "experiment.cfg"
-    path.write_text(text)
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert "start_time = 0.5" in capsys.readouterr().err
-
-
-def test_crosscheck_rejects_a_nonzero_start_time_before_any_lattice_work(
-    tmp_path, capsys, monkeypatch
-):
-    def no_lattice(*args):
-        raise AssertionError("build_lattice ran before the start_time check")
-
-    monkeypatch.setattr(cli, "build_lattice", no_lattice)
-    text = BASE_CONFIG.format(command="crosscheck").replace(
-        "kappa = 0.06\n", "kappa = 0.06\nstart_time = 0.5\n"
-    )
-    path = tmp_path / "experiment.cfg"
-    path.write_text(text)
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert "start_time = 0.5" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["pde", "crosscheck"])
 def test_pde_commands_require_terminal_domination(tmp_path, capsys, command):
     path = write_config(tmp_path, command, terminal="zero")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
@@ -701,7 +676,7 @@ def reference_snell_csv(out):
 def reference_pde_csv(field, spec):
     xs = field.grid.xs()
     lines = ["t,x,u,u_minus_h,exercised\n"]
-    for k, t in enumerate(field.grid.times()):
+    for k, t in enumerate(field.grid.time.times()):
         gap = field.u[k] - np.asarray(spec.obstacle(t, xs), dtype=float)
         for i, x in enumerate(xs):
             lines.append(

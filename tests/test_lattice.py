@@ -17,6 +17,11 @@ from helpers import sample_node_paths
 def test_time_grid_partitions_horizon_exactly():
     grid = TimeGrid(7, 1.3)
     assert grid.dt * grid.n_steps == pytest.approx(1.3, abs=1e-15)
+    # one clock from 0: a lattice takes the points its grid gives the PDE
+    times = build_lattice(ForwardModel.geometric(0.0, 0.2, 10.0), grid).times
+    assert times.tobytes() == grid.times().tobytes()
+    assert times[0] == 0.0 and times[-1] == 1.3
+    assert np.allclose(np.diff(times), grid.dt, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_steps,horizon", [(0, 1.0), (-3, 1.0), (4, 0.0), (4, -1.0)])

@@ -7,10 +7,10 @@ from helpers import far_obstacle, plain, put_model
 
 from rbsde_lab import pde
 from rbsde_lab.diagnostics import chi_supersolution_check, feynman_kac_check, growth_class_check
-from rbsde_lab.lattice import ForwardModel, TimeGrid
+from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.pde import LcpConvergenceError, PdeGrid, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
-from rbsde_lab.snell import ContractionError, DataOverflowError
+from rbsde_lab.snell import ContractionError, DataOverflowError, snell_root
 
 
 def frozen_model():
@@ -99,7 +99,7 @@ def test_both_schemes_keep_the_obstacle_on_the_boundary_columns(
     grid = put_pde_field.grid
     ends = grid.xs()[[0, -1]]
     for field in (put_pde_field, put_pde_penalized_family[1e3]):
-        for k, t in enumerate(grid.times()):
+        for k, t in enumerate(grid.time.times()):
             assert np.all(field.u[k, [0, -1]] >= put_spec.obstacle(t, ends))
         assert np.all(field.u[:, 0] == 40.0)
 
@@ -287,6 +287,33 @@ def test_feynman_kac_put_probes(put_pde_field, put_fwd, put_spec):
         put_pde_field, put_fwd, put_spec, [(0.0, 36.0), (0.5, 36.0), (0.0, 44.0)]
     )
     assert report.max_rel_error <= 0.01
+
+
+def test_feynman_kac_probe_reads_its_data_from_the_probe_time():
+    # f and h read t, and the probe's lattice runs on its own clock from 0:
+    # at t = 0.5 it must see them at s + 0.5
+    def generator(t, x, y, z):
+        return -0.05 * y + 0.1 * t * np.sin(y) + 0.001 * z
+
+    def obstacle(t, x):
+        return np.maximum(40.0 - x, 0.0) * (1.0 - 0.1 * t)
+
+    def terminal(x):
+        return obstacle(0.0, x)
+
+    spec = ProblemSpec(generator, terminal, obstacle, 0.2)
+    grid = PdeGrid(0.0, 160.0, 41, TimeGrid(20, 1.0))
+    field = solve_pde_projected(grid, spec, put_model())
+    report = feynman_kac_check(field, put_model(), spec, [(0.5, 36.0)], lattice_steps=32)
+    shifted = ProblemSpec(
+        lambda s, x, y, z: generator(s + 0.5, x, y, z),
+        terminal,
+        lambda s, x: obstacle(s + 0.5, x),
+        0.2,
+    )
+    lattice = build_lattice(put_model(), TimeGrid(32, 0.5))
+    assert report.probes[0].lattice_value == snell_root(lattice, shifted)
+    assert report.probes[0].lattice_value != snell_root(lattice, spec)
 
 
 def test_probe_outside_grid_rejected(put_pde_field, put_fwd, put_spec):

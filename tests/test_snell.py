@@ -261,15 +261,56 @@ def test_contraction_guard():
         solve_snell(lat, spec)
 
 
-def test_fixed_point_settles_or_raises():
-    y = fixed_point(lambda y: 1.0 - 0.5 * y, np.zeros(3))
-    assert np.allclose(y, 2.0 / 3.0, rtol=0.0, atol=1e-14)
+# one row, and the same row as a batch of one named row: the batch ends on
+# the same bits and names its row at the end of the node
+ONE_ROW = pytest.mark.parametrize(
+    "rows, suffix", [(None, ""), (["row a"], ", row a")], ids=["row", "batch"]
+)
+
+
+def _fixed_point_on(rows, update, y0, *args):
+    if rows is None:
+        return fixed_point(update, y0, *args)
+    return fixed_point(update, y0[None], *args, rows=rows)[0]
+
+
+@ONE_ROW
+def test_fixed_point_settles_or_raises(rows, suffix):
+    # the same recursion in Python floats, stopped by the same test
+    y = 0.0
+    while True:
+        y_new = 1.0 - 0.5 * y
+        if abs(y_new - y) <= snell.FP_TOL * (1.0 + abs(y_new)):
+            break
+        y = y_new
+    assert _fixed_point_on(rows, lambda y: 1.0 - 0.5 * y, np.zeros(3)).tolist() == [y_new] * 3
     # contraction factor 0.9: 0.9^100 is far above the relative stop test
-    with pytest.raises(ContractionError, match="did not converge"):
-        fixed_point(lambda y: 1.0 - 0.9 * y, np.zeros(1))
+    y = 0.0
+    for _ in range(snell.FP_MAX_ITER):
+        y_new = 1.0 - 0.9 * y
+        change, y = abs(y_new - y), y_new
+    with pytest.raises(ContractionError) as err:
+        _fixed_point_on(rows, lambda y: 1.0 - 0.9 * y, np.zeros(1))
+    assert str(err.value) == (
+        f"implicit one-step solve did not converge in 100 iterations, node 0{suffix} "
+        f"(last change {change:.3e}); lipschitz_kappa * dt must lie well below 1 for the "
+        f"fixed point to contract"
+    )
 
 
-def test_fixed_point_names_an_overflowed_iterate_not_the_contraction():
+@ONE_ROW
+def test_fixed_point_names_an_overflowed_iterate_not_the_contraction(rows, suffix):
+    with np.errstate(over="ignore"):
+        # the iterate squares past the float range on the second update
+        with pytest.raises(DataOverflowError) as err:
+            _fixed_point_on(rows, lambda y: y * y + 1e200, np.zeros(2), 4)
+    assert str(err.value) == (
+        f"implicit one-step solve reached the non-finite value inf at step 4, node 0{suffix}; "
+        f"the terminal, obstacle or generator values overflowed the float range"
+    )
+
+
+def test_fixed_point_names_the_overflowed_row_of_a_batch():
     def update(y):
         # rows 0 and 2 settle; row 1 leaves the float range at node 2
         out = np.ones_like(y)
@@ -277,9 +318,6 @@ def test_fixed_point_names_an_overflowed_iterate_not_the_contraction():
         return out
 
     with np.errstate(over="ignore"):
-        # the iterate squares past the float range on the second update
-        with pytest.raises(DataOverflowError, match=r"value inf at step 4, node 0; .*overflowed"):
-            fixed_point(lambda y: y * y + 1e200, np.zeros(2), 4)
         with pytest.raises(DataOverflowError, match=r"value inf at step 7, node 2, row b;") as err:
             fixed_point(update, np.zeros((3, 4)), 7, rows=["row a", "row b", "row c"])
     assert "lipschitz" not in str(err.value)
