@@ -161,7 +161,12 @@ def test_config_names_the_section_of_an_invalid_value(tmp_path, edit, message):
 
 ARITHMETIC = ("kind = geometric\nmu = 0.06\nsigma = 0.4\n", "kind = arithmetic\nb0 = 2.0\nsigma0 = 14.0\n")
 # the number sits inside these fields' text
-NUMBER_IN = {"terminal": "put_payoff:{}", "schedule": "1,{}"}
+NUMBER_IN = {
+    "generator": "linear_discount:{}",
+    "terminal": "put_payoff:{}",
+    "obstacle": "put_payoff:{}",
+    "schedule": "1,{}",
+}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -176,7 +181,9 @@ NUMBER_IN = {"terminal": "put_payoff:{}", "schedule": "1,{}"}
         ("problem", "x0"),
         ("problem", "kappa"),
         ("problem", "p"),
+        ("problem", "generator"),
         ("problem", "terminal"),
+        ("problem", "obstacle"),
         ("lattice", "horizon"),
         ("pde", "x_min"),
         ("pde", "x_max"),
