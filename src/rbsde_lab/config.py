@@ -2,41 +2,17 @@
 
 A config file describes one experiment: the forward model and problem data
 (closed forms selected from the registry in ``rbsde_lab.problem``), lattice
-and PDE grid sizes, a penalty schedule, and run controls. Example::
-
-    [run]
-    command = crosscheck
-    tol = 0.02
-
-    [problem]
-    kind = geometric
-    mu = 0.06
-    sigma = 0.4
-    x0 = 36.0
-    generator = linear_discount:0.06
-    terminal = put_payoff:40
-    obstacle = put_payoff:40
-    kappa = 0.06
-    p = 1.5
-
-    [lattice]
-    n_steps = 512
-    horizon = 1.0
-
-    [pde]
-    x_min = 0.0
-    x_max = 160.0
-    m_nodes = 401
-    n_steps = 400
-
-    [penalize]
-    schedule = default
+and PDE grid sizes, a penalty schedule, and run controls. The README's
+``ini`` block is the example config, with every key the loader reads.
 
 ``schedule = default`` expands to the doubling schedule 2^0 .. 2^10. Text
-after a whitespace-preceded ``;`` is a comment. A section or a key that the
-loader never reads is a ConfigError, so a misspelled key cannot fall back to
-its default; so is a model key of the other kind (``sigma0`` under
-``kind = geometric``). ``[run] seed`` is the one key accepted unread.
+after a whitespace-preceded ``;`` is a comment. The keys ``load_config``
+reads are the only keys it accepts: once every value has loaded, a section
+or a key of the file that was never read is a ConfigError, so a misspelled
+key cannot fall back to its default. A key is read only where it matters:
+``mu``/``sigma`` under ``kind = geometric``, ``b0``/``sigma0`` under
+``kind = arithmetic`` and ``[pde] penalty_n`` for the ``pde`` command.
+``[run] seed`` is read and discarded, because the bench writes it.
 """
 
 from __future__ import annotations
@@ -61,20 +37,6 @@ COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
 DEFAULT_SCHEDULE = tuple(float(2**i) for i in range(11))
 # the PDE's one boundary rule (``pde.PdeGrid``); the key may name it
 BOUNDARY = "dirichlet-obstacle"
-# every key load_config reads, by section, plus [run] seed: no command reads
-# it, but the bench writes it
-KEYS = {
-    "run": ("command", "tol", "out", "seed"),
-    "problem": (
-        "kind", "x0", "mu", "sigma", "b0", "sigma0",
-        "generator", "terminal", "obstacle", "kappa", "p",
-    ),
-    "lattice": ("n_steps", "horizon"),
-    "pde": ("x_min", "x_max", "m_nodes", "n_steps", "boundary", "penalty_n"),
-    "penalize": ("schedule",),
-}
-# the [problem] keys of each model kind; the other kind's keys are an error
-MODEL_KEYS = {"geometric": ("mu", "sigma"), "arithmetic": ("b0", "sigma0")}
 
 _REQUIRED = object()
 
@@ -96,7 +58,17 @@ class ExperimentConfig(NamedTuple):
     quiet: bool = False
 
 
+class _Parser(configparser.ConfigParser):
+    """An INI parser that records, in ``asked``, each key the loader asks for."""
+
+    def __init__(self):
+        super().__init__(interpolation=None, inline_comment_prefixes=(";",))
+        self.asked = {}  # section -> its keys, in the order they were asked for
+
+
 def _get(cp, section: str, key: str, cast, default=_REQUIRED):
+    """``cast`` of ``[section] key``, or ``default`` when the file has no such key."""
+    cp.asked.setdefault(section, []).append(key)
     if not cp.has_option(section, key):
         if default is _REQUIRED:
             raise ConfigError(f"missing required field [{section}] {key}")
@@ -129,14 +101,14 @@ def _section_errors(prefix: str):
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
-def _check_keys(cp) -> None:
-    """Raise ConfigError at the first section or key that ``KEYS`` does not name."""
+def _check_all_read(cp) -> None:
+    """Raise ConfigError at the first section or key of the file never read."""
     for section in cp.sections():
-        known = KEYS.get(section)
+        known = cp.asked.get(section)
         if known is None:
             raise ConfigError(
                 f"[{section}]: unknown section; expected one of "
-                + ", ".join(f"[{name}]" for name in KEYS)
+                + ", ".join(f"[{name}]" for name in cp.asked)
             )
         for key in cp.options(section):
             if key not in known:
@@ -162,7 +134,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     Raises ConfigError naming the offending section/field on any problem.
     """
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    cp = _Parser()
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -171,12 +143,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
 
-    _check_keys(cp)
     overrides = overrides or {}
-    for section in ("run", "problem", "lattice"):
-        if not cp.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
-
     command = _get(cp, "run", "command", str).strip()
     if command not in COMMANDS:
         raise ConfigError(
@@ -186,32 +153,27 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if tol < 0.0:
         raise ConfigError(f"[run] tol: must be >= 0, got {tol!r}")
     out_dir = str(overrides.get("out", _get(cp, "run", "out", str, ".")))
+    _get(cp, "run", "seed", str, None)  # no command reads it; the bench writes it
     quiet = bool(overrides.get("quiet", False))
 
     kind = _get(cp, "problem", "kind", str).strip()
     x0 = _get(cp, "problem", "x0", float)
     with _section_errors("[problem] model"):
-        if kind not in MODEL_KEYS:
-            raise ConfigError(
-                f"[problem] kind: expected 'geometric' or 'arithmetic', got {kind!r}"
-            )
-        for other, keys in MODEL_KEYS.items():
-            for key in keys:
-                if other != kind and cp.has_option("problem", key):
-                    raise ConfigError(
-                        f"[problem] {key}: read only under kind = {other}, not {kind}"
-                    )
         if kind == "geometric":
             model = ForwardModel.geometric(
                 _get(cp, "problem", "mu", float),
                 _get(cp, "problem", "sigma", float),
                 x0,
             )
-        else:
+        elif kind == "arithmetic":
             model = ForwardModel.arithmetic(
                 _get(cp, "problem", "b0", float),
                 _get(cp, "problem", "sigma0", float),
                 x0,
+            )
+        else:
+            raise ConfigError(
+                f"[problem] kind: expected 'geometric' or 'arithmetic', got {kind!r}"
             )
 
     with _section_errors("[problem]"):
@@ -236,6 +198,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     pde_grid = None
     pde_penalty_n = None
+    cp.asked["pde"] = []  # a known section, whether or not the file has it
     if cp.has_section("pde"):
         with _section_errors("[pde]"):
             pde_grid = PdeGrid(
@@ -249,19 +212,19 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(
                 f"[pde] boundary: the only boundary rule is {BOUNDARY!r}, got {boundary!r}"
             )
-        pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
-        if pde_penalty_n is not None and pde_penalty_n < 0.0:
-            raise ConfigError(f"[pde] penalty_n: must be >= 0, got {pde_penalty_n!r}")
+        if command == "pde":  # only pde solves the penalized scheme
+            pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
+            if pde_penalty_n is not None and pde_penalty_n < 0.0:
+                raise ConfigError(f"[pde] penalty_n: must be >= 0, got {pde_penalty_n!r}")
         if not pde_grid.x_min < model.x0 < pde_grid.x_max:
             raise ConfigError(
                 f"[pde]: x0 = {model.x0} must lie strictly inside "
                 f"({pde_grid.x_min}, {pde_grid.x_max})"
             )
 
-    schedule = DEFAULT_SCHEDULE
-    if cp.has_section("penalize"):
-        schedule = _get(cp, "penalize", "schedule", _parse_schedule, DEFAULT_SCHEDULE)
+    schedule = _get(cp, "penalize", "schedule", _parse_schedule, DEFAULT_SCHEDULE)
 
+    _check_all_read(cp)
     if command in ("pde", "crosscheck") and pde_grid is None:
         raise ConfigError(f"command {command!r} requires a [pde] section")
 

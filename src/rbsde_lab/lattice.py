@@ -22,7 +22,7 @@ GEOMETRIC = "geometric"
 
 
 class CoarseTimeStepError(ValueError):
-    """Raised when matched branch probabilities leave [0, 1]."""
+    """Raised when matched branch probabilities leave [0, 1] or a factor overflows."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,17 @@ class Lattice(NamedTuple):
         return w
 
 
+def _step_factor(name: str, exponent: float) -> float:
+    """``math.exp(exponent)``; an overflow is a CoarseTimeStepError naming ``name``."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise CoarseTimeStepError(
+            f"dt too coarse for this drift/volatility at step 0: "
+            f"factor {name} = exp({exponent:.6g}) overflows"
+        ) from None
+
+
 def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     """Build a recombining lattice whose one-step increments match the model.
 
@@ -148,8 +159,11 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     Raises
     ------
     CoarseTimeStepError
-        If the matched probability falls outside [0, 1] (geometric kind with
-        dt too coarse for the drift/volatility).
+        If the matched probability falls outside [0, 1], or the factor u or
+        exp(mu*dt) overflows (geometric kind with dt too coarse for the
+        drift/volatility).
+    ValueError
+        If a deterministic geometric state x0*exp(mu*t) overflows.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -166,14 +180,19 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     elif model.vol_coeff == 0.0:
         # Deterministic ODE: exact exponential states, probabilities moot.
         mu = model.drift_coeff
-        nodes = [np.full(k + 1, model.x0 * math.exp(mu * k * dt)) for k in range(n + 1)]
+        try:
+            nodes = [np.full(k + 1, model.x0 * math.exp(mu * k * dt)) for k in range(n + 1)]
+        except OverflowError:
+            raise ValueError(
+                f"state x0*exp(mu*t) overflows before the horizon: mu = {mu!r}"
+            ) from None
         for layer in nodes:
             layer.setflags(write=False)
     else:
         mu, sigma = model.drift_coeff, model.vol_coeff
-        u = math.exp(sigma * math.sqrt(dt))
+        u = _step_factor("exp(sigma*sqrt(dt))", sigma * math.sqrt(dt))
         d = 1.0 / u
-        p = (math.exp(mu * dt) - d) / (u - d)
+        p = (_step_factor("exp(mu*dt)", mu * dt) - d) / (u - d)
         if not 0.0 <= p <= 1.0:
             raise CoarseTimeStepError(
                 f"dt too coarse for this drift/volatility at step 0: "

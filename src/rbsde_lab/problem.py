@@ -31,6 +31,9 @@ import numpy as np
 
 from .lattice import Lattice, lattice_expectation
 
+# the contract's tolerance for the obstacle, K's increments and the backward
+# equation, and the Skorokhod sum's own
+CONTRACT_TOL = 1e-10
 SKOROKHOD_TOL = 1e-12
 
 
@@ -309,19 +312,15 @@ class ValidationReport(NamedTuple):
     all_pass: bool
 
 
-def validate_solution(
-    sol: SolutionTriple,
-    spec: ProblemSpec,
-    lattice: Lattice,
-    tol: float = 1e-10,
-    skorokhod_tol: float = SKOROKHOD_TOL,
-) -> ValidationReport:
+def validate_solution(sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice) -> ValidationReport:
     """Check the solution contract and report residuals.
 
     Items checked, in order: obstacle domination (max of h - Y over nodes),
     minimal reflection increment (K nondecreasing along every path iff
     >= 0), the Skorokhod sum, and the one-step backward equation
-    |Y_k - (E_k[Y_{k+1}] + f(t_k, x, Y_k, Z_k) dt + dK_k)|.
+    |Y_k - (E_k[Y_{k+1}] + f(t_k, x, Y_k, Z_k) dt + dK_k)|. The Skorokhod
+    sum passes within ``SKOROKHOD_TOL``, the other items within
+    ``CONTRACT_TOL``, which the report records as ``tol``.
 
     The Skorokhod residual is a certified bound over all lattice paths:
     sum over steps of the worst nodewise |(Y - h) * dK|, which dominates the
@@ -356,10 +355,11 @@ def validate_solution(
         skorokhod += float(np.abs((sol.y[k] - h_k) * sol.dk[k]).max())
     obstacle_violation = max(violations)
 
+    tol = CONTRACT_TOL
     flags = {
         "obstacle_ok": obstacle_violation <= tol,
         "k_monotone_ok": k_min_increment >= -tol,
-        "skorokhod_ok": skorokhod <= skorokhod_tol,
+        "skorokhod_ok": skorokhod <= SKOROKHOD_TOL,
         "backward_ok": backward <= tol,
     }
     return ValidationReport(

@@ -62,7 +62,7 @@ def test_criterion_2_definition_contract(put_snell_512, put_lattice_512, put_spe
         lattice, spec = random_stopping_instance(rng)
         cases.append((solve_snell(lattice, spec).triple, spec, lattice))
     for sol, spec, lattice in cases:
-        report = validate_solution(sol, spec, lattice, tol=1e-10, skorokhod_tol=1e-12)
+        report = validate_solution(sol, spec, lattice)
         assert report.all_pass
         assert report.obstacle_violation <= 0.0
         assert report.k_min_increment >= 0.0

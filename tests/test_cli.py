@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde_lab import cli, config, snell
+from rbsde_lab import cli, config, problem, snell
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
@@ -194,7 +194,7 @@ NUMBER_IN = {
 def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
     # a NaN or an infinity must not reach a solver: it would run and then
     # fail with a wrong diagnosis, or make every comparison fail
-    text = BASE_CONFIG.format(command="crosscheck")
+    text = BASE_CONFIG.format(command="pde" if key == "penalty_n" else "crosscheck")
     if key in ("b0", "sigma0"):
         text = text.replace(*ARITHMETIC)
     line = f"{key} = {NUMBER_IN.get(key, '{}').format(value)}\n"
@@ -209,6 +209,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}] {key}: ") and err.count("\n") == 1
+    assert "unknown key" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -246,27 +247,35 @@ def test_a_leftover_run_seed_is_ignored(tmp_path):
     assert written[0] and written[0] == written[1] == written[2]
 
 
+# the [problem] keys read after the model's
+PROBLEM_FIELDS = "generator, terminal, obstacle, kappa, p"
+
+
 @pytest.mark.parametrize(
-    "section, line, message",
+    "command, section, line, message",
     [
         # pde would run without its penalized scheme and exit 0
-        ("pde", "penalty_m = 1000", "[pde] penalty_m: unknown key; expected one of "
+        ("pde", "pde", "penalty_m = 1000", "[pde] penalty_m: unknown key; expected one of "
          "x_min, x_max, m_nodes, n_steps, boundary, penalty_n"),
+        # only pde solves the penalized scheme: crosscheck would run and
+        # ignore the intensity
+        ("crosscheck", "pde", "penalty_n = 1000", "[pde] penalty_n: unknown key; "
+         "expected one of x_min, x_max, m_nodes, n_steps, boundary"),
         # tol and schedule would fall back to their defaults
-        ("run", "tols = 0.5", "[run] tols: unknown key; expected one of "
+        ("pde", "run", "tols = 0.5", "[run] tols: unknown key; expected one of "
          "command, tol, out, seed"),
-        ("penalize", "schedul = 1,2", "[penalize] schedul: unknown key; expected one of "
+        ("pde", "penalize", "schedul = 1,2", "[penalize] schedul: unknown key; expected one of "
          "schedule"),
         # time starts at 0 in every solver: there is no start to set
-        ("problem", "start_time = 0.5", "[problem] start_time: unknown key; expected one of "
-         "kind, x0, mu, sigma, b0, sigma0, generator, terminal, obstacle, kappa, p"),
-        (None, "[pdee]\nx_min = 0.0", "[pdee]: unknown section; expected one of "
+        ("pde", "problem", "start_time = 0.5", "[problem] start_time: unknown key; "
+         f"expected one of kind, x0, mu, sigma, {PROBLEM_FIELDS}"),
+        ("pde", None, "[pdee]\nx_min = 0.0", "[pdee]: unknown section; expected one of "
          "[run], [problem], [lattice], [pde], [penalize]"),
     ],
-    ids=["pde", "run", "penalize", "start_time", "section"],
+    ids=["pde", "crosscheck", "run", "penalize", "start_time", "section"],
 )
-def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, section, line, message):
-    text = BASE_CONFIG.format(command="pde")
+def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, command, section, line, message):
+    text = BASE_CONFIG.format(command=command)
     if section is None:
         text += f"\n{line}\n"
     else:
@@ -285,17 +294,27 @@ def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, section, line, m
 )
 def test_a_model_key_of_the_other_kind_exits_2(tmp_path, capsys, kind, key):
     # sigma0 = 99 under a geometric model would run with the geometric
-    # sigma and exit 0
+    # sigma and exit 0; the loader reads only the keys of the file's kind
     text = BASE_CONFIG.format(command="solve")
     if kind == "arithmetic":
         text = text.replace(*ARITHMETIC)
-    other = "arithmetic" if kind == "geometric" else "geometric"
+    model = "mu, sigma" if kind == "geometric" else "b0, sigma0"
     path = tmp_path / "experiment.cfg"
     path.write_text(text.replace(f"kind = {kind}\n", f"kind = {kind}\n{key} = 99\n"))
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out)]) == 2
-    message = f"[problem] {key}: read only under kind = {other}, not {kind}"
+    message = f"[problem] {key}: unknown key; expected one of kind, x0, {model}, {PROBLEM_FIELDS}"
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_without_a_run_section_names_its_first_required_key(tmp_path, capsys):
+    text = BASE_CONFIG.format(command="solve")
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text[text.index("[problem]") :])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: missing required field [run] command\n"
     assert not out.exists()
 
 
@@ -345,6 +364,27 @@ def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("solve: [Errno ") and str(out) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+COARSE = "solve: dt too coarse for this drift/volatility at step 0: "
+
+
+@pytest.mark.parametrize(
+    "edit, start",
+    [
+        ({"mu": "1e6"}, COARSE + "factor exp(mu*dt) = exp(125000) overflows"),
+        ({"sigma": "1e4"}, COARSE + "factor exp(sigma*sqrt(dt)) = exp(3535.53) overflows"),
+        ({"mu": "1e6", "sigma": "0"}, "solve: state x0*exp(mu*t) overflows before the horizon"),
+    ],
+    ids=["mu", "sigma", "deterministic"],
+)
+def test_a_lattice_factor_that_overflows_exits_1_with_one_line(tmp_path, capsys, edit, start):
+    # an OverflowError from math.exp is not an error the CLI reports: it
+    # would end the run in a traceback
+    path = write_config(tmp_path, "solve", n_steps="8", **edit)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_penalize_and_verify_and_convergence(tmp_path, capsys):
@@ -973,10 +1013,7 @@ def test_json_reports_keep_their_keys(tmp_path):
 
 def strict_validation(monkeypatch):
     # a backward residual of a few ulps fails a tol of 1e-300
-    real = cli.validate_solution
-    monkeypatch.setattr(
-        cli, "validate_solution", lambda sol, spec, lattice: real(sol, spec, lattice, tol=1e-300)
-    )
+    monkeypatch.setattr(problem, "CONTRACT_TOL", 1e-300)
 
 
 def test_solve_names_each_failed_contract_item(tmp_path, capsys, monkeypatch):

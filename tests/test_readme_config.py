@@ -4,16 +4,15 @@
 the (section, key) pairs are found with ``ast``. Each must appear in the
 README's ``ini`` block under its section, as a key line or named in a
 comment there, and every key line of the block must be a key the loader
-reads. The block must also load as written. The loader's table of known
-keys, ``config.KEYS``, must name the same pairs plus ``[run] seed``, the one
-key it accepts unread: any other key is rejected.
+reads. The block must also load as written. The loader rejects every key
+it does not read, so a key outside this block cannot load.
 """
 
 import ast
 import re
 from pathlib import Path
 
-from rbsde_lab.config import KEYS, load_config
+from rbsde_lab.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "src" / "rbsde_lab" / "config.py"
@@ -63,11 +62,6 @@ def test_every_key_line_of_the_readme_block_is_read_by_the_loader():
     lines, _ = block_keys(readme_block(README.read_text()))
     unread = sorted(lines - loader_keys(CONFIG.read_text()))
     assert not unread, f"in the README config block, not read by load_config: {unread}"
-
-
-def test_the_known_keys_are_the_keys_the_loader_reads():
-    known = {(section, key) for section, keys in KEYS.items() for key in keys}
-    assert known == loader_keys(CONFIG.read_text()) | {("run", "seed")}
 
 
 def test_the_readme_block_loads_as_written(tmp_path):
