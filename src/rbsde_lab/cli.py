@@ -55,7 +55,7 @@ def _floats(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_table(path, header: str, rows: int, blocks, texts=(), lag=1, shift=0, same=None):
+def _write_table(path, header: str, blocks, texts=(), lag=1, shift=0, same=None):
     """Write ``header``, then each block of ``blocks`` as CSV rows.
 
     A block is ``(lead, values, flags)``: ``lead`` is the text of its first
@@ -63,7 +63,7 @@ def _write_table(path, header: str, rows: int, blocks, texts=(), lag=1, shift=0,
     float columns as a (columns, rows) array, and ``flags`` a boolean mask
     for a last 0/1 column (None: no such column). ``texts`` (row j's at j)
     is a column of the same texts in every block, after the lead. No block
-    has more than ``rows`` rows.
+    has more rows than ``texts``, or, without ``texts``, than the first block.
 
     Every cell of a block, separators included, sits in one object table
     that is allocated once, with its separators and ``texts``, and a block
@@ -86,7 +86,7 @@ def _write_table(path, header: str, rows: int, blocks, texts=(), lag=1, shift=0,
             if cells is None:
                 first = 2 * ((lead is not None) + bool(texts))
                 width = first + 2 * len(values) + (flags is not None)
-                cells = np.full((rows, width), ",", dtype=object)
+                cells = np.full((len(texts) or n, width), ",", dtype=object)
                 cells[:, -1] = "\n"
                 if texts:
                     cells[:, first - 2] = texts
@@ -144,7 +144,7 @@ def snell_to_csv(out: SnellOutput, path) -> None:
     blocks = (layer(k) for k in range(n + 1))
     header = "k,j,state,Y,Z,K,continuation,exercised"
     texts = [str(j) for j in range(n + 1)]
-    _write_table(path, header, n + 1, blocks, texts, lag=2, shift=1, same=(4, 1))
+    _write_table(path, header, blocks, texts, lag=2, shift=1, same=(4, 1))
 
 
 def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
@@ -159,7 +159,7 @@ def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
     # exercised; u - h is u itself wherever h = 0
     blocks = (row(k, t) for k, t in enumerate(field.grid.time.times()))
     header = "t,x,u,u_minus_h,exercised"
-    _write_table(path, header, len(xs), blocks, _floats(xs), lag=1, shift=0, same=(1, 0))
+    _write_table(path, header, blocks, _floats(xs), lag=1, shift=0, same=(1, 0))
 
 
 def emit_convergence_table(trace: PenalizationTrace, path) -> None:
@@ -175,18 +175,13 @@ def emit_convergence_table(trace: PenalizationTrace, path) -> None:
         trace.bound_quantity,
     )
     header = "n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity"
-    _write_table(path, header, len(trace.n_values), [(None, columns, None)])
+    _write_table(path, header, [(None, columns, None)])
 
 
 def append_report_jsonl(report, path) -> None:
     """Append one report record to a JSON-lines file."""
     with open(path, "a") as fh:
         fh.write(json.dumps(report._asdict(), sort_keys=True) + "\n")
-
-
-def _say(cfg: ExperimentConfig, message: str) -> None:
-    if not cfg.quiet:
-        print(message)
 
 
 def _exit_status(cfg: ExperimentConfig, failed: list) -> int:
@@ -212,26 +207,26 @@ def _contract_failures(report: ValidationReport) -> list:
     return [message for ok, message in items if not ok]
 
 
-def _cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_solve(cfg: ExperimentConfig, out: Path, say) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
-    report = validate_solution(result.triple, cfg.spec, lattice)
+    report = validate_solution(result.triple, cfg.spec)
     snell_to_csv(result, out / "snell.csv")
     _write_json(report._asdict(), out / "validation.json")
-    _say(cfg, f"Y0={float(result.triple.y[0][0])!r}")
+    say(f"Y0={float(result.triple.y[0][0])!r}")
     return _exit_status(cfg, _contract_failures(report))
 
 
-def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_penalize(cfg: ExperimentConfig, out: Path, say) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     trace = run_sweep(lattice, cfg.spec, cfg.schedule)
     emit_convergence_table(trace, out / "penalization.csv")
     bound = check_uniform_bound(trace)
     _write_json(bound._asdict(), out / "bound.json")
     worst_mono = max(trace.monotonicity_violation)
-    _say(cfg, f"snell_Y0={trace.snell_y0!r}")
+    say(f"snell_Y0={trace.snell_y0!r}")
     for i, n in enumerate(trace.n_values):
-        _say(cfg, f"n={n:g} Y0={trace.y0[i]!r} sup_gap={trace.sup_gap_to_snell[i]!r}")
+        say(f"n={n:g} Y0={trace.y0[i]!r} sup_gap={trace.sup_gap_to_snell[i]!r}")
     failed = []
     if not worst_mono <= MONOTONICITY_TOL:
         failed.append(f"monotonicity violation {worst_mono:.3e} > {MONOTONICITY_TOL:.3e}")
@@ -243,11 +238,11 @@ def _cmd_penalize(cfg: ExperimentConfig, out: Path) -> int:
     return _exit_status(cfg, failed)
 
 
-def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_pde(cfg: ExperimentConfig, out: Path, say) -> int:
     field = solve_pde_projected(cfg.pde_grid, cfg.spec, cfg.model)
     pde_field_to_csv(field, cfg.spec, out / "pde.csv")
     u0 = field.interpolate(0.0, cfg.model.x0)
-    _say(cfg, f"u0={u0!r}")
+    say(f"u0={u0!r}")
     failed = []
     if not field.complementarity <= PDE_TOL:
         failed.append(f"complementarity {field.complementarity:.3e} > tol {PDE_TOL:.3e}")
@@ -255,7 +250,7 @@ def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
         pen = solve_pde_penalized(cfg.pde_grid, cfg.spec, cfg.model, cfg.pde_penalty_n)
         pde_field_to_csv(pen, cfg.spec, out / "pde_penalized.csv")
         gap = float(np.max(pen.u - field.u))
-        _say(cfg, f"u0_penalized={pen.interpolate(0.0, cfg.model.x0)!r}")
+        say(f"u0_penalized={pen.interpolate(0.0, cfg.model.x0)!r}")
         if not gap <= PDE_TOL:
             failed.append(f"penalized gap max(u_penalized - u) {gap:.3e} > tol {PDE_TOL:.3e}")
     _write_json(
@@ -271,20 +266,20 @@ def _cmd_pde(cfg: ExperimentConfig, out: Path) -> int:
     return _exit_status(cfg, failed)
 
 
-def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_verify(cfg: ExperimentConfig, out: Path, say) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
-    report = validate_solution(result.triple, cfg.spec, lattice)
+    report = validate_solution(result.triple, cfg.spec)
     _write_json(report._asdict(), out / "validation.json")
 
     jsonl = out / "estimates.jsonl"
     jsonl.unlink(missing_ok=True)
-    moments = solution_moments(result.triple, cfg.spec, lattice, report)
+    moments = solution_moments(result.triple, cfg.spec, report)
     for check in (check_y_estimate, check_z_estimate, check_k_estimate):
         append_report_jsonl(check(moments, instance_id=cfg.command), jsonl)
     stability = check_stability(moments, moments)
     append_report_jsonl(stability, jsonl)
-    _say(cfg, f"validation_all_pass={report.all_pass} self_stability={stability.delta_y_norm!r}")
+    say(f"validation_all_pass={report.all_pass} self_stability={stability.delta_y_norm!r}")
     failed = _contract_failures(report)
     if not stability.delta_y_norm <= SELF_STABILITY_TOL:
         failed.append(
@@ -293,7 +288,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     return _exit_status(cfg, failed)
 
 
-def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_convergence(cfg: ExperimentConfig, out: Path, say) -> int:
     grid = cfg.lattice_grid
     ns = [grid.n_steps * mult for mult in (1, 2, 4)]
     y0s = []
@@ -301,12 +296,12 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
         lattice = build_lattice(cfg.model, type(grid)(n, grid.horizon))
         y0s.append(snell_root(lattice, cfg.spec))
     texts = [str(n) for n in ns]
-    _write_table(out / "convergence.csv", "n_steps,Y0", len(ns), [(None, [y0s], None)], texts)
+    _write_table(out / "convergence.csv", "n_steps,Y0", [(None, [y0s], None)], texts)
     first = abs(y0s[1] - y0s[0])
     second = abs(y0s[2] - y0s[1])
     for n, y0 in zip(ns, y0s):
-        _say(cfg, f"n_steps={n} Y0={y0!r}")
-    _say(cfg, f"refinement_deltas={first!r},{second!r}")
+        say(f"n_steps={n} Y0={y0!r}")
+    say(f"refinement_deltas={first!r},{second!r}")
     failed = []
     if not (second < first or first == 0.0):
         failed.append(
@@ -316,10 +311,10 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
     return _exit_status(cfg, failed)
 
 
-def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_crosscheck(cfg: ExperimentConfig, out: Path, say) -> int:
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     snell_y0 = float(solve_snell(lattice, cfg.spec).triple.y[0][0])
-    pen_y0 = penalized_root(lattice, cfg.spec, cfg.schedule)
+    pen_y0 = penalized_root(lattice, cfg.spec, cfg.schedule[-1])
     field = solve_pde_projected(cfg.pde_grid, cfg.spec, cfg.model)
     pde_u0 = field.interpolate(0.0, cfg.model.x0)
 
@@ -337,10 +332,10 @@ def _cmd_crosscheck(cfg: ExperimentConfig, out: Path) -> int:
         "tol": cfg.tol,
     }
     _write_json(payload, out / "crosscheck.json")
-    _say(cfg, f"snell_Y0={snell_y0!r}")
-    _say(cfg, f"penalized_tail_Y0={pen_y0!r}")
-    _say(cfg, f"pde_u0={pde_u0!r}")
-    _say(cfg, f"gaps: pen={gap_pen:.3e} pde={gap_pde:.3e} cross={gap_cross:.3e}")
+    say(f"snell_Y0={snell_y0!r}")
+    say(f"penalized_tail_Y0={pen_y0!r}")
+    say(f"pde_u0={pde_u0!r}")
+    say(f"gaps: pen={gap_pen:.3e} pde={gap_pde:.3e} cross={gap_cross:.3e}")
     failed = [
         f"{name} {payload[name]:.3e} > tol {cfg.tol:.3e}"
         for name in ("rel_gap_snell_penalized", "rel_gap_snell_pde", "rel_gap_penalized_pde")
@@ -359,11 +354,15 @@ _DISPATCH = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
-    out = Path(config.out_dir)
+def run(config: ExperimentConfig, out_dir, quiet: bool) -> int:
+    """Execute one experiment, writing its files under ``out_dir``; returns the exit status.
+
+    The stdout summary is printed unless ``quiet``.
+    """
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[config.command](config, out)
+    say = (lambda message: None) if quiet else print
+    return _DISPATCH[config.command](config, out, say)
 
 
 def main(argv=None) -> int:
@@ -372,24 +371,17 @@ def main(argv=None) -> int:
         description="Config-driven experiments for reflected backward equations.",
     )
     parser.add_argument("--config", required=True, help="path to the experiment config file")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     args = parser.parse_args(argv)
 
-    overrides = {"quiet": args.quiet}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(config)
+        return run(config, args.out, args.quiet)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"{config.command}: {exc}", file=sys.stderr)
         return 1

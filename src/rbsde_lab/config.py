@@ -54,8 +54,6 @@ class ExperimentConfig(NamedTuple):
     pde_penalty_n: float | None
     schedule: tuple
     tol: float
-    out_dir: str
-    quiet: bool = False
 
 
 class _Parser(configparser.ConfigParser):
@@ -67,17 +65,16 @@ class _Parser(configparser.ConfigParser):
 
 
 def _get(cp, section: str, key: str, cast, default=_REQUIRED):
-    """``cast`` of ``[section] key``, or ``default`` when the file has no such key."""
+    """``cast`` of ``[section] key``, or ``default`` when the file has no such key.
+
+    A failed cast, a NaN or an infinite float names the field.
+    """
     cp.asked.setdefault(section, []).append(key)
     if not cp.has_option(section, key):
         if default is _REQUIRED:
             raise ConfigError(f"missing required field [{section}] {key}")
         return default
-    return _cast(section, key, cast, cp.get(section, key))
-
-
-def _cast(section: str, key: str, cast, raw):
-    """``cast(raw)``; a failed cast, a NaN or an infinite float names the field."""
+    raw = cp.get(section, key)
     try:
         value = cast(raw)
     except (TypeError, ValueError) as exc:
@@ -129,8 +126,8 @@ def _parse_schedule(raw: str) -> tuple:
     return tuple(check_schedule(values))
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; ``overrides`` win over file values.
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a config file.
 
     Raises ConfigError naming the offending section/field on any problem.
     """
@@ -143,18 +140,15 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
 
-    overrides = overrides or {}
     command = _get(cp, "run", "command", str).strip()
     if command not in COMMANDS:
         raise ConfigError(
             f"[run] command: unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
         )
-    tol = _cast("run", "tol", float, overrides.get("tol", _get(cp, "run", "tol", float, 0.02)))
+    tol = _get(cp, "run", "tol", float, 0.02)
     if tol < 0.0:
         raise ConfigError(f"[run] tol: must be >= 0, got {tol!r}")
-    out_dir = str(overrides.get("out", _get(cp, "run", "out", str, ".")))
     _get(cp, "run", "seed", str, None)  # no command reads it; the bench writes it
-    quiet = bool(overrides.get("quiet", False))
 
     kind = _get(cp, "problem", "kind", str).strip()
     x0 = _get(cp, "problem", "x0", float)
@@ -237,6 +231,4 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         pde_penalty_n=pde_penalty_n,
         schedule=schedule,
         tol=tol,
-        out_dir=out_dir,
-        quiet=quiet,
     )

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice
 from .problem import (
     ProblemSpec,
     SolutionTriple,
@@ -65,13 +64,12 @@ class StabilityReport(NamedTuple):
 class SolutionMoments(NamedTuple):
     """Every lattice statistic of one reflected solution that the checks read.
 
-    ``weights`` is the lattice's ``node_weights()`` table; the moments use
+    ``weights`` is ``node_weights()`` of the solution's lattice; the moments use
     the exponent p of ``spec`` (p/2 for Z).
     """
 
     sol: SolutionTriple
     spec: ProblemSpec
-    lattice: Lattice
     weights: list
     sup_y: float  # E sup |Y|^p
     xi_term: float  # E |xi|^p
@@ -104,9 +102,9 @@ def _generator_at_origin(spec: ProblemSpec, t, x) -> np.ndarray:
 
 
 def solution_moments(
-    sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice, report: ValidationReport
+    sol: SolutionTriple, spec: ProblemSpec, report: ValidationReport
 ) -> SolutionMoments:
-    """The statistics of a reflected solution, each computed in one lattice pass.
+    """The statistics of a reflected solution, each computed in one pass over its lattice.
 
     ``report`` is ``validate_solution`` of the same solution; a solution
     that violates the Skorokhod condition is rejected.
@@ -117,6 +115,7 @@ def solution_moments(
             f"(residual {report.skorokhod_residual:.3e}); estimate checks "
             f"require a reflected solution"
         )
+    lattice = sol.lattice
     p = spec.p_exponent
     dt = lattice.dt
     weights = lattice.node_weights()
@@ -135,7 +134,6 @@ def solution_moments(
     return SolutionMoments(
         sol=sol,
         spec=spec,
-        lattice=lattice,
         weights=weights,
         sup_y=sup_y,
         xi_term=lattice_terminal_moment(terminal_values(spec, lattice), p, weights),
@@ -174,10 +172,10 @@ def check_stability(a: SolutionMoments, b: SolutionMoments) -> StabilityReport:
     where Psi_T sums the two instances' data functionals and df is evaluated
     along the first solution. The node weights are those of ``a``.
     """
-    lattice = a.lattice
-    if b.lattice.n_steps != lattice.n_steps:
+    lattice = a.sol.lattice
+    if b.sol.lattice.n_steps != lattice.n_steps:
         raise ValueError("solutions have mismatched step counts")
-    if not np.array_equal(b.lattice.nodes[-1], lattice.nodes[-1]):
+    if not np.array_equal(b.sol.lattice.nodes[-1], lattice.nodes[-1]):
         raise ValueError("solutions were not computed on one lattice")
 
     spec_a, spec_b = a.spec, b.spec

@@ -22,7 +22,7 @@ GEOMETRIC = "geometric"
 
 
 class CoarseTimeStepError(ValueError):
-    """Raised when matched branch probabilities leave [0, 1] or a factor overflows."""
+    """Raised when matched branch probabilities leave [0, 1] or a factor or state overflows."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     Raises
     ------
     CoarseTimeStepError
-        If the matched probability falls outside [0, 1], or the factor u or
-        exp(mu*dt) overflows (geometric kind with dt too coarse for the
-        drift/volatility).
+        If the matched probability falls outside [0, 1], or the factor u,
+        exp(mu*dt) or a state x0*u**m overflows (geometric kind with dt too
+        coarse for the drift/volatility).
     ValueError
         If a deterministic geometric state x0*exp(mu*t) overflows.
     """
@@ -202,7 +202,17 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
         # exponents of parity (n - k) % 2 that starts at -k. Two tables of
         # about n + 1 states hold every layer; they are made read-only before
         # they are sliced, since a view takes the flag its base has then.
-        tables = [model.x0 * u ** np.arange(-n + par, n + 1, 2.0) for par in (0, 1)]
+        powers = [np.arange(-n + par, n + 1, 2.0) for par in (0, 1)]
+        with np.errstate(over="ignore"):
+            tables = [model.x0 * u**m for m in powers]
+        if not np.isfinite(tables[0][-1]):
+            # the states rise with m: the first past the float range is the
+            # top node of layer m
+            m = int(np.concatenate(powers)[~np.isfinite(np.concatenate(tables))].min())
+            raise CoarseTimeStepError(
+                f"dt too coarse for this drift/volatility at step {m}: "
+                f"state x0*u**{m} = {model.x0!r}*exp({m * sigma * math.sqrt(dt):.6g}) overflows"
+            )
         for table in tables:
             table.setflags(write=False)
         nodes = []

@@ -23,7 +23,7 @@ in one step for an affine f, with f frozen at the iterate for any other.
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
 monotone-convergence diagnostics toward the reflected (Snell) solution;
-``penalized_root`` solves only at the schedule's last intensity.
+``penalized_root`` solves at one intensity and keeps only Y0.
 """
 
 from __future__ import annotations
@@ -149,15 +149,14 @@ def check_schedule(schedule) -> list:
     return ns
 
 
-def penalized_root(lattice: Lattice, spec: ProblemSpec, schedule) -> float:
-    """Y0 of the penalized solution at the schedule's last intensity.
+def penalized_root(lattice: Lattice, spec: ProblemSpec, n: float) -> float:
+    """Y0 of the penalized solution at intensity ``n``.
 
-    A penalized row does not depend on the other intensities, so this is
-    ``run_sweep(lattice, spec, schedule).y0[-1]`` bit for bit, without the
-    other rows and the sweep diagnostics.
+    A penalized row does not depend on the other intensities, so for a
+    schedule that ends in ``n`` this is ``run_sweep(...).y0[-1]`` bit for
+    bit, without the other rows and the sweep diagnostics.
     """
-    ns = check_schedule(schedule)
-    return float(solve_penalized(lattice, spec, [ns[-1]]).y[0][0, 0])
+    return float(solve_penalized(lattice, spec, [n]).y[0][0, 0])
 
 
 def run_sweep(lattice: Lattice, spec: ProblemSpec, schedule) -> PenalizationTrace:

@@ -145,8 +145,11 @@ def make_generator(name: str) -> Callable:
     raise ValueError(f"form {name!r} cannot be used as a generator")
 
 
-def make_terminal(name: str) -> Callable:
-    """Terminal payoff g(x) from a registry name ('zero', 'constant:c', 'put_payoff:strike')."""
+def _payoff(name: str, role: str) -> Callable:
+    """Payoff x -> value from a registry name ('zero', 'constant:c', 'put_payoff:strike').
+
+    Any other form is a ValueError: it cannot be used as ``role``.
+    """
     head, param = _parse_form(name)
     if head == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -154,19 +157,18 @@ def make_terminal(name: str) -> Callable:
         return lambda x: np.full_like(np.asarray(x, dtype=float), param)
     if head == "put_payoff":
         return lambda x: np.maximum(param - np.asarray(x, dtype=float), 0.0)
-    raise ValueError(f"form {name!r} cannot be used as a terminal payoff")
+    raise ValueError(f"form {name!r} cannot be used as {role}")
+
+
+def make_terminal(name: str) -> Callable:
+    """Terminal payoff g(x) from a registry name ('zero', 'constant:c', 'put_payoff:strike')."""
+    return _payoff(name, "a terminal payoff")
 
 
 def make_obstacle(name: str) -> Callable:
-    """Obstacle h(t, x) from a registry name ('zero', 'constant:c', 'put_payoff:strike')."""
-    head, param = _parse_form(name)
-    if head == "zero":
-        return lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    if head == "constant":
-        return lambda t, x: np.full_like(np.asarray(x, dtype=float), param)
-    if head == "put_payoff":
-        return lambda t, x: np.maximum(param - np.asarray(x, dtype=float), 0.0)
-    raise ValueError(f"form {name!r} cannot be used as an obstacle")
+    """Obstacle h(t, x): a terminal payoff form of the registry, read at x whatever t."""
+    payoff = _payoff(name, "an obstacle")
+    return lambda t, x: payoff(x)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +314,8 @@ class ValidationReport(NamedTuple):
     all_pass: bool
 
 
-def validate_solution(sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice) -> ValidationReport:
-    """Check the solution contract and report residuals.
+def validate_solution(sol: SolutionTriple, spec: ProblemSpec) -> ValidationReport:
+    """Check the solution contract on the solution's own lattice and report residuals.
 
     Items checked, in order: obstacle domination (max of h - Y over nodes),
     minimal reflection increment (K nondecreasing along every path iff
@@ -326,6 +328,7 @@ def validate_solution(sol: SolutionTriple, spec: ProblemSpec, lattice: Lattice) 
     sum over steps of the worst nodewise |(Y - h) * dK|, which dominates the
     pathwise sum |sum_k (Y_k - h_k) dK_k| for every path.
     """
+    lattice = sol.lattice
     n = lattice.n_steps
     if len(sol.y) != n + 1 or len(sol.z) != n or len(sol.dk) != n:
         raise ValueError("solution layers inconsistent with lattice")

@@ -213,24 +213,9 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, value
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_a_non_finite_tol_override_is_a_config_error(tmp_path, capsys, value):
-    path = write_config(tmp_path, "crosscheck")
-    assert main(["--config", str(path), "--tol", value]) == 2
-    assert capsys.readouterr().err == f"config error: [run] tol: must be a finite number, got {value}\n"
-
-
-def test_a_negative_tol_override_exits_2_before_any_work(tmp_path, capsys):
-    path = write_config(tmp_path, "crosscheck")
-    out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out), "--tol", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: [run] tol: must be >= 0, got -1.0\n"
-    assert not out.exists()
-
-
 def test_a_zero_tol_is_accepted(tmp_path):
     assert load_config(write_config(tmp_path, "solve", tol="0")).tol == 0.0
-    assert load_config(write_config(tmp_path, "solve"), {"tol": -0.0}).tol == 0.0
+    assert load_config(write_config(tmp_path, "solve", tol="-0.0")).tol == 0.0
 
 
 def test_a_leftover_run_seed_is_ignored(tmp_path):
@@ -263,7 +248,10 @@ PROBLEM_FIELDS = "generator, terminal, obstacle, kappa, p"
          "expected one of x_min, x_max, m_nodes, n_steps, boundary"),
         # tol and schedule would fall back to their defaults
         ("pde", "run", "tols = 0.5", "[run] tols: unknown key; expected one of "
-         "command, tol, out, seed"),
+         "command, tol, seed"),
+        # the output directory is the --out flag's alone
+        ("solve", "run", "out = .", "[run] out: unknown key; expected one of "
+         "command, tol, seed"),
         ("pde", "penalize", "schedul = 1,2", "[penalize] schedul: unknown key; expected one of "
          "schedule"),
         # time starts at 0 in every solver: there is no start to set
@@ -272,7 +260,7 @@ PROBLEM_FIELDS = "generator, terminal, obstacle, kappa, p"
         ("pde", None, "[pdee]\nx_min = 0.0", "[pdee]: unknown section; expected one of "
          "[run], [problem], [lattice], [pde], [penalize]"),
     ],
-    ids=["pde", "crosscheck", "run", "penalize", "start_time", "section"],
+    ids=["pde", "crosscheck", "run", "out", "penalize", "start_time", "section"],
 )
 def test_a_key_the_loader_never_reads_exits_2(tmp_path, capsys, command, section, line, message):
     text = BASE_CONFIG.format(command=command)
@@ -327,6 +315,16 @@ def test_there_is_no_seed_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_there_is_no_tol_flag(tmp_path, capsys):
+    # [run] tol sets the crosscheck tolerance; a flag would set it twice
+    path = write_config(tmp_path, "crosscheck")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(tmp_path / "out"), "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_inside_a_section_pass_through_unchanged(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(write_config(tmp_path, "solve", kind="cubic"))
@@ -375,8 +373,15 @@ COARSE = "solve: dt too coarse for this drift/volatility at step 0: "
         ({"mu": "1e6"}, COARSE + "factor exp(mu*dt) = exp(125000) overflows"),
         ({"sigma": "1e4"}, COARSE + "factor exp(sigma*sqrt(dt)) = exp(3535.53) overflows"),
         ({"mu": "1e6", "sigma": "0"}, "solve: state x0*exp(mu*t) overflows before the horizon"),
+        # u = exp(106.066) is finite, but u**7 is not: the states used to be
+        # inf, and solve exited 0 with inf states in snell.csv
+        (
+            {"sigma": "300"},
+            "solve: dt too coarse for this drift/volatility at step 7: "
+            "state x0*u**7 = 36.0*exp(742.462) overflows",
+        ),
     ],
-    ids=["mu", "sigma", "deterministic"],
+    ids=["mu", "sigma", "deterministic", "state"],
 )
 def test_a_lattice_factor_that_overflows_exits_1_with_one_line(tmp_path, capsys, edit, start):
     # an OverflowError from math.exp is not an error the CLI reports: it
@@ -385,6 +390,7 @@ def test_a_lattice_factor_that_overflows_exits_1_with_one_line(tmp_path, capsys,
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(start) and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "snell.csv").exists()
 
 
 def test_penalize_and_verify_and_convergence(tmp_path, capsys):
@@ -412,7 +418,8 @@ def test_crosscheck_exit_codes(tmp_path, capsys):
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     assert payload["penalized_tail_y0"] == run_sweep(lattice, cfg.spec, cfg.schedule).y0[-1]
     # impossible tolerance must flip the exit status and name every gap over it
-    assert main(["--config", str(path), "--out", str(tmp_path / "strict"), "--quiet", "--tol", "1e-9"]) == 1
+    path = write_config(tmp_path, "crosscheck", tol="1e-9")
+    assert main(["--config", str(path), "--out", str(tmp_path / "strict"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("crosscheck: ") and err.count("\n") == 1
     for name in ("rel_gap_snell_penalized", "rel_gap_snell_pde", "rel_gap_penalized_pde"):
@@ -865,11 +872,11 @@ def test_table_writer_matches_joined_rows(tmp_path, rows):
                    map(repr, b.tolist()), map(str, flags.astype(int).tolist()))
         expected.extend(",".join(row) + "\n" for row in zip(*columns))
     path = tmp_path / "block.csv"
-    cli._write_table(path, "k,j,a,b,flag", rows, blocks, [str(j) for j in range(rows)])
+    cli._write_table(path, "k,j,a,b,flag", blocks, [str(j) for j in range(rows)])
     assert path.read_text() == "".join(expected)
     assert "-0.0,0.0," in path.read_text() and "nan,nan" in path.read_text()
     # no lead, no row texts and no flags: the last float ends the row
-    cli._write_table(path, "a,b", rows, [(None, (values, -values), None)])
+    cli._write_table(path, "a,b", [(None, (values, -values), None)])
     rows_ab = [f"{a!r},{b!r}\n" for a, b in zip(values.tolist(), (-values).tolist())]
     assert path.read_text() == "a,b\n" + "".join(rows_ab)
 
@@ -881,7 +888,9 @@ def test_table_writer_reuses_only_texts_of_equal_bits(tmp_path, formatted):
     nan, other_nan = nan_bits.view(float)
     special = [0.0, -0.0, nan, float("inf"), -float("inf"), 5e-324, 1e16, 0.1]
     blocks = [
-        special,  # first block: nothing to compare with
+        # first block: nothing to compare with; without row texts it sets
+        # the table's 10 rows
+        special + [11.0, 12.0],
         [1.0, 2.0],
         [7.0, -0.0, 0.0, nan, float("inf"), -float("inf"), 5e-324, 1e16, 0.1, 3.0],
         [nan],  # a single row has no row j - 1 to compare with
@@ -890,7 +899,7 @@ def test_table_writer_reuses_only_texts_of_equal_bits(tmp_path, formatted):
     ]
     blocks = [np.array(values) for values in blocks]
     path = tmp_path / "reuse.csv"
-    cli._write_table(path, "a,b", 10, [(None, (v, -v), None) for v in blocks], lag=2, shift=1)
+    cli._write_table(path, "a,b", [(None, (v, -v), None) for v in blocks], lag=2, shift=1)
     rows = [f"{a!r},{b!r}\n" for v in blocks for a, b in zip(v.tolist(), (-v).tolist())]
     assert path.read_text() == "a,b\n" + "".join(rows)
     assert len(formatted) == len(blocks)
@@ -917,7 +926,7 @@ def test_table_writer_reuses_the_text_of_an_earlier_column_only_on_equal_bits(
     b2 = np.array([0.0, 4.0, 1.5, 7.0, 3.0, -1.0, 9.0])
     blocks = [("x", (a, b), a > 1.0), ("y", (a2, b2), a2 > 1.0)]
     path = tmp_path / "same.csv"
-    cli._write_table(path, "t,a,b,flag", 7, blocks, same=(1, 0))
+    cli._write_table(path, "t,a,b,flag", blocks, same=(1, 0))
     expected = "".join(
         f"{lead},{u!r},{v!r},{int(u > 1.0)}\n"
         for lead, (us, vs), _ in blocks
@@ -941,7 +950,7 @@ def test_table_writer_keeps_only_the_blocks_it_compares_with():
         blocks = ((None, (v, -v), None) for v in values)
         tracemalloc.start()
         try:
-            cli._write_table(os.devnull, "a,b", 513, blocks, lag=2, shift=1)
+            cli._write_table(os.devnull, "a,b", blocks, lag=2, shift=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -35,15 +35,15 @@ def solve(lattice, spec):
     return solve_snell(lattice, spec).triple
 
 
-def moments(sol, spec, lattice):
-    return solution_moments(sol, spec, lattice, validate_solution(sol, spec, lattice))
+def moments(sol, spec):
+    return solution_moments(sol, spec, validate_solution(sol, spec))
 
 
 def test_all_zero_instance_has_zero_ratio():
     lat = build_lattice(ForwardModel.geometric(0.0, 0.3, 10.0), TimeGrid(12, 1.0))
     spec = ProblemSpec(make_generator("zero"), make_terminal("zero"), far_obstacle, 0.0)
     sol = solve(lat, spec)
-    report = check_y_estimate(moments(sol, spec, lat))
+    report = check_y_estimate(moments(sol, spec))
     assert report.lhs == 0.0
     assert report.empirical_ratio == 0.0
 
@@ -54,7 +54,7 @@ def test_constant_instance_ratio_one():
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
     sol = solve(lat, spec)
-    report = check_y_estimate(moments(sol, spec, lat))
+    report = check_y_estimate(moments(sol, spec))
     assert report.lhs == pytest.approx(1.0, abs=1e-13)
     assert report.rhs_data_functional == pytest.approx(1.0, abs=1e-13)
     assert report.empirical_ratio == pytest.approx(1.0, abs=1e-12)
@@ -65,7 +65,7 @@ def test_z_estimate_zero_integrand():
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    report = check_z_estimate(moments(solve(lat, spec), spec, lat))
+    report = check_z_estimate(moments(solve(lat, spec), spec))
     assert report.lhs == 0.0
 
 
@@ -79,7 +79,7 @@ def test_z_estimate_linear_terminal_hand_value():
     )
     sol = solve(lat, spec)
     assert all(np.allclose(z, 1.0, atol=1e-13) for z in sol.z)
-    report = check_z_estimate(moments(sol, spec, lat))
+    report = check_z_estimate(moments(sol, spec))
     assert report.lhs == pytest.approx(horizon ** (p / 2.0), rel=1e-12)
     assert report.rhs_data_functional > 0.0
 
@@ -89,7 +89,7 @@ def test_k_estimate_zero_when_obstacle_never_binds():
     spec = ProblemSpec(
         make_generator("zero"), make_terminal("constant:1"), make_obstacle("zero"), 0.0
     )
-    report = check_k_estimate(moments(solve(lat, spec), spec, lat))
+    report = check_k_estimate(moments(solve(lat, spec), spec))
     assert report.lhs == 0.0
 
 
@@ -101,7 +101,7 @@ def test_k_estimate_compensated_drift_is_positive():
         make_obstacle("constant:1"),
         0.0,
     )
-    report = check_k_estimate(moments(solve(lat, spec), spec, lat))
+    report = check_k_estimate(moments(solve(lat, spec), spec))
     assert report.lhs > 0.0
     assert report.empirical_ratio > 0.0
 
@@ -113,7 +113,7 @@ def test_put_family_ratios_stay_within_recorded_baselines(sigma):
     lat = build_lattice(model, TimeGrid(256, 1.0))
     sol = solve(lat, spec)
     base = BASELINES[f"american_put_sigma_{sigma}"]
-    m = moments(sol, spec, lat)
+    m = moments(sol, spec)
     assert check_y_estimate(m).empirical_ratio <= base["y_ratio"] * 1.01
     assert check_z_estimate(m).empirical_ratio <= base["z_ratio"] * 1.01
     assert check_k_estimate(m).empirical_ratio <= base["k_ratio"] * 1.01
@@ -121,9 +121,9 @@ def test_put_family_ratios_stay_within_recorded_baselines(sigma):
 
 def test_estimates_reject_unreflected_solutions(put_lattice_512, put_spec):
     pen = batch_row(solve_penalized(put_lattice_512, put_spec, [4.0]), 0)
-    report = validate_solution(pen, put_spec, put_lattice_512)
+    report = validate_solution(pen, put_spec)
     with pytest.raises(ValueError, match="Skorokhod"):
-        solution_moments(pen, put_spec, put_lattice_512, report)
+        solution_moments(pen, put_spec, report)
 
 
 def test_scale_covariance_of_y_estimate():
@@ -141,8 +141,8 @@ def test_scale_covariance_of_y_estimate():
 
     one = build(1.0)
     two = build(lam)
-    r1 = check_y_estimate(moments(solve(lat, one), one, lat))
-    r2 = check_y_estimate(moments(solve(lat, two), two, lat))
+    r1 = check_y_estimate(moments(solve(lat, one), one))
+    r2 = check_y_estimate(moments(solve(lat, two), two))
     assert r2.lhs == pytest.approx(lam**p * r1.lhs, rel=1e-12)
     assert r2.rhs_data_functional == pytest.approx(lam**p * r1.rhs_data_functional, rel=1e-12)
     assert r2.empirical_ratio == pytest.approx(r1.empirical_ratio, rel=1e-12)
@@ -153,7 +153,7 @@ def test_stability_identical_specs_is_uniqueness():
     spec = put_problem()
     a = solve(lat, spec)
     b = solve(lat, spec)
-    report = check_stability(moments(a, spec, lat), moments(b, spec, lat))
+    report = check_stability(moments(a, spec), moments(b, spec))
     assert report.delta_y_norm <= 1e-12
     assert report.delta_data_norm == 0.0
 
@@ -170,7 +170,7 @@ def test_stability_epsilon_shift_respects_exponential_bound():
     sol_a, sol_b = solve(lat, spec_a), solve(lat, spec_b)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(sol_a.y, sol_b.y))
     assert worst <= eps * math.exp(kappa * horizon)
-    report = check_stability(moments(sol_a, spec_a, lat), moments(sol_b, spec_b, lat))
+    report = check_stability(moments(sol_a, spec_a), moments(sol_b, spec_b))
     assert report.delta_y_norm <= (eps * math.exp(kappa * horizon)) ** spec_a.p_exponent
     assert report.ratio > 0.0
 
@@ -194,7 +194,7 @@ def test_stability_of_a_real_pair_is_unchanged(tmp_path):
 
     spec_b = ProblemSpec(spec_a.generator, shifted, spec_a.obstacle, spec_a.lipschitz_kappa)
     report = check_stability(
-        moments(solve(lat, spec_a), spec_a, lat), moments(solve(lat, spec_b), spec_b, lat)
+        moments(solve(lat, spec_a), spec_a), moments(solve(lat, spec_b), spec_b)
     )
     path = tmp_path / "stability.jsonl"
     append_report_jsonl(report, path)
@@ -239,8 +239,8 @@ def test_stability_lattice_mismatch_rejected():
     spec = put_problem()
     lat_a = build_lattice(put_model(), TimeGrid(16, 1.0))
     lat_b = build_lattice(put_model(), TimeGrid(32, 1.0))
-    a = moments(solve(lat_a, spec), spec, lat_a)
-    b = moments(solve(lat_b, spec), spec, lat_b)
+    a = moments(solve(lat_a, spec), spec)
+    b = moments(solve(lat_b, spec), spec)
     with pytest.raises(ValueError, match="mismatch"):
         check_stability(a, b)
 
@@ -250,7 +250,7 @@ def test_reports_append_as_json_lines(tmp_path):
     spec = put_problem()
     sol = solve(lat, spec)
     path = tmp_path / "reports.jsonl"
-    m = moments(sol, spec, lat)
+    m = moments(sol, spec)
     append_report_jsonl(check_y_estimate(m, "put"), path)
     append_report_jsonl(check_z_estimate(m, "put"), path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]

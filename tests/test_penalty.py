@@ -10,7 +10,6 @@ from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import (
     BranchSelectionError,
     check_uniform_bound,
-    penalized_root,
     run_sweep,
     solve_penalized,
 )
@@ -91,10 +90,10 @@ def test_penalty_acts_only_below_the_obstacle(put_penalized_512, put_lattice_512
     assert crossing == 0.0
 
 
-def test_skorokhod_residual_shrinks_with_intensity(put_penalized_512, put_lattice_512, put_spec):
+def test_skorokhod_residual_shrinks_with_intensity(put_penalized_512, put_spec):
     residuals = []
     for b in range(len(put_penalized_512.y[0])):
-        rep = validate_solution(batch_row(put_penalized_512, b), put_spec, put_lattice_512)
+        rep = validate_solution(batch_row(put_penalized_512, b), put_spec)
         assert rep.backward_ok and rep.k_monotone_ok
         residuals.append(rep.skorokhod_residual)
     assert residuals[0] > 0.0
@@ -161,25 +160,10 @@ def test_sweep_schedule_validation():
     with pytest.raises(ValueError):
         solve_penalized(lat, spec, [-3.0])
     for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="schedule entries must be finite"):
+            run_sweep(lat, spec, [1.0, bad])
         with pytest.raises(ValueError, match="penalty intensity must be finite"):
             solve_penalized(lat, spec, [1.0, bad])
-
-
-@pytest.mark.parametrize(
-    "schedule, message",
-    [
-        ([1.0, 1.0], "strictly increasing"),
-        ([-1.0, 2.0], ">= 0"),
-        ([], "nonempty"),
-        ([1.0, math.nan], "must be finite"),
-        ([1.0, math.inf], "must be finite"),
-    ],
-)
-def test_penalized_root_checks_the_schedule_like_the_sweep(schedule, message):
-    lat = build_lattice(put_model(), TimeGrid(8, 1.0))
-    for solve in (run_sweep, penalized_root):
-        with pytest.raises(ValueError, match=message):
-            solve(lat, put_problem(), schedule)
 
 
 def test_compensator_instance_pushes_against_negative_drift():

@@ -4,6 +4,7 @@ import pytest
 from helpers import far_obstacle, put_problem
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
+from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
     ProblemSpec,
     SolutionTriple,
@@ -124,8 +125,8 @@ def test_a_batch_of_layers_gives_each_row_its_own_moment_exactly(kind):
 # -- solution contract -----------------------------------------------------
 
 
-def test_validate_solution_passes_on_exact_snell_output(put_lattice_512, put_spec, put_snell_512):
-    report = validate_solution(put_snell_512.triple, put_spec, put_lattice_512)
+def test_validate_solution_passes_on_exact_snell_output(put_spec, put_snell_512):
+    report = validate_solution(put_snell_512.triple, put_spec)
     assert report.all_pass
     assert report.obstacle_violation <= 0.0
     assert report.skorokhod_residual <= 1e-12
@@ -139,7 +140,7 @@ def test_validate_solution_reports_hand_built_obstacle_violation():
     z = [np.zeros(1), np.zeros(2)]
     dk = [np.zeros(1), np.zeros(2)]
     sol = SolutionTriple(tuple(y), tuple(z), tuple(dk), lat)
-    report = validate_solution(sol, spec, lat)
+    report = validate_solution(sol, spec)
     assert not report.obstacle_ok
     assert report.obstacle_violation == pytest.approx(0.5)
 
@@ -149,7 +150,17 @@ def test_validate_solution_shape_mismatch():
     spec = ProblemSpec(make_generator("zero"), make_terminal("zero"), make_obstacle("zero"), 0.0)
     y = [np.zeros(1), np.zeros(2)]
     with pytest.raises(ValueError):
-        validate_solution(SolutionTriple(tuple(y), (np.zeros(1),), (np.zeros(1),), lat), spec, lat)
+        validate_solution(SolutionTriple(tuple(y), (np.zeros(1),), (np.zeros(1),), lat), spec)
+
+
+def test_validate_solution_rejects_a_batched_triple():
+    # one row per intensity: every Y layer has a leading axis of 2, so the
+    # contract's per-node arithmetic would broadcast instead of failing
+    lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(8, 1.0))
+    spec = put_problem()
+    batch = solve_penalized(lat, spec, [1.0, 8.0])
+    with pytest.raises(ValueError, match="Y layer 0 has wrong shape"):
+        validate_solution(batch, spec)
 
 
 def test_no_obstacle_solution_is_plain_backward_equation():
@@ -163,5 +174,5 @@ def test_no_obstacle_solution_is_plain_backward_equation():
     )
     sol = solve_snell(lat, spec).triple
     assert all(np.all(layer == 0.0) for layer in sol.dk)
-    report = validate_solution(sol, spec, lat)
+    report = validate_solution(sol, spec)
     assert report.all_pass

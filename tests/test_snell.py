@@ -71,8 +71,8 @@ def test_american_put_matches_direct_tree_oracle(put_snell_2048):
     assert float(put_snell_2048.triple.y[0][0]) == pytest.approx(oracle, abs=1e-12)
 
 
-def test_definition_contract_on_put(put_snell_2048, put_spec, put_lattice_2048):
-    report = validate_solution(put_snell_2048.triple, put_spec, put_lattice_2048)
+def test_definition_contract_on_put(put_snell_2048, put_spec):
+    report = validate_solution(put_snell_2048.triple, put_spec)
     assert report.all_pass
     assert report.obstacle_violation <= 0.0
 

@@ -131,9 +131,9 @@ def _one_of_each(tmp_path) -> dict:
     cfg = load_config(path)
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     result = solve_snell(lattice, cfg.spec)
-    report = validate_solution(result.triple, cfg.spec, lattice)
+    report = validate_solution(result.triple, cfg.spec)
     trace = run_sweep(lattice, cfg.spec, (1.0, 8.0))
-    moments = solution_moments(result.triple, cfg.spec, lattice, report)
+    moments = solution_moments(result.triple, cfg.spec, report)
     found = [
         cfg,
         lattice,
