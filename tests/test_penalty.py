@@ -10,6 +10,7 @@ from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import (
     BranchSelectionError,
     check_uniform_bound,
+    penalized_root,
     run_sweep,
     solve_penalized,
 )
@@ -164,6 +165,13 @@ def test_sweep_schedule_validation():
             run_sweep(lat, spec, [1.0, bad])
         with pytest.raises(ValueError, match="penalty intensity must be finite"):
             solve_penalized(lat, spec, [1.0, bad])
+
+
+@pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
+def test_penalized_root_rejects_a_negative_or_non_finite_intensity(intensity):
+    lat = build_lattice(put_model(), TimeGrid(8, 1.0))
+    with pytest.raises(ValueError, match="penalty intensity must be finite and >= 0"):
+        penalized_root(lat, put_problem(), intensity)
 
 
 def test_compensator_instance_pushes_against_negative_drift():
