@@ -115,10 +115,21 @@ def _write_table(path, header: str, blocks, texts=(), lag=1, shift=0, same=None)
             fh.write("".join(table.ravel().tolist()))
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_json(payload: dict, path, mode="w", indent=2) -> None:
+    """Write ``payload`` as JSON with sorted keys, then a newline (``mode`` "a" appends).
+
+    JSON has no NaN or infinity: a field that holds one is a ValueError
+    naming the file and the field, raised before anything is written.
+    """
+    for key, value in sorted(payload.items()):
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ValueError(
+                f"{Path(path).name}: field {key} is {value!r}, and JSON has no NaN or infinity"
+            ) from None
+    with open(path, mode) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n")
 
 
 def snell_to_csv(out: SnellOutput, path) -> None:
@@ -164,8 +175,6 @@ def pde_field_to_csv(field: PdeField, spec: ProblemSpec, path) -> None:
 
 def emit_convergence_table(trace: PenalizationTrace, path) -> None:
     """Write a sweep as CSV with header ``n,Y0,sup_gap,neg_part_norm,K_T,bound_quantity``."""
-    if not trace.n_values:
-        raise ValueError("trace is empty")
     columns = (
         trace.n_values,
         trace.y0,
@@ -180,8 +189,7 @@ def emit_convergence_table(trace: PenalizationTrace, path) -> None:
 
 def append_report_jsonl(report, path) -> None:
     """Append one report record to a JSON-lines file."""
-    with open(path, "a") as fh:
-        fh.write(json.dumps(report._asdict(), sort_keys=True) + "\n")
+    _write_json(report._asdict(), path, "a", None)
 
 
 def _exit_status(cfg: ExperimentConfig, failed: list) -> int:

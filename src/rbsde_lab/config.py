@@ -25,13 +25,7 @@ from typing import NamedTuple
 from .lattice import ForwardModel, TimeGrid
 from .pde import PdeGrid
 from .penalty import check_schedule
-from .problem import (
-    AffineGenerator,
-    ProblemSpec,
-    make_generator,
-    make_obstacle,
-    make_terminal,
-)
+from .problem import ProblemSpec, make_generator, make_obstacle, make_terminal
 
 COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
 DEFAULT_SCHEDULE = tuple(float(2**i) for i in range(11))
@@ -177,12 +171,6 @@ def load_config(path) -> ExperimentConfig:
             obstacle=_get(cp, "problem", "obstacle", make_obstacle),
             lipschitz_kappa=_get(cp, "problem", "kappa", float),
             p_exponent=_get(cp, "problem", "p", float, 1.5),
-        )
-    generator = spec.generator
-    if isinstance(generator, AffineGenerator) and spec.lipschitz_kappa < abs(generator.y_coeff):
-        raise ConfigError(
-            f"[problem] kappa: {spec.lipschitz_kappa!r} is below the generator's Lipschitz "
-            f"constant in y, {abs(generator.y_coeff)!r}"
         )
 
     with _section_errors("[lattice]"):

@@ -22,7 +22,7 @@ GEOMETRIC = "geometric"
 
 
 class CoarseTimeStepError(ValueError):
-    """Raised when matched branch probabilities leave [0, 1] or a factor or state overflows."""
+    """Raised when no lattice on the grid matches the model (see ``build_lattice``)."""
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,28 @@ class Lattice(NamedTuple):
         return w
 
 
-def _step_factor(name: str, exponent: float) -> float:
-    """``math.exp(exponent)``; an overflow is a CoarseTimeStepError naming ``name``."""
+def _exp(exponent: float) -> float:
+    """``math.exp(exponent)``, or inf where it overflows."""
     try:
         return math.exp(exponent)
     except OverflowError:
+        return math.inf
+
+
+def _step_factor(name: str, exponent: float) -> float:
+    """``math.exp(exponent)``; an overflow is a CoarseTimeStepError naming ``name``."""
+    factor = _exp(exponent)
+    if factor == math.inf:
         raise CoarseTimeStepError(
             f"dt too coarse for this drift/volatility at step 0: "
             f"factor {name} = exp({exponent:.6g}) overflows"
-        ) from None
+        )
+    return factor
 
 
+# A state past the float range becomes inf or nan without a warning, and the
+# check on the last layer names it.
+@np.errstate(over="ignore", invalid="ignore")
 def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     """Build a recombining lattice whose one-step increments match the model.
 
@@ -159,11 +170,9 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     Raises
     ------
     CoarseTimeStepError
-        If the matched probability falls outside [0, 1], or the factor u,
-        exp(mu*dt) or a state x0*u**m overflows (geometric kind with dt too
-        coarse for the drift/volatility).
-    ValueError
-        If a deterministic geometric state x0*exp(mu*t) overflows.
+        If the matched probability falls outside [0, 1], the factor u or
+        exp(mu*dt) overflows, u rounds to 1 (geometric kind), or a state of
+        any kind is not finite; the last names the first such step and node.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -180,17 +189,17 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     elif model.vol_coeff == 0.0:
         # Deterministic ODE: exact exponential states, probabilities moot.
         mu = model.drift_coeff
-        try:
-            nodes = [np.full(k + 1, model.x0 * math.exp(mu * k * dt)) for k in range(n + 1)]
-        except OverflowError:
-            raise ValueError(
-                f"state x0*exp(mu*t) overflows before the horizon: mu = {mu!r}"
-            ) from None
+        nodes = [np.full(k + 1, model.x0 * _exp(mu * k * dt)) for k in range(n + 1)]
         for layer in nodes:
             layer.setflags(write=False)
     else:
         mu, sigma = model.drift_coeff, model.vol_coeff
         u = _step_factor("exp(sigma*sqrt(dt))", sigma * math.sqrt(dt))
+        if u == 1.0:
+            raise CoarseTimeStepError(
+                f"volatility too small for this dt at step 0: factor exp(sigma*sqrt(dt)) = "
+                f"exp({sigma * math.sqrt(dt):.6g}) rounds to 1, so u - d = 0"
+            )
         d = 1.0 / u
         p = (_step_factor("exp(mu*dt)", mu * dt) - d) / (u - d)
         if not 0.0 <= p <= 1.0:
@@ -203,16 +212,7 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
         # about n + 1 states hold every layer; they are made read-only before
         # they are sliced, since a view takes the flag its base has then.
         powers = [np.arange(-n + par, n + 1, 2.0) for par in (0, 1)]
-        with np.errstate(over="ignore"):
-            tables = [model.x0 * u**m for m in powers]
-        if not np.isfinite(tables[0][-1]):
-            # the states rise with m: the first past the float range is the
-            # top node of layer m
-            m = int(np.concatenate(powers)[~np.isfinite(np.concatenate(tables))].min())
-            raise CoarseTimeStepError(
-                f"dt too coarse for this drift/volatility at step {m}: "
-                f"state x0*u**{m} = {model.x0!r}*exp({m * sigma * math.sqrt(dt):.6g}) overflows"
-            )
+        tables = [model.x0 * u**m for m in powers]
         for table in tables:
             table.setflags(write=False)
         nodes = []
@@ -220,6 +220,15 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
             par = (n - k) % 2
             start = (n - k - par) // 2
             nodes.append(tables[par][start : start + k + 1])
+    # Every kind's extreme states sit on the last layer, so it alone shows
+    # whether a state left the float range; only then is the first searched for.
+    if not np.isfinite(nodes[-1]).all():
+        k = next(k for k, layer in enumerate(nodes) if not np.isfinite(layer).all())
+        j = int(np.argmin(np.isfinite(nodes[k])))
+        raise CoarseTimeStepError(
+            f"state at step {k}, node {j} is {float(nodes[k][j])!r}: "
+            f"the forward model leaves the float range before the horizon"
+        )
     probs = np.full(n, p)
     probs.setflags(write=False)
     up_prob = [probs[: k + 1] for k in range(n)]

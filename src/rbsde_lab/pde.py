@@ -253,7 +253,7 @@ def _backward_solve(grid, spec, model, n):
 
     def step(a, b):
         nonlocal active, resid, lag, max_policy
-        # 1 - a * dt > 0 (checked by _require_contraction) keeps the rows
+        # 1 - a * dt > 0 (|a| <= kappa and kappa * dt < 1) keeps the rows
         # strictly diagonally dominant
         diag_a = shifted.get(a)
         if diag_a is None:

@@ -37,14 +37,6 @@ CONTRACT_TOL = 1e-10
 SKOROKHOD_TOL = 1e-12
 
 
-def _check_exponent(p: float) -> float:
-    """The integrability exponent as a float; raises unless 1 < p < 2."""
-    p = float(p)
-    if not 1.0 < p < 2.0:
-        raise ValueError("p must lie in (1,2)")
-    return p
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Data (f, g, h, kappa, p) of one reflected backward problem."""
@@ -58,7 +50,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.lipschitz_kappa < 0.0:
             raise ValueError("lipschitz_kappa must be >= 0")
-        _check_exponent(self.p_exponent)
+        if not 1.0 < self.p_exponent < 2.0:
+            raise ValueError("p must lie in (1,2)")
+        a = self.generator.y_coeff if isinstance(self.generator, AffineGenerator) else 0.0
+        if abs(a) > self.lipschitz_kappa:
+            raise ValueError(
+                f"lipschitz_kappa {self.lipschitz_kappa!r} is below the generator's Lipschitz "
+                f"constant in y, {abs(a)!r}"
+            )
 
 
 def obstacle_layers(spec: ProblemSpec, lattice: Lattice):

@@ -57,6 +57,8 @@ def plain_generators(monkeypatch):
 
 def write_config(tmp_path, command, **edits):
     text = BASE_CONFIG.format(command=command)
+    if edits.get("kind") == "arithmetic":  # b0 and sigma0 in place of mu and sigma
+        text = text.replace(*ARITHMETIC)
     for key, value in edits.items():
         if f"{key} = " in text:
             lines = [
@@ -109,19 +111,6 @@ def test_config_rejects_missing_field(tmp_path):
         load_config(path)
 
 
-def test_config_rejects_a_kappa_below_the_generators_y_coefficient(tmp_path, capsys):
-    # f = 9y with kappa = 0.06: kappa * dt passes the contraction check, and
-    # the solve used to blame lipschitz_kappa * dt for a fixed point that blew up
-    path = write_config(tmp_path, "solve", generator="linear_discount:-9", n_steps="8")
-    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "config error: [problem] kappa: 0.06 is below the generator's Lipschitz "
-        "constant in y, 9.0\n"
-    )
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize(
     "schedule, message",
     [
@@ -146,17 +135,30 @@ def test_config_requires_x0_inside_pde_domain(tmp_path):
     "edit, message",
     [
         ({"sigma": "-0.4"}, "[problem] model: volatility coefficient must be >= 0"),
+        ({"x0": "0"}, "[problem] model: geometric model requires x0 > 0"),
         ({"p": "2.5"}, "[problem]: p must lie in (1,2)"),
+        # f = 9y with kappa = 0.06: kappa * dt passes the contraction check,
+        # and the solve used to blame lipschitz_kappa * dt for a fixed point
+        # that blew up
+        (
+            {"generator": "linear_discount:-9"},
+            "[problem]: lipschitz_kappa 0.06 is below the generator's Lipschitz constant "
+            "in y, 9.0",
+        ),
         ({"n_steps": "0"}, "[lattice]: n_steps must be >= 1"),
         ({"m_nodes": "2"}, "[pde]: m_nodes must be >= 3"),
         ({"tol": "-1"}, "[run] tol: must be >= 0, got -1.0"),
     ],
-    ids=["model", "problem", "lattice", "pde", "run"],
+    ids=["model", "model-x0", "problem", "problem-kappa", "lattice", "pde", "run"],
 )
-def test_config_names_the_section_of_an_invalid_value(tmp_path, edit, message):
+def test_config_names_the_section_of_an_invalid_value(tmp_path, capsys, edit, message):
+    path = write_config(tmp_path, "solve", **edit)
     with pytest.raises(ConfigError) as exc:
-        load_config(write_config(tmp_path, "solve", **edit))
+        load_config(path)
     assert str(exc.value) == message
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 ARITHMETIC = ("kind = geometric\nmu = 0.06\nsigma = 0.4\n", "kind = arithmetic\nb0 = 2.0\nsigma0 = 14.0\n")
@@ -364,32 +366,46 @@ def test_an_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-COARSE = "solve: dt too coarse for this drift/volatility at step 0: "
+COARSE = "dt too coarse for this drift/volatility at step 0: "
+TINY = "volatility too small for this dt at step 0: factor exp(sigma*sqrt(dt)) = "
+STATE = "state at step {}: the forward model leaves the float range before the horizon"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "penalize", "convergence", "crosscheck"])
 @pytest.mark.parametrize(
-    "edit, start",
+    "edit, message",
     [
         ({"mu": "1e6"}, COARSE + "factor exp(mu*dt) = exp(125000) overflows"),
         ({"sigma": "1e4"}, COARSE + "factor exp(sigma*sqrt(dt)) = exp(3535.53) overflows"),
-        ({"mu": "1e6", "sigma": "0"}, "solve: state x0*exp(mu*t) overflows before the horizon"),
-        # u = exp(106.066) is finite, but u**7 is not: the states used to be
-        # inf, and solve exited 0 with inf states in snell.csv
-        (
-            {"sigma": "300"},
-            "solve: dt too coarse for this drift/volatility at step 7: "
-            "state x0*u**7 = 36.0*exp(742.462) overflows",
-        ),
+        ({"mu": "1e6", "sigma": "0"}, STATE.format("1, node 0 is inf")),
+        # exp(708) is finite, but x0 * exp(708) is not: unchecked, solve
+        # exits 0 with inf states in snell.csv
+        ({"mu": "708", "sigma": "0"}, STATE.format("8, node 0 is inf")),
+        # u = exp(106.066) is finite, but u**7 is not
+        ({"sigma": "300"}, STATE.format("7, node 7 is inf")),
+        # b0 * k overflows from k = 2 on
+        ({"kind": "arithmetic", "b0": "1e308"}, STATE.format("2, node 0 is inf")),
+        # an offset table entry s0 * sqrt(dt) * m overflows from |m| = 6 on;
+        # the build must not warn, since a RuntimeWarning fails this test
+        ({"kind": "arithmetic", "sigma0": "1e308"}, STATE.format("6, node 0 is -inf")),
+        # u rounds to 1, so p = (exp(mu*dt) - d) / (u - d) divided by zero
+        ({"sigma": "1e-20"}, TINY + "exp(3.53553e-21) rounds to 1, so u - d = 0"),
+        ({"horizon": "1e-300"}, TINY + "exp(1.41421e-151) rounds to 1, so u - d = 0"),
     ],
-    ids=["mu", "sigma", "deterministic", "state"],
+    ids=[
+        "mu", "sigma", "deterministic", "deterministic-product", "state",
+        "arithmetic-drift", "arithmetic-volatility", "tiny-sigma", "tiny-horizon",
+    ],
 )
-def test_a_lattice_factor_that_overflows_exits_1_with_one_line(tmp_path, capsys, edit, start):
-    # an OverflowError from math.exp is not an error the CLI reports: it
-    # would end the run in a traceback
-    path = write_config(tmp_path, "solve", n_steps="8", **edit)
+def test_a_lattice_factor_that_overflows_exits_1_with_one_line(
+    tmp_path, capsys, command, edit, message
+):
+    # every command that builds a lattice stops there: an OverflowError or a
+    # ZeroDivisionError would end the run in a traceback, and an inf state
+    # would reach the solvers
+    path = write_config(tmp_path, command, n_steps="8", **edit)
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(start) and err.count("\n") == 1 and "Traceback" not in err
+    assert capsys.readouterr().err == f"{command}: {message}\n"
     assert not (tmp_path / "out" / "snell.csv").exists()
 
 
@@ -648,6 +664,31 @@ def test_overflowed_data_is_named_and_not_blamed_on_the_contraction(
     assert err.startswith(f"{command}: {what} reached the non-finite value inf at step ")
     assert "overflowed" in err and "lipschitz" not in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, message",
+    [
+        ("verify", "estimates.jsonl", "field empirical_ratio is nan"),
+        ("penalize", "bound.json", "field max_quantity is inf"),
+    ],
+    ids=["verify", "penalize"],
+)
+def test_a_report_that_json_cannot_hold_exits_1_naming_the_file_and_field(
+    tmp_path, capsys, command, name, message
+):
+    # f = 1e308 overflows the moments: unchecked, the reports hold Infinity
+    # and NaN, which is not JSON, and penalize writes "passed": true into
+    # bound.json
+    path = write_config(tmp_path, command, generator="constant:1e308")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{command}: {name}: {message}, and JSON has no NaN or infinity\n"
+    )
+    assert not (out / name).exists()
 
 
 def test_pde_report_counts_are_deterministic(tmp_path):

@@ -235,13 +235,22 @@ def test_stability_lowered_obstacle_orders_solutions():
         assert np.all(yb <= ya + 1e-12)
 
 
-def test_stability_lattice_mismatch_rejected():
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        ((put_model(), TimeGrid(32, 1.0)), "solutions have mismatched step counts"),
+        (
+            (put_model(x0=37.0), TimeGrid(16, 1.0)),
+            "solutions were not computed on one lattice",
+        ),
+    ],
+    ids=["steps", "states"],
+)
+def test_stability_lattice_mismatch_rejected(other, message):
     spec = put_problem()
-    lat_a = build_lattice(put_model(), TimeGrid(16, 1.0))
-    lat_b = build_lattice(put_model(), TimeGrid(32, 1.0))
-    a = moments(solve(lat_a, spec), spec)
-    b = moments(solve(lat_b, spec), spec)
-    with pytest.raises(ValueError, match="mismatch"):
+    a = moments(solve(build_lattice(put_model(), TimeGrid(16, 1.0)), spec), spec)
+    b = moments(solve(build_lattice(*other), spec), spec)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         check_stability(a, b)
 
 

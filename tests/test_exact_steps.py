@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import batch_row, plain, put_model
+from helpers import batch_row, plain
 
 from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
@@ -27,7 +27,7 @@ from rbsde_lab.problem import (
     make_obstacle,
     make_terminal,
 )
-from rbsde_lab.snell import ContractionError, snell_root, solve_snell
+from rbsde_lab.snell import snell_root, solve_snell
 
 # Agreement of the two paths, relative to the largest |Y| (or |u|) of the solution.
 AGREE_REL = 1e-12
@@ -120,30 +120,24 @@ def test_a_zero_y_coeff_gives_the_same_bits_on_both_paths(put_fwd, generator):
     )
 
 
-@pytest.mark.parametrize(
-    "solver",
-    [
-        solve_snell,
-        snell_root,
-        lambda lat, spec: solve_penalized(lat, spec, [1.0]),
-        lambda lat, spec: solve_pde_projected(
-            PdeGrid(0.0, 160.0, 41, lat.grid), spec, put_model()
-        ),
-    ],
-    ids=["solve_snell", "snell_root", "solve_penalized", "solve_pde_projected"],
-)
-def test_exact_step_requires_a_positive_divisor(solver):
-    # f = 9y with a declared kappa of 0.06: kappa * dt = 0.0075 passes, but
-    # 1 - 9 * dt < 0 would turn the exact step's division upside down
-    spec = ProblemSpec(
-        make_generator("linear_discount:-9"),
-        make_terminal("put_payoff:40"),
-        make_obstacle("put_payoff:40"),
-        0.06,
-    )
-    lat = build_lattice(put_model(), TimeGrid(8, 1.0))
-    with pytest.raises(ContractionError, match=r"requires 1 - y_coeff \* dt > 0; got 1 - 9\.0 \*"):
-        solver(lat, spec)
+@pytest.mark.parametrize("rate", ["-9", "9"])
+def test_a_kappa_below_the_affine_y_coefficient_is_rejected_at_construction(rate):
+    # f = 9y (or -9y) with a declared kappa of 0.06: kappa * dt = 0.0075
+    # would pass the contraction check, while for f = 9y 1 - 9 * dt < 0 turns
+    # the exact step's division upside down; so no solver receives such a spec
+    with pytest.raises(
+        ValueError,
+        match=r"^lipschitz_kappa 0\.06 is below the generator's Lipschitz constant in y, 9\.0$",
+    ):
+        ProblemSpec(
+            make_generator(f"linear_discount:{rate}"),
+            make_terminal("put_payoff:40"),
+            make_obstacle("put_payoff:40"),
+            0.06,
+        )
+    # kappa = |y_coeff| is the Lipschitz constant itself
+    spec = ProblemSpec(AffineGenerator(9.0, 1.0), make_terminal("zero"), make_obstacle("zero"), 9.0)
+    assert spec.lipschitz_kappa == abs(spec.generator.y_coeff)
 
 
 # The README's put config; `pde` also gets penalty_n (the one command that

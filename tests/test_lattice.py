@@ -51,6 +51,17 @@ def test_deterministic_drift_lattice_tracks_ode():
         assert np.allclose(layer, k * 0.25, atol=1e-15)
 
 
+@pytest.mark.parametrize("mu", [0.06, -0.3])
+def test_deterministic_geometric_lattice_holds_the_exponential_states(mu):
+    # sigma = 0: every node of layer k holds the bits of x0 * math.exp(mu * k * dt)
+    grid = TimeGrid(16, 1.3)
+    lat = build_lattice(ForwardModel.geometric(mu, 0.0, 36.0), grid)
+    assert len(lat.nodes) == grid.n_steps + 1
+    for k, layer in enumerate(lat.nodes):
+        assert layer.tobytes() == np.full(k + 1, 36.0 * math.exp(mu * k * grid.dt)).tobytes()
+        assert not layer.flags.writeable
+
+
 def test_geometric_lattice_is_a_martingale_without_drift():
     # oracle: exact forward induction of E[X_T] through the branch probabilities
     lat = build_lattice(ForwardModel.geometric(0.0, 0.2, 100.0), TimeGrid(100, 1.0))
