@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimates import (
     check_k_estimate,
-    check_stability,
+    check_stability,  # noqa: F401  (bench/tracing.py hooks the estimates under this name)
     check_y_estimate,
     check_z_estimate,
     solution_moments,
@@ -43,7 +43,6 @@ MONOTONICITY_TOL = 1e-10
 # complementarity of the projected PDE field, and how far the penalized
 # field may rise above it
 PDE_TOL = 1e-8
-SELF_STABILITY_TOL = 1e-12
 # a PDE cell counts as exercised where u - h <= EXERCISE_TIE_TOL
 EXERCISE_TIE_TOL = 1e-8
 
@@ -285,15 +284,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, say) -> int:
     moments = solution_moments(result.triple, cfg.spec, report)
     for check in (check_y_estimate, check_z_estimate, check_k_estimate):
         append_report_jsonl(check(moments, instance_id=cfg.command), jsonl)
-    stability = check_stability(moments, moments)
-    append_report_jsonl(stability, jsonl)
-    say(f"validation_all_pass={report.all_pass} self_stability={stability.delta_y_norm!r}")
-    failed = _contract_failures(report)
-    if not stability.delta_y_norm <= SELF_STABILITY_TOL:
-        failed.append(
-            f"self_stability {stability.delta_y_norm:.3e} > tol {SELF_STABILITY_TOL:.3e}"
-        )
-    return _exit_status(cfg, failed)
+    say(f"validation_all_pass={report.all_pass}")
+    return _exit_status(cfg, _contract_failures(report))
 
 
 def _cmd_convergence(cfg: ExperimentConfig, out: Path, say) -> int:

@@ -132,7 +132,8 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from None
+        text = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config parse error in {path}: {text}") from None
 
     command = _get(cp, "run", "command", str).strip()
     if command not in COMMANDS:
@@ -196,8 +197,9 @@ def load_config(path) -> ExperimentConfig:
             )
         if command == "pde":  # only pde solves the penalized scheme
             pde_penalty_n = _get(cp, "pde", "penalty_n", float, None)
-            if pde_penalty_n is not None and pde_penalty_n < 0.0:
-                raise ConfigError(f"[pde] penalty_n: must be >= 0, got {pde_penalty_n!r}")
+            if pde_penalty_n is not None:
+                with _section_errors("[pde] penalty_n"):
+                    check_schedule([pde_penalty_n])
         if not pde_grid.x_min < model.x0 < pde_grid.x_max:
             raise ConfigError(
                 f"[pde]: x0 = {model.x0} must lie strictly inside "

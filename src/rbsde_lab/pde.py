@@ -29,13 +29,13 @@ of the iteration stays (piecewise) linear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import ForwardModel, TimeGrid
+from .penalty import check_schedule
 from .problem import ProblemSpec, check_terminal_dominates
 from .snell import FP_TOL, _require_contraction, implicit_step
 
@@ -305,6 +305,5 @@ def solve_pde_penalized(
     grid: PdeGrid, spec: ProblemSpec, model: ForwardModel, n: float
 ) -> PdeField:
     """Unconstrained implicit scheme with penalty driver f + n * (u - h)^-."""
-    if not 0.0 <= n < math.inf:
-        raise ValueError(f"penalty intensity must be finite and >= 0, got {n!r}")
+    check_schedule([n])
     return _backward_solve(grid, spec, model, float(n))

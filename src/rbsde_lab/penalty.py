@@ -99,12 +99,11 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
 
     Returns one batched SolutionTriple: each lattice layer holds one row per
     intensity, in order, and row b of every layer is the solution at
-    intensity b, bit for bit the solve at that intensity alone.
+    intensity b, bit for bit the solve at that intensity alone. The
+    intensities are checked by ``check_schedule``, so they must increase
+    strictly.
     """
-    ns = [float(n) for n in intensities]
-    for n in ns:
-        if not 0.0 <= n < math.inf:
-            raise ValueError(f"penalty intensity must be finite and >= 0, got {n!r}")
+    ns = check_schedule(intensities)
     column = np.array(ns).reshape(-1, 1)
     rows = [f"intensity {n!r}" for n in ns]
 
@@ -143,7 +142,7 @@ def check_schedule(schedule) -> list:
     if not ns:
         raise ValueError("schedule must be nonempty")
     if not all(0.0 <= n < math.inf for n in ns):
-        raise ValueError(f"schedule entries must be finite and >= 0, got {ns!r}")
+        raise ValueError(f"penalty intensities must be finite and >= 0, got {ns!r}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("schedule must be strictly increasing")
     return ns

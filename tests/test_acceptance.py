@@ -21,6 +21,7 @@ from rbsde_lab.diagnostics import (
     feynman_kac_check,
     growth_class_check,
 )
+from rbsde_lab.estimates import check_stability, solution_moments
 from rbsde_lab.lattice import ForwardModel, TimeGrid
 from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
@@ -162,6 +163,13 @@ def test_criterion_9_uniqueness_stability(put_lattice_512, put_spec, put_sweep_5
     sol_b = solve_snell(put_lattice_512, spec_b).triple
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(base.y, sol_b.y))
     assert worst <= eps * math.exp(kappa * 1.0)
+    # the same pair through the stability estimate: E sup |Y - Y'|^p is at
+    # most the p-th power of that sup bound
+    stability = check_stability(
+        solution_moments(base, put_spec, validate_solution(base, put_spec)),
+        solution_moments(sol_b, spec_b, validate_solution(sol_b, spec_b)),
+    )
+    assert stability.delta_y_norm <= (eps * math.exp(kappa * 1.0)) ** put_spec.p_exponent
 
 
 @criterion("10 determinism")

@@ -99,17 +99,17 @@ def test_penalize_traces_one_batched_solve_and_one_node_weights(tracing, tmp_pat
 
 @pytest.mark.parametrize("command, count", [("verify", 1), ("solve", 1)])
 def test_each_check_computes_the_node_weights_once(tracing, tmp_path, command, count):
-    # verify: one table shared by the Y, Z and K estimates and the stability
-    # check; solve: one for the K column of the CSV
+    # verify: one table shared by the Y, Z and K estimates; solve: one for
+    # the K column of the CSV
     text = CROSSCHECK_CONFIG.replace("command = crosscheck", f"command = {command}")
     spans = Counter(span.name for span in traced_run(tracing, tmp_path, text))
     assert spans["lattice.node_weights"] == count
     if command == "verify":
-        # one validation; one sup pass over (Y, h+) and one over (dY, dh);
-        # one accumulation pass over (f, Z, K) and one over df
+        # one validation; one sup pass over (Y, h+); one accumulation pass
+        # over (f, Z, K)
         assert spans["problem.validate"] == 1
-        assert spans["problem.sup_moment"] == 2
-        assert spans["problem.accumulation_moment"] == 2
+        assert spans["problem.sup_moment"] == 1
+        assert spans["problem.accumulation_moment"] == 1
 
 
 @pytest.mark.parametrize(

@@ -115,7 +115,7 @@ def test_config_rejects_missing_field(tmp_path):
     "schedule, message",
     [
         ("3,two,1", "schedule must be 'default' or comma-separated numbers, got '3,two,1'"),
-        ("1,-2", "schedule entries must be finite and >= 0, got [1.0, -2.0]"),
+        ("1,-2", "penalty intensities must be finite and >= 0, got [1.0, -2.0]"),
         ("1,1", "schedule must be strictly increasing"),
         (",", "schedule must be nonempty"),
     ],
@@ -530,7 +530,6 @@ VERIFY_16_ESTIMATES_JSONL = """\
 {"empirical_ratio": 0.6574429840226513, "instance_id": "verify", "lhs": 43.019901312914655, "p": 1.5, "rhs_data_functional": 65.43518199812816}
 {"empirical_ratio": 0.5078945399763737, "instance_id": "verify", "lhs": 21.84957298715178, "p": 1.5, "rhs_data_functional": 43.019901312914655}
 {"empirical_ratio": 0.00830747149517012, "instance_id": "verify", "lhs": 0.3573866038820701, "p": 1.5, "rhs_data_functional": 43.019901312914655}
-{"delta_data_norm": 0.0, "delta_f_term": 0.0, "delta_obstacle_term": 0.0, "delta_xi_term": 0.0, "delta_y_norm": 0.0, "psi_t": 130.87036399625632, "ratio": 0.0}
 """
 VERIFY_16_VALIDATION_JSON = """\
 {
@@ -600,6 +599,19 @@ def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
     assert err.startswith("penalize: uniform bound: max quantity ")
     assert "> threshold " in err and "monotonicity" not in err
 
+    # a sweep whose Y falls at some node from one intensity to the next:
+    # the line names both failed checks
+    sweep = cli.run_sweep
+    monkeypatch.setattr(
+        cli,
+        "run_sweep",
+        lambda *args: sweep(*args)._replace(monotonicity_violation=(0.0, 1.0, 0.0, 0.0)),
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("penalize: monotonicity violation 1.000e+00 > 1.000e-10; uniform bound")
+    assert err.count("\n") == 1
+
 
 def test_pde_command(tmp_path, capsys):
     path = write_config(tmp_path, "pde", penalty_n="1000")
@@ -616,7 +628,57 @@ def test_config_rejects_a_negative_pde_penalty(tmp_path, capsys):
     path = write_config(tmp_path, "pde", penalty_n="-5")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "config error: [pde] penalty_n: must be >= 0, got -5.0\n"
+    assert captured.err == (
+        "config error: [pde] penalty_n: penalty intensities must be finite and >= 0, got [-5.0]\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+PDE_SECTION = "[pde]\nx_min = 0.0\nx_max = 160.0\nm_nodes = 81\nn_steps = 60\n\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("missing.cfg", None, "cannot read config {path}: [Errno 2] No such file or directory"),
+        ("folder.cfg", None, "cannot read config {path}: [Errno 21] Is a directory"),
+        (
+            "no-header.cfg",
+            "not an ini\n",
+            "config parse error in {path}: File contains no section headers. "
+            "file: '{path}', line: 1 'not an ini\\n'",
+        ),
+        (
+            "bare-key.cfg",
+            "[run]\ncommand\n",
+            "config parse error in {path}: Source contains parsing errors: '{path}' "
+            "[line  2]: 'command\\n'",
+        ),
+        (
+            "pde.cfg",
+            BASE_CONFIG.format(command="pde").replace(PDE_SECTION, ""),
+            "command 'pde' requires a [pde] section",
+        ),
+        (
+            "crosscheck.cfg",
+            BASE_CONFIG.format(command="crosscheck").replace(PDE_SECTION, ""),
+            "command 'crosscheck' requires a [pde] section",
+        ),
+    ],
+    ids=["missing", "directory", "no-section-header", "bare-key", "pde", "crosscheck"],
+)
+def test_a_config_that_cannot_load_is_one_line(tmp_path, capsys, name, text, message):
+    # configparser's own text spans up to three lines, the second indented
+    path = tmp_path / name
+    if name == "folder.cfg":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message.format(path=path)}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -1038,15 +1100,6 @@ def test_json_reports_keep_their_keys(tmp_path):
         "backward_ok",
     }
     estimate = {"lhs", "rhs_data_functional", "empirical_ratio", "instance_id", "p"}
-    stability = {
-        "delta_y_norm",
-        "delta_xi_term",
-        "delta_f_term",
-        "delta_obstacle_term",
-        "psi_t",
-        "delta_data_norm",
-        "ratio",
-    }
     for command in ("verify", "penalize"):
         path = write_config(tmp_path, command, n_steps="16")
         assert main(["--config", str(path), "--out", str(tmp_path / command), "--quiet"]) == 0
@@ -1056,7 +1109,7 @@ def test_json_reports_keep_their_keys(tmp_path):
         json.loads(line)
         for line in (tmp_path / "verify" / "estimates.jsonl").read_text().splitlines()
     ]
-    assert [set(row) for row in rows] == [estimate] * 3 + [stability]
+    assert [set(row) for row in rows] == [estimate] * 3
     bound = json.loads((tmp_path / "penalize" / "bound.json").read_text())
     assert set(bound) == {"n_values", "quantities", "threshold", "max_quantity", "passed"}
 
@@ -1078,19 +1131,13 @@ def test_solve_names_each_failed_contract_item(tmp_path, capsys, monkeypatch):
     assert json.loads((out / "validation.json").read_text())["all_pass"] is False
 
 
-def test_verify_names_the_contract_and_the_self_stability_check(tmp_path, capsys, monkeypatch):
+def test_verify_names_each_failed_contract_item(tmp_path, capsys, monkeypatch):
     strict_validation(monkeypatch)
-    real = cli.check_stability
-    monkeypatch.setattr(
-        cli,
-        "check_stability",
-        lambda *args: real(*args)._replace(delta_y_norm=1.0),
-    )
     path = write_config(tmp_path, "verify", n_steps="16")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verify: backward_residual ") and err.count("\n") == 1
-    assert err.endswith("; self_stability 1.000e+00 > tol 1.000e-12\n")
+    assert err.endswith(" > tol 1.000e-300\n")
 
 
 def test_pde_names_complementarity_and_the_penalized_gap(tmp_path, capsys, monkeypatch):

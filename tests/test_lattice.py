@@ -130,6 +130,9 @@ def test_expectation_length_mismatch():
     lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(3, 1.0))
     with pytest.raises(ValueError, match="expected 3 values"):
         lattice_expectation(lat, np.zeros(5), 1)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^step index {k} outside \[0, 2\]$"):
+            lattice_expectation(lat, np.zeros(4), k)
 
 
 def test_node_path_sampler_is_deterministic_and_consistent():

@@ -6,7 +6,12 @@ import pytest
 from helpers import far_obstacle, plain, put_model
 
 from rbsde_lab import pde
-from rbsde_lab.diagnostics import chi_supersolution_check, feynman_kac_check, growth_class_check
+from rbsde_lab.diagnostics import (
+    C_SCAN_GRID,
+    chi_supersolution_check,
+    feynman_kac_check,
+    growth_class_check,
+)
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.pde import LcpConvergenceError, PdeGrid, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
@@ -87,7 +92,7 @@ def test_penalized_constant_instance(intensity):
 @pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
 def test_penalized_rejects_a_negative_or_non_finite_intensity(intensity):
     grid = PdeGrid(0.0, 2.0, 21, TimeGrid(16, 1.0))
-    with pytest.raises(ValueError, match="penalty intensity must be finite and >= 0"):
+    with pytest.raises(ValueError, match="penalty intensities must be finite and >= 0"):
         solve_pde_penalized(grid, constant_spec(), frozen_model(), intensity)
 
 
@@ -317,8 +322,10 @@ def test_feynman_kac_probe_reads_its_data_from_the_probe_time():
 
 
 def test_probe_outside_grid_rejected(put_pde_field, put_fwd, put_spec):
-    with pytest.raises(ValueError, match="outside grid"):
+    with pytest.raises(ValueError, match="^probe state 500.0 outside grid$"):
         feynman_kac_check(put_pde_field, put_fwd, put_spec, [(0.0, 500.0)], lattice_steps=8)
+    with pytest.raises(ValueError, match="^probe time 2.0 outside grid$"):
+        feynman_kac_check(put_pde_field, put_fwd, put_spec, [(2.0, 36.0)], lattice_steps=8)
 
 
 # -- comparison function and growth diagnostics ----------------------------
@@ -355,7 +362,12 @@ def test_supersolution_scan_reports_unevaluable_windows():
     grid = PdeGrid(-100.0, 100.0, 51, TimeGrid(64, 1.0))
     report = chi_supersolution_check(1.0, model, 1.0, grid)
     skipped = [r for r in report.rows if not r.evaluable]
-    assert skipped and all("window" in r.reason or "overflow" in r.reason for r in skipped)
+    assert skipped and all(r.reason == "no interior time slice in window" for r in skipped)
+    # a terminal weight of 30 puts every slope's window inside the grid, and
+    # exp of its exponents past the float range
+    report = chi_supersolution_check(30.0, model, 1.0, grid)
+    assert [r.reason for r in report.rows] == ["exponent overflow"] * len(C_SCAN_GRID)
+    assert not report.passed and report.witness_time_slope is None
 
 
 def test_growth_class_checks():

@@ -161,16 +161,16 @@ def test_sweep_schedule_validation():
     with pytest.raises(ValueError):
         solve_penalized(lat, spec, [-3.0])
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="schedule entries must be finite"):
+        with pytest.raises(ValueError, match="penalty intensities must be finite"):
             run_sweep(lat, spec, [1.0, bad])
-        with pytest.raises(ValueError, match="penalty intensity must be finite"):
+        with pytest.raises(ValueError, match="penalty intensities must be finite"):
             solve_penalized(lat, spec, [1.0, bad])
 
 
 @pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
 def test_penalized_root_rejects_a_negative_or_non_finite_intensity(intensity):
     lat = build_lattice(put_model(), TimeGrid(8, 1.0))
-    with pytest.raises(ValueError, match="penalty intensity must be finite and >= 0"):
+    with pytest.raises(ValueError, match="penalty intensities must be finite and >= 0"):
         penalized_root(lat, put_problem(), intensity)
 
 

@@ -5,6 +5,11 @@ an ``ast`` Name or Attribute in the package sources outside its own body,
 in a bench script, or in the acceptance suite. A definition that only the
 other tests reach is dead weight: move it into ``tests/helpers.py`` as an
 oracle, or delete it.
+
+Every name a module imports must be referenced in that module, unless
+``bench/tracing.py`` hooks it there: its ``PATCHES`` swap a function under
+the name by which a module imported it, so such an import stays while its
+hook does.
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rbsde_lab"
 USERS = (*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py")
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _names(tree) -> Counter:
@@ -82,3 +88,72 @@ def test_the_guard_names_definitions_reached_only_from_their_own_body(tmp_path):
     user.write_text("from pkg.mod import Box, used\nused()\nBox().open()\n")
     assert unused_public_names(src, (user,)) == ["recursive", "Box.size"]
     assert unused_public_names(src, ()) == ["used", "recursive", "Box", "Box.open", "Box.size"]
+
+
+def hooked_names(tracing=TRACING) -> set:
+    """The (module, name) pairs whose imported function ``PATCHES`` in ``tracing`` replaces."""
+    for node in ast.parse(Path(tracing).read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "PATCHES" for target in node.targets
+        ):
+            return {(target, attr) for target, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError(f"{tracing} assigns no PATCHES")
+
+
+def unused_imports(src=SRC, hooked=frozenset()) -> list:
+    """``<module>.<name>`` of each name a module of ``src`` imports and never references.
+
+    A name counts as referenced when it appears as an ``ast`` Name in its
+    module. An import that ``hooked`` names as (module, name) is exempt.
+    """
+    unused = []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = f"{Path(src).name}.{path.stem}"
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in referenced and (module, name) not in hooked:
+                    unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_import_is_referenced_or_hooked():
+    unused = unused_imports(hooked=hooked_names())
+    assert not unused, f"imported, but never referenced: {', '.join(unused)}"
+
+
+def test_the_import_guard_names_imports_nothing_references(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import NamedTuple, Optional\n"
+        "from .other import dead, hooked, used\n"
+        "def f(x: np.ndarray) -> Optional[int]:\n"
+        "    return math.floor(used(x))\n"
+    )
+    tracing = tmp_path / "tracing.py"
+    tracing.write_text(
+        "PATCHES = (\n"
+        "    ('pkg.mod', 'hooked', 'layer'),\n"
+        "    ('pkg.other:Box', 'open', 'layer'),\n"
+        ")\n"
+    )
+    hooked = hooked_names(tracing)
+    assert hooked == {("pkg.mod", "hooked"), ("pkg.other:Box", "open")}
+    assert unused_imports(src, hooked) == ["pkg.mod.os", "pkg.mod.NamedTuple", "pkg.mod.dead"]
+    assert unused_imports(src) == [
+        "pkg.mod.os",
+        "pkg.mod.NamedTuple",
+        "pkg.mod.dead",
+        "pkg.mod.hooked",
+    ]
