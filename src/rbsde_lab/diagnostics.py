@@ -63,7 +63,7 @@ def brute_force_stopping_value(lattice: Lattice, spec: ProblemSpec) -> float:
     def best(k: int, j: int) -> float:
         if k == n:
             return float(g[j])
-        p = float(lattice.up_prob[k][j])
+        p = float(lattice.up_prob[k])
         continue_value = float(f0[k][j]) * dt + p * best(k + 1, j + 1) + (1.0 - p) * best(k + 1, j)
         return max(float(h[k][j]), continue_value)
 
@@ -197,6 +197,8 @@ def chi_supersolution_check(
     dx = grid.dx
     n = grid.time.n_steps
     psi = log_bump(xs)
+    sig = model.vol(xs[1:-1])
+    drift = model.drift(xs[1:-1])
 
     rows = []
     witness = None
@@ -223,8 +225,6 @@ def chi_supersolution_check(
             dchi_dt = (chi[r + 1] - chi[r - 1]) / (2.0 * dt)
             chi_x = (chi[r, 2:] - chi[r, :-2]) / (2.0 * dx)
             chi_xx = (chi[r, 2:] - 2.0 * chi[r, 1:-1] + chi[r, :-2]) / dx**2
-            sig = np.asarray(model.vol(times[k], xs[1:-1]), dtype=float)
-            drift = np.asarray(model.drift(times[k], xs[1:-1]), dtype=float)
             op = (
                 -dchi_dt[1:-1]
                 - 0.5 * sig**2 * chi_xx

@@ -2,9 +2,12 @@
 
 The continuous theory bounds the solution by a functional of the data
 (terminal value, generator at the origin, positive part of the obstacle)
-with constants that exist but are never explicit. The lab therefore records
-the empirical ratio lhs / data-functional per instance and regression-gates
-it: re-runs must not drift above a recorded baseline.
+with constants that exist but are never explicit. The lab therefore reports
+the empirical ratio lhs / data-functional per instance. ``verify`` writes
+the ratios and exits on the solution contract alone; their one gate is
+``test_put_family_ratios_stay_within_recorded_baselines``, which holds
+three put instances at N = 256 within 1 % of the baselines recorded in
+``tests/data/estimate_baselines.json``.
 
 All expectations are lattice-probability-weighted sums (noise-free);
 suprema and time integrals along paths are node-conditioned as in

@@ -1,6 +1,6 @@
 """Discrete-time forward models on recombining lattices.
 
-The forward diffusion dX_t = b(t,X_t) dt + sigma(t,X_t) dB_t is approximated
+The forward diffusion dX_t = b(X_t) dt + sigma(X_t) dB_t is approximated
 by a recombining binomial lattice with exact one-step conditional
 expectations (arithmetic and geometric Brownian models). Every expectation
 over the lattice is an exact probability-weighted sum: nothing is sampled.
@@ -84,12 +84,12 @@ class ForwardModel:
     def geometric(cls, mu: float, sigma: float, x0: float) -> "ForwardModel":
         return cls(GEOMETRIC, x0, mu, sigma)
 
-    def drift(self, t, x):
+    def drift(self, x):
         if self.kind == ARITHMETIC:
             return np.full_like(np.asarray(x, dtype=float), self.drift_coeff)
         return self.drift_coeff * np.asarray(x, dtype=float)
 
-    def vol(self, t, x):
+    def vol(self, x):
         if self.kind == ARITHMETIC:
             return np.full_like(np.asarray(x, dtype=float), self.vol_coeff)
         return self.vol_coeff * np.asarray(x, dtype=float)
@@ -99,10 +99,13 @@ class Lattice(NamedTuple):
     """Recombining binomial lattice: step k holds k+1 nodes, branch j -> (j, j+1).
 
     ``nodes[k][j]`` is the state at step k, node j (states increasing in j);
-    ``up_prob[k][j]`` is the probability of the j -> j+1 branch. ``times`` are
-    the grid's ``TimeGrid.times()``, from 0 to the horizon. The layers are
-    read-only: geometric states are views of two shared tables, and every
-    ``up_prob[k]`` is a slice of one table.
+    ``up_prob[k]`` is the probability of every j -> j+1 branch from step k,
+    one ``np.float64``: the model's coefficients do not depend on time, so
+    every step holds the same matched p. It is a tuple of numpy scalars, not
+    one p or a Python float, because the bench's lattice tracer sums
+    ``nbytes`` over ``nodes + up_prob``. ``times`` are the grid's
+    ``TimeGrid.times()``, from 0 to the horizon. The layers are read-only:
+    geometric states are views of two shared tables.
     """
 
     grid: TimeGrid
@@ -162,10 +165,10 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
     p = (exp(mu*dt) - d)/(u - d), which matches the one-step mean exactly and
     the variance to O(dt^2).
 
-    Every ``up_prob[k]`` is the first k + 1 entries of one read-only table
-    of the probability. Arithmetic layers are one array each, the drifted
-    mean plus every other entry of one offset table; geometric layers are
-    slices of two power tables.
+    Every ``up_prob[k]`` is the one ``np.float64`` p (see ``Lattice``).
+    Arithmetic layers are one array each, the drifted mean plus every other
+    entry of one offset table; geometric layers are slices of two power
+    tables.
 
     Raises
     ------
@@ -229,16 +232,13 @@ def build_lattice(model: ForwardModel, grid: TimeGrid) -> Lattice:
             f"state at step {k}, node {j} is {float(nodes[k][j])!r}: "
             f"the forward model leaves the float range before the horizon"
         )
-    probs = np.full(n, p)
-    probs.setflags(write=False)
-    up_prob = [probs[: k + 1] for k in range(n)]
-    return Lattice(grid, model, grid.times(), tuple(nodes), tuple(up_prob))
+    return Lattice(grid, model, grid.times(), tuple(nodes), (np.float64(p),) * n)
 
 
 def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np.ndarray:
     """One-step conditional expectation: map values at step k+1 back to step k.
 
-    ``out[j] = p[k][j] * values_next[j+1] + (1 - p[k][j]) * values_next[j]``;
+    ``out[j] = p[k] * values_next[j+1] + (1 - p[k]) * values_next[j]``;
     a leading axis of ``values_next`` is a batch of layers, mapped row by row.
     """
     values_next = np.asarray(values_next, dtype=float)
@@ -250,3 +250,23 @@ def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np
         )
     p = lattice.up_prob[k]
     return p * values_next[..., 1:] + (1.0 - p) * values_next[..., :-1]
+
+
+def forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarray:
+    """Layer k's statistic averaged over the branches into each node of layer k+1.
+
+    The average is probability-weighted and is 0 at an unreachable node
+    (weight 0); a leading axis is a batch of statistics, averaged row by
+    row. ``weights`` are the lattice's ``node_weights()``.
+    """
+    p = lattice.up_prob[k]
+    w = weights[k]
+    # Allocate the result before the scratch numerator: when a caller keeps
+    # every layer (k_nodewise), the other order leaves a freed gap next to
+    # each kept layer and raises the process's peak memory.
+    avg = np.zeros(stat.shape[:-1] + (k + 2,))
+    num = np.zeros(avg.shape)
+    num[..., 1:] += w * p * stat
+    num[..., :-1] += w * (1.0 - p) * stat
+    denom = weights[k + 1]
+    return np.divide(num, denom, out=avg, where=denom > 0.0)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice, lattice_expectation
+from .lattice import Lattice, forward_average, lattice_expectation
 
 # the contract's tolerance for the obstacle, K's increments and the backward
 # equation, and the Skorokhod sum's own
@@ -174,26 +174,6 @@ def make_obstacle(name: str) -> Callable:
 # Noise-free lattice functionals
 # ---------------------------------------------------------------------------
 
-def _forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarray:
-    """Layer k's statistic averaged over the branches into each node of layer k+1.
-
-    The average is probability-weighted and is 0 at an unreachable node
-    (weight 0); a leading axis is a batch of statistics, averaged row by
-    row. ``weights`` are the lattice's ``node_weights()``.
-    """
-    p = lattice.up_prob[k]
-    w = weights[k]
-    # Allocate the result before the scratch numerator: when a caller keeps
-    # every layer (k_nodewise), the other order leaves a freed gap next to
-    # each kept layer and raises the process's peak memory.
-    avg = np.zeros(stat.shape[:-1] + (k + 2,))
-    num = np.zeros(avg.shape)
-    num[..., 1:] += w * p * stat
-    num[..., :-1] += w * (1.0 - p) * stat
-    denom = weights[k + 1]
-    return np.divide(num, denom, out=avg, where=denom > 0.0)
-
-
 def _weighted_moment(weights: list, last, power):
     """E[last ** power] for the terminal layer ``last``: a float, or one per row of a batch.
 
@@ -217,7 +197,7 @@ def accumulated_along(lattice: Lattice, addends, weights: list):
     acc = np.zeros(1)
     yield acc
     for k, a in enumerate(addends):
-        acc = _forward_average(lattice, weights, acc + np.asarray(a, dtype=float), k)
+        acc = forward_average(lattice, weights, acc + np.asarray(a, dtype=float), k)
         yield acc
 
 
@@ -232,7 +212,7 @@ def lattice_sup_moment(lattice: Lattice, values, power: float, weights: list):
     sup = np.abs(np.asarray(next(layers), dtype=float))
     for k, v in enumerate(layers):
         sup = np.maximum(
-            _forward_average(lattice, weights, sup, k), np.abs(np.asarray(v, dtype=float))
+            forward_average(lattice, weights, sup, k), np.abs(np.asarray(v, dtype=float))
         )
     return _weighted_moment(weights, sup, power)
 

@@ -75,7 +75,7 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     """Integrand estimate at step k from next-layer values (discrete delta hedge).
 
     Z[k][j] = (y_next[j+1] - y_next[j]) / (x_{k+1,j+1} - x_{k+1,j})
-              * sigma(t_k, x_{k,j});
+              * sigma(x_{k,j});
     zero where the lattice spacing is degenerate (sigma = 0). A leading axis
     of ``y_next`` is a batch of layers, estimated row by row.
     """
@@ -86,7 +86,7 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     dx = x_next[1:] - x_next[:-1]
     dy = y_next[..., 1:] - y_next[..., :-1]
     slope = np.divide(dy, dx, out=np.zeros(dy.shape), where=dx != 0.0)
-    sigma = lattice.model.vol(lattice.times[k], lattice.nodes[k])
+    sigma = lattice.model.vol(lattice.nodes[k])
     return slope * sigma
 
 

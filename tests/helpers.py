@@ -35,6 +35,31 @@ def plain(generator):
     return lambda t, x, y, z: generator(t, x, y, z)
 
 
+def _normal_cdf(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def black_scholes_put(x0, strike, r, sigma, horizon) -> float:
+    """European put on dX = r X dt + sigma X dB, discounted at r (Black-Scholes)."""
+    s = sigma * math.sqrt(horizon)
+    d1 = (math.log(x0 / strike) + r * horizon) / s + 0.5 * s
+    d2 = d1 - s
+    return strike * math.exp(-r * horizon) * _normal_cdf(-d2) - x0 * _normal_cdf(-d1)
+
+
+def bachelier_put(x0, strike, r, b0, sigma0, horizon) -> float:
+    """European put on dX = b0 dt + sigma0 dB, discounted at r (Bachelier).
+
+    X_T is normal with mean x0 + b0 T and deviation sigma0 sqrt(T), so
+    E[(K - X_T)^+] = (K - m) Phi(d) + s phi(d) with d = (K - m) / s.
+    """
+    m = x0 + b0 * horizon
+    s = sigma0 * math.sqrt(horizon)
+    d = (strike - m) / s
+    density = math.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+    return math.exp(-r * horizon) * ((strike - m) * _normal_cdf(d) + s * density)
+
+
 def put_problem(strike=40.0, r=0.06, p=1.5) -> ProblemSpec:
     return ProblemSpec(
         generator=make_generator(f"linear_discount:{r}"),
@@ -66,7 +91,7 @@ def sample_node_paths(lattice, n_paths, seed) -> np.ndarray:
     uniforms = rng.random((n_paths, n))
     idx = np.zeros((n_paths, n + 1), dtype=np.int64)
     for k in range(n):
-        p = lattice.up_prob[k][idx[:, k]]
+        p = lattice.up_prob[k]
         idx[:, k + 1] = idx[:, k] + (uniforms[:, k] < p)
     return idx
 
@@ -203,7 +228,7 @@ def enumerate_markov_stopping_rules(lattice, spec) -> float:
                     total += prob * float(h[k][j])
                 else:
                     total += prob * float(f0[k][j]) * dt
-                    p = float(lattice.up_prob[k][j])
+                    p = float(lattice.up_prob[k])
                     nxt[j + 1] = nxt.get(j + 1, 0.0) + prob * p
                     nxt[j] = nxt.get(j, 0.0) + prob * (1.0 - p)
             alive = nxt

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde_lab import cli, config, problem, snell
+from rbsde_lab import cli, config, pde, problem, snell
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
@@ -433,6 +433,10 @@ def test_crosscheck_exit_codes(tmp_path, capsys):
     cfg = load_config(path)
     lattice = build_lattice(cfg.model, cfg.lattice_grid)
     assert payload["penalized_tail_y0"] == run_sweep(lattice, cfg.spec, cfg.schedule).y0[-1]
+    # f = 1e300 puts u - h near 1e298, which once scaled the PDE solve's
+    # rounding past the float range (a RuntimeWarning, an error under pytest)
+    path = write_config(tmp_path, "crosscheck", generator="constant:1e300")
+    assert main(["--config", str(path), "--out", str(tmp_path / "huge"), "--quiet"]) == 0
     # impossible tolerance must flip the exit status and name every gap over it
     path = write_config(tmp_path, "crosscheck", tol="1e-9")
     assert main(["--config", str(path), "--out", str(tmp_path / "strict"), "--quiet"]) == 1
@@ -558,7 +562,9 @@ def test_verify_artifacts_are_unchanged(tmp_path):
 # sha256 of every artifact of `solve` with n_steps = 16 and of `pde` on a
 # 41x20 grid with penalty_n = 1000, on the config above, as written since
 # affine one-step equations are solved in closed form (validation.json:
-# since the contract report dropped its K_0 keys).
+# since the contract report dropped its K_0 keys; pde_report.json: since a
+# residual inside its row's noise floor counts as 0, which makes
+# complementarity and min_operator_residual 0.0 on this grid).
 ARTIFACT_DIGESTS = {
     "solve": {
         "snell.csv": "90cd90eb515454d3b11e3b6c4c4506a72dd7df0308909f3ef39d27ecd9919900",
@@ -567,7 +573,7 @@ ARTIFACT_DIGESTS = {
     "dirichlet-obstacle": {
         "pde.csv": "0e0b49dde0fc5b225cb59ac2250c97d9dff10c47f9b068f0e7413dc2420e190f",
         "pde_penalized.csv": "3fae87db3d287d216f9519e662ad7f6cafb7ce49d13e329e6487120330190dde",
-        "pde_report.json": "a89dc95d094f934f458134efb62c757c6e1285111476efb338122b2d775b2ccf",
+        "pde_report.json": "622cc7d1adc316737c86d828aad571950fe280da9574a553e6db9815053552a3",
     },
 }
 
@@ -614,12 +620,32 @@ def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
 
 
 def test_pde_command(tmp_path, capsys):
-    path = write_config(tmp_path, "pde", penalty_n="1000")
-    out = tmp_path / "pde"
-    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
-    assert (out / "pde.csv").exists()
-    assert (out / "pde_penalized.csv").exists()
-    assert json.loads((out / "pde_report.json").read_text())["complementarity"] <= 1e-8
+    # an obstacle far below the solution: u - h is about 1e7 (1e9) off it,
+    # and the solve's rounding in A v - rhs must not be scaled by it into a
+    # complementarity gap (both exited 1 before rounding counted as 0)
+    for obstacle in ("put_payoff:40", "constant:-1e7", "constant:-1e9"):
+        path = write_config(tmp_path, "pde", penalty_n="1000", obstacle=obstacle)
+        out = tmp_path / obstacle
+        assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "pde.csv").exists()
+        assert (out / "pde_penalized.csv").exists()
+        assert json.loads((out / "pde_report.json").read_text())["complementarity"] <= 1e-8
+
+
+def test_pde_fails_a_solve_that_misses_its_equation(tmp_path, capsys, monkeypatch):
+    # one interior value of every Thomas solve off by a relative 1e-6: the
+    # residual leaves its noise floor and complementarity names the error
+    thomas = pde._thomas
+
+    def planted(*args):
+        v = thomas(*args)
+        v[len(v) // 2] *= 1.0 + 1e-6
+        return v
+
+    monkeypatch.setattr(pde, "_thomas", planted)
+    path = write_config(tmp_path, "pde", m_nodes="41", n_steps="20", penalty_n="1000")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "pde: complementarity 2.968e-07 > tol 1.000e-08\n"
 
 
 def test_config_rejects_a_negative_pde_penalty(tmp_path, capsys):

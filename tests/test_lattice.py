@@ -86,8 +86,8 @@ def test_one_step_moments_match_to_second_order(model):
         up, dn = lat.nodes[k + 1][1:], lat.nodes[k + 1][:-1]
         mean = p * up + (1.0 - p) * dn - x
         var = p * (up - x) ** 2 + (1.0 - p) * (dn - x) ** 2 - mean**2
-        drift = model.drift(lat.times[k], x)
-        vol = model.vol(lat.times[k], x)
+        drift = model.drift(x)
+        vol = model.vol(x)
         scale = 1.0 + np.abs(x)
         big_c = 5.0 * (model.drift_coeff**2 + model.vol_coeff**2 + 1.0) * scale
         assert np.all(np.abs(mean - drift * dt) <= big_c * dt**2)
@@ -150,9 +150,17 @@ def test_node_path_sampler_follows_the_branch_law():
     lat = build_lattice(ForwardModel.geometric(0.06, 0.4, 36.0), TimeGrid(30, 1.0))
     paths = sample_node_paths(lat, 50_000, seed=11)
     assert np.all(paths[:, 0] == 0)
-    p = float(lat.up_prob[0][0])
+    p = float(lat.up_prob[0])
     ups = np.diff(paths, axis=1).mean()
     assert ups == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / paths[:, 1:].size))
+
+
+def assert_one_probability_per_step(lat, p):
+    # the model's coefficients do not depend on time: one np.float64 per step
+    assert isinstance(lat.up_prob, tuple) and len(lat.up_prob) == lat.n_steps
+    for q in lat.up_prob:
+        assert type(q) is np.float64
+        assert q.tobytes() == np.float64(p).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])
@@ -165,8 +173,7 @@ def test_geometric_nodes_are_the_reference_powers_bit_for_bit(n_steps):
         # the oracle: node j of layer k is x0 * u**(2j - k)
         reference = 36.0 * u ** (2.0 * np.arange(k + 1) - k)
         assert lat.nodes[k].tobytes() == reference.tobytes()
-    for k in range(n_steps):
-        assert lat.up_prob[k].tobytes() == np.full(k + 1, p).tobytes()
+    assert_one_probability_per_step(lat, p)
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 385])
@@ -185,23 +192,7 @@ def test_arithmetic_nodes_are_the_reference_formula_bit_for_bit(n_steps, b0, s0,
         assert lat.nodes[k].tobytes() == reference.tobytes()
     if s0 == 0.0:
         assert np.signbit(lat.nodes[-1][0]) and not np.signbit(lat.nodes[-1][-1])
-    for k in range(n_steps):
-        assert lat.up_prob[k].tobytes() == np.full(k + 1, 0.5).tobytes()
-
-
-@pytest.mark.parametrize(
-    "model",
-    [ForwardModel.geometric(0.06, 0.4, 36.0), ForwardModel.arithmetic(0.3, 0.7, 2.0)],
-    ids=["geometric", "arithmetic"],
-)
-def test_up_probabilities_share_one_read_only_table(model):
-    lat = build_lattice(model, TimeGrid(9, 1.0))
-    table = lat.up_prob[-1]
-    assert not table.flags.writeable
-    for k, p in enumerate(lat.up_prob):
-        assert p.shape == (k + 1,)
-        assert np.shares_memory(p, table)
-        assert p.base is table.base and not p.base.flags.writeable
+    assert_one_probability_per_step(lat, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -215,5 +206,5 @@ def test_lattice_layers_are_read_only(model):
         lat.nodes[5][2] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         lat.nodes[4] *= 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        lat.up_prob[3][0] = 1.0
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        lat.up_prob[3] = 1.0

@@ -129,7 +129,7 @@ def test_estimate_z_batch_is_the_diff_formula_bit_for_bit(model):
     y_next = np.random.default_rng(5).normal(size=(11, k + 2))
     dx = np.diff(lat.nodes[k + 1])
     slope = np.divide(np.diff(y_next, axis=-1), dx, out=np.zeros((11, k + 1)), where=dx != 0.0)
-    reference = slope * model.vol(lat.times[k], lat.nodes[k])
+    reference = slope * model.vol(lat.nodes[k])
     z = estimate_z(lat, y_next, k)
     assert z.tobytes() == reference.tobytes()
     assert np.all(z[:, dx == 0.0] == 0.0)

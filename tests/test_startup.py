@@ -125,7 +125,11 @@ def test_no_record_is_a_dataclass():
 
 
 def _one_of_each(tmp_path) -> dict:
-    """An instance of every record, made by the calls a command makes."""
+    """An instance of every record, made by the calls a command or an acceptance criterion makes.
+
+    ``StabilityReport`` comes from criterion 9's pair: the config's put, and
+    the same put with its terminal shifted by eps = 0.05.
+    """
     path = tmp_path / "put.cfg"
     path.write_text(CONFIG)
     cfg = load_config(path)
@@ -134,6 +138,10 @@ def _one_of_each(tmp_path) -> dict:
     report = validate_solution(result.triple, cfg.spec)
     trace = run_sweep(lattice, cfg.spec, (1.0, 8.0))
     moments = solution_moments(result.triple, cfg.spec, report)
+    eps = 0.05
+    shifted = dataclasses.replace(cfg.spec, terminal=lambda x: cfg.spec.terminal(x) + eps)
+    moved = solve_snell(lattice, shifted).triple
+    moved_moments = solution_moments(moved, shifted, validate_solution(moved, shifted))
     found = [
         cfg,
         lattice,
@@ -145,7 +153,7 @@ def _one_of_each(tmp_path) -> dict:
         check_uniform_bound(trace),
         solve_pde_projected(cfg.pde_grid, cfg.spec, cfg.model),
         check_y_estimate(moments),
-        check_stability(moments, moments),
+        check_stability(moments, moved_moments),
         moments,
     ]
     return {type(r): r for r in found}

@@ -10,6 +10,10 @@ Every name a module imports must be referenced in that module, unless
 ``bench/tracing.py`` hooks it there: its ``PATCHES`` swap a function under
 the name by which a module imported it, so such an import stays while its
 hook does.
+
+The branch law lives in ``lattice.py``: no other module reads a lattice's
+``up_prob``, except the oracle in ``diagnostics.py``, which re-derives the
+law on purpose.
 """
 
 import ast
@@ -157,3 +161,37 @@ def test_the_import_guard_names_imports_nothing_references(tmp_path):
         "pkg.mod.dead",
         "pkg.mod.hooked",
     ]
+
+
+BRANCH_LAW_READERS = ("lattice.py", "diagnostics.py")
+
+
+def branch_law_readers(src=SRC, allowed=BRANCH_LAW_READERS) -> list:
+    """The modules of ``src`` outside ``allowed`` that read the attribute ``up_prob``."""
+    readers = []
+    for path in sorted(Path(src).glob("*.py")):
+        if path.name in allowed:
+            continue
+        tree = ast.parse(path.read_text())
+        if any(isinstance(node, ast.Attribute) and node.attr == "up_prob" for node in ast.walk(tree)):
+            readers.append(path.name)
+    return readers
+
+
+def test_only_the_lattice_module_reads_the_branch_probabilities():
+    readers = branch_law_readers()
+    assert not readers, f"read up_prob outside lattice.py: {', '.join(readers)}"
+
+
+def test_the_branch_law_guard_names_modules_that_read_up_prob(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "lattice.py").write_text("def e(lat, k):\n    return lat.up_prob[k]\n")
+    (src / "diagnostics.py").write_text("def oracle(lat):\n    return lat.up_prob[0]\n")
+    (src / "problem.py").write_text("def average(lat, k):\n    p = lat.up_prob[k]\n    return p\n")
+    # a keyword or a local of that name reads no lattice's probabilities
+    (src / "snell.py").write_text(
+        "def f(lat, up_prob):\n    return lat._replace(up_prob=up_prob)\n"
+    )
+    assert branch_law_readers(src) == ["problem.py"]
+    assert branch_law_readers(src, ()) == ["diagnostics.py", "lattice.py", "problem.py"]
