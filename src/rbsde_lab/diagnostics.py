@@ -19,7 +19,6 @@ import this module, and a command's process never compiles it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +104,7 @@ def _started_at(spec: ProblemSpec, t: float) -> ProblemSpec:
         def generator(s, x, y, z):
             return spec.generator(s + t, x, y, z)
 
-    return replace(spec, generator=generator, obstacle=obstacle)
+    return spec._replace(generator=generator, obstacle=obstacle)
 
 
 def feynman_kac_check(
@@ -130,7 +129,7 @@ def feynman_kac_check(
         if remaining <= 1e-12:
             y_val = float(np.asarray(spec.terminal(np.array([float(x)])))[0])
         else:
-            probe_model = replace(model, x0=float(x))
+            probe_model = model._replace(x0=float(x))
             probe_lattice = build_lattice(probe_model, TimeGrid(lattice_steps, remaining))
             y_val = snell_root(probe_lattice, _started_at(spec, float(t)))
         abs_err = abs(u_val - y_val)

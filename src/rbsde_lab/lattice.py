@@ -12,7 +12,6 @@ extension point, not built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,18 +24,43 @@ class CoarseTimeStepError(ValueError):
     """Raised when no lattice on the grid matches the model (see ``build_lattice``)."""
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class Validated:
+    """Base of an input record: a ``NamedTuple`` of fields that checks them when it is made.
+
+    A record is ``class R(Validated, _RFields)``, where ``_RFields`` is the
+    ``NamedTuple`` of its fields, with ``__slots__ = ()`` and a ``_check``
+    that raises ``ValueError`` on a bad value. Every way of making one runs
+    ``_check``: the constructor, ``_make`` and so ``_replace``. Like any
+    ``NamedTuple`` it refuses assignment.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _TimeGridFields(NamedTuple):
+    n_steps: int
+    horizon: float
+
+
+class TimeGrid(Validated, _TimeGridFields):
     """Uniform partition of [0, horizon] into ``n_steps``.
 
     Time starts at 0 in every solver: the lattice and the PDE grid both
     take their time points from ``times()``.
     """
 
-    n_steps: int
-    horizon: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.horizon > 0.0:
@@ -51,8 +75,14 @@ class TimeGrid:
         return self.horizon * np.arange(n + 1) / n
 
 
-@dataclass(frozen=True)
-class ForwardModel:
+class _ForwardModelFields(NamedTuple):
+    kind: str
+    x0: float
+    drift_coeff: float = 0.0
+    vol_coeff: float = 0.0
+
+
+class ForwardModel(Validated, _ForwardModelFields):
     """One-dimensional forward diffusion with constant coefficients.
 
     Two kinds are supported:
@@ -63,12 +93,9 @@ class ForwardModel:
     The model starts at x0 at time 0; the coefficients do not depend on t.
     """
 
-    kind: str
-    x0: float
-    drift_coeff: float = 0.0
-    vol_coeff: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (ARITHMETIC, GEOMETRIC):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.vol_coeff < 0.0:
@@ -250,6 +277,16 @@ def lattice_expectation(lattice: Lattice, values_next: np.ndarray, k: int) -> np
         )
     p = lattice.up_prob[k]
     return p * values_next[..., 1:] + (1.0 - p) * values_next[..., :-1]
+
+
+def branch_probability(lattice: Lattice):
+    """The probability p of every j -> j+1 branch: each step holds the same one (see ``Lattice``).
+
+    A pass over all the steps reads p once here, and computes with it what
+    ``lattice_expectation`` computes at each step, without that function's
+    checks.
+    """
+    return lattice.up_prob[0]
 
 
 def forward_average(lattice: Lattice, weights: list, stat, k: int) -> np.ndarray:

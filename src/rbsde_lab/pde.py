@@ -13,28 +13,28 @@ the tests run them.
 
 Two schemes are provided, and one kernel solves each implicit step of
 both: policy (Howard) iteration on the active set {v < h}, one tridiagonal
-Thomas solve per iteration, until the active set stops changing. The
+(Thomas) solve per iteration, until the active set stops changing. The
 projected scheme solves the step's linear complementarity problem exactly:
 active rows are pinned to the obstacle, v = h. The penalized scheme replaces
 the constraint by the driver term n * (u - h)^- and never projects: active
 rows carry n * dt on the diagonal and n * dt * h on the right-hand side,
 which makes each iteration a Newton step for the piecewise-linear equation.
 The active set is warm-started from the previous solve, so most solves take
-one iteration. Each time step is one ``snell.implicit_step``: for
-f = a * y + b, -a * dt joins the diagonal and b * dt the right-hand side of
-one LCP solve. An affine generator takes that solve once; any other f is
-lagged, frozen at the previous iterate with z = sigma * u_x, so each solve
-of the iteration stays (piecewise) linear.
+one iteration, and the matrix of an active set is factored once: while the
+set holds, a solve only sweeps its right-hand side. Each time step is one
+``snell.implicit_step``: for f = a * y + b, -a * dt joins the diagonal and
+b * dt the right-hand side of one LCP solve. An affine generator takes
+that solve once; any other f is lagged, frozen at the previous iterate with
+z = sigma * u_x, so each solve of the iteration stays (piecewise) linear.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ForwardModel, TimeGrid
+from .lattice import ForwardModel, TimeGrid, Validated
 from .penalty import check_schedule
 from .problem import ProblemSpec, check_terminal_dominates
 from .snell import FP_TOL, _require_contraction, implicit_step
@@ -46,8 +46,14 @@ class LcpConvergenceError(RuntimeError):
     """Raised when policy iteration on the active set does not settle."""
 
 
-@dataclass(frozen=True)
-class PdeGrid:
+class _PdeGridFields(NamedTuple):
+    x_min: float
+    x_max: float
+    m_nodes: int
+    time: TimeGrid
+
+
+class PdeGrid(Validated, _PdeGridFields):
     """Uniform space-time grid on [x_min, x_max] x [0, horizon].
 
     The space points are ``xs()``, the time points ``time.times()``.
@@ -61,12 +67,9 @@ class PdeGrid:
     at both ends in either scheme.
     """
 
-    x_min: float
-    x_max: float
-    m_nodes: int
-    time: TimeGrid
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.m_nodes < 3:
             raise ValueError("m_nodes must be >= 3")
         if not self.x_min < self.x_max:
@@ -142,59 +145,85 @@ def _gradient(full_u: np.ndarray, dx: float) -> np.ndarray:
     return (full_u[2:] - full_u[:-2]) / (2.0 * dx)
 
 
-def _thomas(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a tridiagonal system by elimination without pivoting.
+def _factor(lower, diag, upper):
+    """Elimination coefficients of a tridiagonal matrix, for ``_sweep``.
 
-    ``lower[0]`` must be zero and ``upper[-1]`` is not read. Stable for the
-    strictly diagonally dominant rows of an implicit step.
+    Elimination without pivoting: beta_i = diag_i - lower_i * c_{i-1} and
+    c_i = upper_i / beta_i. ``lower[0]`` must be zero and ``upper[-1]`` is
+    not read. Stable for the strictly diagonally dominant rows of an
+    implicit step. Returns (lower, beta, c) as lists, with c in the order
+    back-substitution reads it: reversed, without its last entry.
     """
-    c_rows, d_rows = [], []
-    c_prev = d_prev = 0.0
-    for a, b, c, d in zip(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()):
+    lows = lower.tolist()
+    betas, cs = [], []
+    c_prev = 0.0
+    for a, b, c in zip(lows, diag.tolist(), upper.tolist()):
         beta = b - a * c_prev
         c_prev = c / beta
+        betas.append(beta)
+        cs.append(c_prev)
+    return lows, betas, cs[-2::-1]
+
+
+def _sweep(factors, rhs) -> np.ndarray:
+    """Solve the tridiagonal system that ``_factor`` factored for the right-hand side ``rhs``."""
+    lows, betas, c_back = factors
+    d_rows = []
+    d_prev = 0.0
+    for a, beta, d in zip(lows, betas, rhs.tolist()):
         d_prev = (d - a * d_prev) / beta
-        c_rows.append(c_prev)
         d_rows.append(d_prev)
-    x = d_rows[-1]
+    x = d_prev
     out = [x]
-    for c, d in zip(reversed(c_rows[:-1]), reversed(d_rows[:-1])):
+    for c, d in zip(c_back, d_rows[-2::-1]):
         x = d - c * x
         out.append(x)
     out.reverse()
     return np.array(out)
 
 
-def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
+def _policy_lcp(matrix, rhs, h, weight, active, factored, step):
     """Policy (Howard) iteration for one implicit step on the active set.
 
-    With A the tridiagonal matrix (lower, diag, upper), lower[0] = upper[-1]
-    = 0, this solves min(A v - rhs, v - h) = 0 when ``weight`` is None
-    (projected) and A v = rhs + weight * (h - v)^+ otherwise (penalized).
-    Each iteration is one Thomas solve in which the active rows are replaced:
-    the projected scheme pins v = h there, the penalized scheme adds
-    ``weight`` to the diagonal and weight * h to the right-hand side. A row
-    joins the active set where v < h and leaves it where A v - rhs (the
-    multiplier, or the penalty force) falls below the float noise floor of
-    the row, -FP_TOL * (1 + |rhs| + (|lower| + diag + |upper|) * |h|), so
-    rows tied at the obstacle cannot cycle.
-    ``active`` is the warm start. Returns (v, A v - rhs, active set,
-    iterations), with each entry of A v - rhs inside its row's noise floor
-    set to 0; rows are interior grid nodes, so row i is node i + 1 in the
-    error raised after POLICY_MAX_ITER solves.
+    ``matrix`` is (lower, diag, upper, row_norm): A is the tridiagonal
+    matrix (lower, diag, upper), lower[0] = upper[-1] = 0, and row_norm =
+    |lower| + diag + |upper|. This solves min(A v - rhs, v - h) = 0 when
+    ``weight`` is None (projected) and A v = rhs + weight * (h - v)^+
+    otherwise (penalized). Each iteration is one tridiagonal solve in which
+    the active rows are replaced: the projected scheme pins v = h there,
+    the penalized scheme adds ``weight`` to the diagonal and weight * h to
+    the right-hand side. A row joins the active set where v < h and leaves
+    it where A v - rhs (the multiplier, or the penalty force) falls below
+    the float noise floor of the row, -FP_TOL * (1 + |rhs| + row_norm * |h|),
+    so rows tied at the obstacle cannot cycle.
+
+    ``active`` is the warm start, and ``factored`` the last factorization,
+    (matrix, active set, ``_factor``'s factors), or None: an iteration on
+    that matrix and active set only sweeps (``_sweep``), and any other
+    factors its own in its place. Returns (v, A v - rhs, active set,
+    iterations, factored), with each entry of A v - rhs inside its row's
+    noise floor set to 0; rows are interior grid nodes, so row i is node
+    i + 1 in the error raised after POLICY_MAX_ITER solves.
     """
-    row_norm = np.abs(lower) + diag + np.abs(upper)
+    lower, diag, upper, row_norm = matrix
     noise = -FP_TOL * (1.0 + np.abs(rhs) + row_norm * np.abs(h))
+    push = None if weight is None else weight * h
     for iteration in range(1, POLICY_MAX_ITER + 1):
+        key = active.tobytes()
+        if factored is None or factored[0] is not matrix or factored[1] != key:
+            if weight is None:
+                factors = _factor(
+                    np.where(active, 0.0, lower),
+                    np.where(active, 1.0, diag),
+                    np.where(active, 0.0, upper),
+                )
+            else:
+                factors = _factor(lower, diag + weight * active, upper)
+            factored = matrix, key, factors
         if weight is None:
-            v = _thomas(
-                np.where(active, 0.0, lower),
-                np.where(active, 1.0, diag),
-                np.where(active, 0.0, upper),
-                np.where(active, h, rhs),
-            )
+            v = _sweep(factored[2], np.where(active, h, rhs))
         else:
-            v = _thomas(lower, diag + weight * active, upper, rhs + weight * h * active)
+            v = _sweep(factored[2], rhs + push * active)
         resid = diag * v - rhs
         resid[1:] += lower[1:] * v[:-1]
         resid[:-1] += upper[:-1] * v[1:]
@@ -204,7 +233,8 @@ def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
             # which a large u - h would scale into a false complementarity gap
             # (|noise|, not -noise: a first np.negative call in the process
             # raised the bench's `pde` peak memory by about 0.1 MB)
-            return v, np.where(np.abs(resid) <= np.abs(noise), 0.0, resid), active, iteration
+            resid = np.where(np.abs(resid) <= np.abs(noise), 0.0, resid)
+            return v, resid, active, iteration, factored
         active, previous = settled, active
     gap = np.minimum(resid, v - h)
     moving = np.flatnonzero(active != previous)
@@ -216,6 +246,19 @@ def _policy_lcp(lower, diag, upper, rhs, h, weight, active, step):
     )
 
 
+# A step whose data pass 2**1000 in magnitude is solved on the data times
+# 2**-64: the elimination and the Dirichlet coupling multiply the data by
+# row entries, which would leave the float range on a finite answer.
+# Scaling by a power of two is exact, so only a value past the float range
+# itself becomes inf.
+_LARGE = 2.0**1000
+_DOWN = 2.0**-64
+_UP = 2.0**64
+
+
+# Data past the float range run on to inf or nan without a warning, and the
+# step's finiteness check names the first such step and node.
+@np.errstate(over="ignore", invalid="ignore")
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
@@ -226,8 +269,9 @@ def _backward_solve(grid, spec, model, n):
     on the diagonal, b * dt on the right-hand side and those end values as
     Dirichlet data. A generator that is not affine is frozen on the whole
     row at the previous iterate, with z = sigma * u_x inside and z = 0 at
-    the held ends. Every call is warm-started from the active set of the
-    previous call.
+    the held ends. Every call is warm-started from the active set and the
+    factorization of the previous call, and a step whose data pass
+    2**1000 is solved on scaled data.
     """
     dt = grid.time.dt
     _require_contraction(spec, dt)
@@ -246,32 +290,46 @@ def _backward_solve(grid, spec, model, n):
     u = np.empty((grid.time.n_steps + 1, grid.m_nodes))
     u[-1] = np.asarray(spec.terminal(xs), dtype=float)
     active = np.zeros(x_int.shape, dtype=bool)
-    resid = None
+    factored = resid = None
     worst_comp = worst_resid = 0.0
     max_policy = max_lag = 0
-    # diag - dt * a for each a a step is called with: one per solve, since an
-    # affine generator passes its own a and any other f passes 0
-    shifted = {}
+    # the matrix with diag - dt * a for each a a step is called with: one
+    # per solve, since an affine generator passes its own a and any other
+    # f passes 0
+    matrices = {}
+
+    def interior(matrix, cont, h_int, first, last):
+        """``_policy_lcp`` on the interior with the end values first and last; returns (v, resid)."""
+        nonlocal active, factored, max_policy
+        # 0.0 - x rather than -x: a zero product gives +0.0, not -0.0
+        bc = np.zeros(x_int.shape)
+        bc[0] -= edge_lower * first
+        bc[-1] -= edge_upper * last
+        v, resid, active, iterations, factored = _policy_lcp(
+            matrix, cont + bc, h_int, weight, active, factored, k
+        )
+        max_policy = max(max_policy, iterations)
+        return v, resid
 
     def step(a, b):
-        nonlocal active, resid, lag, max_policy
+        nonlocal resid, lag
         # 1 - a * dt > 0 (|a| <= kappa and kappa * dt < 1) keeps the rows
         # strictly diagonally dominant
-        diag_a = shifted.get(a)
-        if diag_a is None:
-            diag_a = shifted[a] = diag - dt * a
+        matrix = matrices.get(a)
+        if matrix is None:
+            diag_a = diag - dt * a
+            matrix = matrices[a] = lower, diag_a, upper, np.abs(lower) + diag_a + np.abs(upper)
         cont = u[k + 1] + b * dt
         row = np.empty(grid.m_nodes)
         row[ends] = np.maximum(h[ends], cont[ends] / (1.0 - a * dt))
-        # 0.0 - x rather than -x: a zero product gives +0.0, not -0.0
-        bc = np.zeros(x_int.shape)
-        bc[0] -= edge_lower * row[0]
-        bc[-1] -= edge_upper * row[-1]
-        row[1:-1], resid, active, iterations = _policy_lcp(
-            lower, diag_a, upper, cont[1:-1] + bc, h[1:-1], weight, active, k
-        )
+        if max(np.abs(cont).max(), np.abs(h).max()) <= _LARGE:
+            row[1:-1], resid = interior(matrix, cont[1:-1], h[1:-1], row[0], row[-1])
+        else:
+            v, resid = interior(
+                matrix, cont[1:-1] * _DOWN, h[1:-1] * _DOWN, row[0] * _DOWN, row[-1] * _DOWN
+            )
+            row[1:-1], resid = v * _UP, resid * _UP
         lag += 1
-        max_policy = max(max_policy, iterations)
         return row
 
     def frozen(row):

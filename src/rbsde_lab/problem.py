@@ -24,12 +24,11 @@ equally-shaped state/value arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice, forward_average, lattice_expectation
+from .lattice import Lattice, Validated, forward_average, lattice_expectation
 
 # the contract's tolerance for the obstacle, K's increments and the backward
 # equation, and the Skorokhod sum's own
@@ -37,17 +36,20 @@ CONTRACT_TOL = 1e-10
 SKOROKHOD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Data (f, g, h, kappa, p) of one reflected backward problem."""
-
+class _ProblemSpecFields(NamedTuple):
     generator: Callable
     terminal: Callable
     obstacle: Callable
     lipschitz_kappa: float
     p_exponent: float = 1.5
 
-    def __post_init__(self):
+
+class ProblemSpec(Validated, _ProblemSpecFields):
+    """Data (f, g, h, kappa, p) of one reflected backward problem."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.lipschitz_kappa < 0.0:
             raise ValueError("lipschitz_kappa must be >= 0")
         if not 1.0 < self.p_exponent < 2.0:

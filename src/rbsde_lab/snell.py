@@ -17,11 +17,12 @@ run it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice, lattice_expectation
+from .lattice import Lattice, branch_probability, lattice_expectation
 from .problem import (
     AffineGenerator,
     ProblemSpec,
@@ -206,6 +207,9 @@ def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
         yield k, layer
 
 
+# Data past the float range run on to inf or nan without a warning, and the
+# step's finiteness check names the first such step and node.
+@np.errstate(over="ignore", invalid="ignore")
 def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
     """Every layer of ``backward_layers``, collected into a SolutionTriple.
 
@@ -281,13 +285,37 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     return SnellOutput(triple, tuple(cont_layers), tuple(exercised))
 
 
+# as in backward_induction, a pass past the float range runs on without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory.
 
-    Each step computes the reflected value alone: no continuation, no dK,
-    and Z only when a generator that is not affine reads it.
+    For an ``AffineGenerator`` f = a * y + b each layer is the one
+    expression max(h, (p * y[1:] + q * y[:-1] + b * dt) / (1 - a * dt)):
+    the operations of ``lattice_expectation`` and ``_reflected_step``, in
+    their order, with q = 1 - p, b * dt and 1 - a * dt computed once per
+    pass. Its values are checked once, at the root (``_root_check_suffices``
+    says when that suffices); a root that is not finite runs the checked
+    pass, which names the first non-finite step and node. Any other
+    generator takes the checked pass: each step computes the reflected
+    value alone, and Z only when the generator reads it.
     """
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
+    g = terminal_values(spec, lattice)
+    f = spec.generator
+    if isinstance(f, AffineGenerator):
+        _require_contraction(spec, dt)
+        check_terminal_dominates(spec, times[-1], nodes[-1])
+        b_dt, denom = f.const * dt, 1.0 - f.y_coeff * dt
+        if _root_check_suffices(g, b_dt, denom, lattice.n_steps):
+            p = branch_probability(lattice)
+            q = 1.0 - p
+            y = g
+            for k in range(lattice.n_steps - 1, -1, -1):
+                h = np.asarray(spec.obstacle(times[k], nodes[k]), dtype=float)
+                y = np.maximum(h, (p * y[1:] + q * y[:-1] + b_dt) / denom)
+            if math.isfinite(y[0]):
+                return float(y[0])
 
     def step(k, cond, y_next, h_k):
         return _reflected_step(
@@ -295,6 +323,25 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
             cond, h_k, dt, k,
         )
 
-    for _, (y, _) in backward_layers(lattice, spec, step, terminal_values(spec, lattice)):
+    for _, (y, _) in backward_layers(lattice, spec, step, g):
         pass
     return float(y[0])
+
+
+def _root_check_suffices(g, b_dt: float, denom: float, n_steps: int) -> bool:
+    """Whether a finite Y0 of the affine root pass from terminal ``g`` shows every layer finite.
+
+    Every node reaches the root with a positive weight or through a product
+    0 * y, so +inf and nan carry to Y0. -inf need not: a layer value of
+    -inf (a continuation c of -inf where h = -inf too) makes the next
+    layer's continuation -inf, which max(h, -inf) = h hides, while the
+    checked pass names it. Since y = max(h, c) >= c, a layer reaches below
+    0 at most as far as its continuation c = (p * y[1:] + q * y[:-1] +
+    b * dt) / (1 - a * dt): as far as the layer after it, plus |b * dt|
+    where b < 0, divided by 1 - a * dt and widened by six roundings. True
+    when that bound, from min(g) over ``n_steps`` layers, stays above
+    -2**1000, so that no continuation can reach -inf.
+    """
+    exponent = n_steps * math.log((1.0 + 6.0 * sys.float_info.epsilon) / min(denom, 1.0))
+    low = max(-float(g.min()), 0.0) + n_steps * max(-b_dt, 0.0)
+    return exponent < 700.0 and low * math.exp(exponent) < 2.0**1000

@@ -35,6 +35,31 @@ def plain(generator):
     return lambda t, x, y, z: generator(t, x, y, z)
 
 
+def thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by elimination without pivoting, in one pass.
+
+    The oracle for ``pde._factor`` and ``pde._sweep``, which split this
+    into a factorization and a right-hand-side sweep with the same
+    operations in the same order. ``lower[0]`` must be zero and
+    ``upper[-1]`` is not read.
+    """
+    c_rows, d_rows = [], []
+    c_prev = d_prev = 0.0
+    for a, b, c, d in zip(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()):
+        beta = b - a * c_prev
+        c_prev = c / beta
+        d_prev = (d - a * d_prev) / beta
+        c_rows.append(c_prev)
+        d_rows.append(d_prev)
+    x = d_rows[-1]
+    out = [x]
+    for c, d in zip(reversed(c_rows[:-1]), reversed(d_rows[:-1])):
+        x = d - c * x
+        out.append(x)
+    out.reverse()
+    return np.array(out)
+
+
 def _normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 

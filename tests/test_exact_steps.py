@@ -7,7 +7,6 @@ plain callable takes the same step with f frozen at the iterate, iterated by
 y_coeff = 0 the two paths evaluate one formula and agree bit for bit.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -36,7 +35,7 @@ AGREE_REL = 1e-12
 @pytest.fixture(scope="module")
 def plain_spec(put_spec):
     assert isinstance(put_spec.generator, AffineGenerator)
-    return dataclasses.replace(put_spec, generator=plain(put_spec.generator))
+    return put_spec._replace(generator=plain(put_spec.generator))
 
 
 def _gap(layers_a, layers_b) -> float:
@@ -96,7 +95,7 @@ def test_a_zero_y_coeff_gives_the_same_bits_on_both_paths(put_fwd, generator):
         make_obstacle("put_payoff:40"),
         0.0,
     )
-    general = dataclasses.replace(spec, generator=plain(spec.generator))
+    general = spec._replace(generator=plain(spec.generator))
     lat = build_lattice(put_fwd, TimeGrid(128, 1.0))
 
     exact, iterated = solve_snell(lat, spec), solve_snell(lat, general)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_obstacle, plain, put_model
+from helpers import far_obstacle, plain, put_model, thomas
 
 from rbsde_lab import pde
 from rbsde_lab.diagnostics import (
@@ -179,22 +179,77 @@ def tridiagonal_product(lower, diag, upper, v):
     return lower * left + diag * v + upper * right
 
 
+def kernel_matrix(lower, diag, upper):
+    """The (lower, diag, upper, row_norm) that ``pde._policy_lcp`` takes."""
+    return lower, diag, upper, np.abs(lower) + diag + np.abs(upper)
+
+
 def test_policy_kernel_solves_random_lcps():
     rng = np.random.default_rng(3)
     for _ in range(20):
         lower, diag, upper, rhs, h = random_lcp(rng, 40)
+        matrix = kernel_matrix(lower, diag, upper)
         # warm starts from an empty and from a full active set
         for start in (np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
-            v, _, _, _ = pde._policy_lcp(lower, diag, upper, rhs, h, None, start, 0)
+            v, _, _, _, _ = pde._policy_lcp(matrix, rhs, h, None, start, None, 0)
             resid = tridiagonal_product(lower, diag, upper, v) - rhs
             assert np.max(np.abs(np.minimum(resid, v - h))) <= 1e-12
             assert np.all(v >= h)
             for weight in (0.0, 10.0, 1e4):
-                v, _, _, _ = pde._policy_lcp(lower, diag, upper, rhs, h, weight, start, 0)
+                v, _, _, _, _ = pde._policy_lcp(matrix, rhs, h, weight, start, None, 0)
                 penalty = weight * np.maximum(h - v, 0.0)
                 resid = tridiagonal_product(lower, diag, upper, v) - rhs - penalty
                 # the penalty term carries weight times the rounding of v
                 assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + weight)
+
+
+def test_factor_and_sweep_are_the_one_pass_elimination_bit_for_bit():
+    # random strictly diagonally dominant systems with random active sets,
+    # as the projected and the penalized scheme replace their rows
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 40, 119):
+        for _ in range(10):
+            lower, diag, upper, rhs, h = random_lcp(rng, m)
+            active = rng.uniform(size=m) < 0.4
+            systems = [
+                (
+                    np.where(active, 0.0, lower),
+                    np.where(active, 1.0, diag),
+                    np.where(active, 0.0, upper),
+                    np.where(active, h, rhs),
+                ),
+                (lower, diag + 37.5 * active, upper, rhs + 37.5 * h * active),
+            ]
+            for low, dia, up, b in systems:
+                factors = pde._factor(low, dia, up)
+                expected = thomas(low, dia, up, b)
+                assert pde._sweep(factors, b).tobytes() == expected.tobytes()
+                # a factorization serves every right-hand side
+                other = rng.normal(0.0, 1e3, m)
+                assert pde._sweep(factors, other).tobytes() == thomas(low, dia, up, other).tobytes()
+
+
+def test_policy_kernel_reuses_the_factorization_of_an_unchanged_active_set(monkeypatch):
+    rng = np.random.default_rng(5)
+    lower, diag, upper, rhs, h = random_lcp(rng, 40)
+    matrix = kernel_matrix(lower, diag, upper)
+    calls = []
+    factor = pde._factor
+    monkeypatch.setattr(pde, "_factor", lambda *args: calls.append(1) or factor(*args))
+    for weight in (None, 100.0):
+        calls.clear()
+        start = np.zeros(40, dtype=bool)
+        v, resid, active, iterations, factored = pde._policy_lcp(
+            matrix, rhs, h, weight, start, None, 0
+        )
+        # one factorization per active set tried: the last one is kept
+        assert len(calls) == iterations and factored[1] == active.tobytes()
+        again = pde._policy_lcp(matrix, rhs, h, weight, active, factored, 0)
+        assert len(calls) == iterations and again[3] == 1
+        assert again[0].tobytes() == v.tobytes() and again[4] is factored
+        # another matrix is factored afresh, even on the same active set
+        pde._policy_lcp(kernel_matrix(lower, diag, upper), rhs, h, weight, active, factored, 0)
+        assert len(calls) == iterations + 1
 
 
 def test_policy_kernel_settles_on_rows_tied_at_the_obstacle():
@@ -249,9 +304,9 @@ def test_a_non_finite_time_step_names_its_grid_node(put_spec, put_fwd, monkeypat
     real = pde._policy_lcp
 
     def overflowing(*args):
-        v, resid, active, iterations = real(*args)
+        v, *rest = real(*args)
         v[4] = math.inf
-        return v, resid, active, iterations
+        return (v, *rest)
 
     monkeypatch.setattr(pde, "_policy_lcp", overflowing)
     grid = PdeGrid(0.0, 160.0, 81, TimeGrid(10, 1.0))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -236,7 +235,7 @@ def test_an_inconsistent_row_names_its_intensity(monkeypatch):
     monkeypatch.setattr("rbsde_lab.snell.fixed_point", split)
     lat = build_lattice(put_model(), TimeGrid(16, 1.0))
     spec = put_problem()
-    spec = dataclasses.replace(spec, generator=plain(spec.generator))
+    spec = spec._replace(generator=plain(spec.generator))
     with pytest.raises(
         BranchSelectionError, match=r"at step 15, node 0, intensity 16\.0 \(y >= h branch"
     ):

@@ -326,6 +326,8 @@ def test_fixed_point_names_the_overflowed_row_of_a_batch():
 def _root_instance(kind, generator, n_steps):
     if kind == "geometric":
         model, strike = ForwardModel.geometric(0.06, 0.4, 36.0), 40.0
+    elif kind == "sigma-zero":
+        model, strike = ForwardModel.geometric(0.06, 0.0, 36.0), 40.0
     else:
         model, strike = ForwardModel.arithmetic(0.3, 4.0, 36.0), 38.0
     spec = ProblemSpec(
@@ -348,10 +350,47 @@ def _root_instance(kind, generator, n_steps):
         pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
     ],
 )
-@pytest.mark.parametrize("kind", ["geometric", "arithmetic"])
+@pytest.mark.parametrize("kind", ["geometric", "arithmetic", "sigma-zero"])
 def test_root_solve_is_the_full_solves_root_bit_for_bit(kind, generator, n_steps):
     lat, spec = _root_instance(kind, generator, n_steps)
     assert snell_root(lat, spec) == solve_snell(lat, spec).triple.y[0][0]
+
+
+def _raised(solver, lat, spec) -> str:
+    with pytest.raises(DataOverflowError) as err:
+        solver(lat, spec)
+    return str(err.value)
+
+
+def test_a_root_solve_names_the_non_finite_layer_the_full_solve_names():
+    # the root pass checks only Y0; an obstacle of +inf before t = 0.3
+    # makes every layer from step 4 down inf, and so Y0
+    lat = build_lattice(put_model(), TimeGrid(16, 1.0))
+    put = make_obstacle("put_payoff:40")
+
+    def lofty(t, x):
+        return np.full_like(x, math.inf) if t < 0.3 else put(t, x)
+
+    spec = ProblemSpec(make_generator("linear_discount:0.06"), put_problem().terminal, lofty, 0.06)
+    message = _raised(lambda *args: solve_snell(*args).triple, lat, spec)
+    assert "value inf at step 4, node 0;" in message
+    assert _raised(snell_root, lat, spec) == message
+
+
+def test_a_root_solve_names_a_minus_inf_layer_that_the_max_hides():
+    # g = f = -1e308: y falls by dt * 1e308 a step and reaches -inf at step
+    # 3, where h = -inf lets it through; from step 2 on h = 0 and
+    # max(0, -inf) = 0, so Y0 = 0 is finite, yet the layer was not
+    def sinking(t, x):
+        return np.full_like(x, -math.inf if t > 0.15 else 0.0)
+
+    lat = build_lattice(put_model(), TimeGrid(16, 1.0))
+    spec = ProblemSpec(
+        make_generator("constant:-1e308"), make_terminal("constant:-1e308"), sinking, 0.0
+    )
+    message = _raised(lambda *args: solve_snell(*args).triple, lat, spec)
+    assert "value -inf at step 3, node 0;" in message
+    assert _raised(snell_root, lat, spec) == message
 
 
 def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_spec, put_fwd):

@@ -4,10 +4,15 @@ Every ``rbsde-lab`` command is a fresh process, and with
 ``PYTHONDONTWRITEBYTECODE=1`` that process compiles each module it imports.
 ``import rbsde_lab.cli`` must therefore load only the modules a command can
 run: the diagnostics that only the acceptance criteria and the tests call
-live in ``rbsde_lab.diagnostics``, which no command imports. The records a
-command passes around are ``NamedTuple``s, not dataclasses (each frozen
-dataclass execs six generated methods when its class is created), and like
-the frozen dataclasses they were, none can be assigned to.
+live in ``rbsde_lab.diagnostics``, which no command imports.
+
+Creating a frozen dataclass execs six generated methods, and the
+``dataclasses`` module (with ``copy``, which only it pulls in) costs an
+import of its own, so no class of the package is one. The records a
+command passes around are ``NamedTuple``s. The four input records
+(``TimeGrid``, ``ForwardModel``, ``PdeGrid``, ``ProblemSpec``) are
+``NamedTuple``s that check their fields however they are made, through
+the constructor or ``_replace``. No record can be assigned to.
 """
 
 import dataclasses
@@ -28,10 +33,17 @@ from rbsde_lab.estimates import (
     check_y_estimate,
     solution_moments,
 )
-from rbsde_lab.lattice import Lattice, build_lattice
-from rbsde_lab.pde import PdeField, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, Lattice, TimeGrid, build_lattice
+from rbsde_lab.pde import PdeField, PdeGrid, solve_pde_projected
 from rbsde_lab.penalty import BoundReport, PenalizationTrace, check_uniform_bound, run_sweep
-from rbsde_lab.problem import AffineGenerator, SolutionTriple, ValidationReport, validate_solution
+from rbsde_lab.problem import (
+    AffineGenerator,
+    ProblemSpec,
+    SolutionTriple,
+    ValidationReport,
+    make_generator,
+    validate_solution,
+)
 from rbsde_lab.snell import SnellOutput, solve_snell
 
 CLI_MODULES = [
@@ -55,7 +67,9 @@ DIAGNOSTICS = (
     "C_SCAN_GRID",
     "EXP_SATURATION",
 )
+INPUTS = (TimeGrid, ForwardModel, PdeGrid, ProblemSpec)
 RECORDS = (
+    *INPUTS,
     ExperimentConfig,
     Lattice,
     AffineGenerator,
@@ -77,6 +91,7 @@ PROBE = (
     "print(rbsde_lab.__file__)\n"
     "print(' '.join(loaded))\n"
     "print(' '.join(sorted({n for m in loaded for n in vars(sys.modules[m])})))\n"
+    "print(sorted(m for m in ('copy', 'dataclasses') if m in sys.modules))\n"
 )
 
 CONFIG = """\
@@ -113,10 +128,11 @@ def test_the_cli_loads_only_the_modules_a_command_runs():
     done = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
-    origin, loaded, names = done.stdout.splitlines()
+    origin, loaded, names, builders = done.stdout.splitlines()
     assert Path(origin).resolve() == Path(rbsde_lab.__file__).resolve()
     assert loaded.split() == CLI_MODULES
     assert not set(DIAGNOSTICS) & set(names.split())
+    assert builders == "[]"
 
 
 def test_no_record_is_a_dataclass():
@@ -139,10 +155,14 @@ def _one_of_each(tmp_path) -> dict:
     trace = run_sweep(lattice, cfg.spec, (1.0, 8.0))
     moments = solution_moments(result.triple, cfg.spec, report)
     eps = 0.05
-    shifted = dataclasses.replace(cfg.spec, terminal=lambda x: cfg.spec.terminal(x) + eps)
+    shifted = cfg.spec._replace(terminal=lambda x: cfg.spec.terminal(x) + eps)
     moved = solve_snell(lattice, shifted).triple
     moved_moments = solution_moments(moved, shifted, validate_solution(moved, shifted))
     found = [
+        cfg.lattice_grid,
+        cfg.model,
+        cfg.pde_grid,
+        cfg.spec,
         cfg,
         lattice,
         cfg.spec.generator,
@@ -169,3 +189,53 @@ def test_every_record_refuses_assignment(tmp_path):
         with pytest.raises(AttributeError):
             delattr(record, cls._fields[0])
 
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        (TimeGrid(8, 1.0), {"n_steps": 0}, "n_steps must be >= 1"),
+        (TimeGrid(8, 1.0), {"horizon": 0.0}, "horizon must be > 0"),
+        (ForwardModel.geometric(0.06, 0.4, 36.0), {"kind": "gamma"}, "unknown model kind 'gamma'"),
+        (
+            ForwardModel.arithmetic(0.0, 1.0, 0.0),
+            {"vol_coeff": -0.1},
+            "volatility coefficient must be >= 0",
+        ),
+        (ForwardModel.geometric(0.06, 0.4, 36.0), {"x0": 0.0}, "geometric model requires x0 > 0"),
+        (PdeGrid(0.0, 1.0, 11, TimeGrid(4, 1.0)), {"m_nodes": 2}, "m_nodes must be >= 3"),
+        (PdeGrid(0.0, 1.0, 11, TimeGrid(4, 1.0)), {"x_min": 1.0}, "x_min must be < x_max"),
+        (
+            ProblemSpec(make_generator("linear_discount:0.06"), abs, max, 0.06),
+            {"lipschitz_kappa": 0.01},
+            "lipschitz_kappa 0.01 is below the generator's Lipschitz constant in y, 0.06",
+        ),
+        (
+            ProblemSpec(make_generator("zero"), abs, max, 0.0),
+            {"lipschitz_kappa": -1.0},
+            "lipschitz_kappa must be >= 0",
+        ),
+        (ProblemSpec(make_generator("zero"), abs, max, 0.0), {"p_exponent": 2.5}, "p must lie in (1,2)"),
+    ],
+    ids=[
+        "TimeGrid-n_steps",
+        "TimeGrid-horizon",
+        "ForwardModel-kind",
+        "ForwardModel-vol_coeff",
+        "ForwardModel-x0",
+        "PdeGrid-m_nodes",
+        "PdeGrid-x_min",
+        "ProblemSpec-kappa-below-a",
+        "ProblemSpec-kappa",
+        "ProblemSpec-p",
+    ],
+)
+def test_every_input_record_checks_its_fields_however_it_is_made(good, bad, message):
+    cls = type(good)
+    with pytest.raises(ValueError) as made:
+        cls(**{**good._asdict(), **bad})
+    with pytest.raises(ValueError) as replaced:
+        good._replace(**bad)
+    assert str(made.value) == str(replaced.value) == message
+    # the fields of a valid record are kept, whichever way it is made
+    assert cls._make(good) == good._replace() == good
