@@ -235,7 +235,12 @@ def test_policy_kernel_reuses_the_factorization_of_an_unchanged_active_set(monke
     matrix = kernel_matrix(lower, diag, upper)
     calls = []
     factor = pde._factor
-    monkeypatch.setattr(pde, "_factor", lambda *args: calls.append(1) or factor(*args))
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(pde, "_factor", counted)
     for weight in (None, 100.0):
         calls.clear()
         start = np.zeros(40, dtype=bool)
@@ -243,6 +248,7 @@ def test_policy_kernel_reuses_the_factorization_of_an_unchanged_active_set(monke
             matrix, rhs, h, weight, start, None, 0
         )
         # one factorization per active set tried: the last one is kept
+        assert iterations > 1
         assert len(calls) == iterations and factored[1] == active.tobytes()
         again = pde._policy_lcp(matrix, rhs, h, weight, active, factored, 0)
         assert len(calls) == iterations and again[3] == 1

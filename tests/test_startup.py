@@ -67,9 +67,11 @@ DIAGNOSTICS = (
     "C_SCAN_GRID",
     "EXP_SATURATION",
 )
-INPUTS = (TimeGrid, ForwardModel, PdeGrid, ProblemSpec)
 RECORDS = (
-    *INPUTS,
+    TimeGrid,
+    ForwardModel,
+    PdeGrid,
+    ProblemSpec,
     ExperimentConfig,
     Lattice,
     AffineGenerator,
@@ -188,7 +190,6 @@ def test_every_record_refuses_assignment(tmp_path):
                 setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, cls._fields[0])
-
 
 
 @pytest.mark.parametrize(
