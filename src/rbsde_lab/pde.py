@@ -37,7 +37,7 @@ import numpy as np
 from .lattice import ForwardModel, TimeGrid, Validated
 from .penalty import check_schedule
 from .problem import ProblemSpec, check_terminal_dominates
-from .snell import FP_TOL, _require_contraction, implicit_step
+from .snell import FP_TOL, implicit_step, require_contraction
 
 POLICY_MAX_ITER = 100
 
@@ -274,7 +274,7 @@ def _backward_solve(grid, spec, model, n):
     2**1000 is solved on scaled data.
     """
     dt = grid.time.dt
-    _require_contraction(spec, dt)
+    require_contraction(spec, dt)
     xs = grid.xs()
     times = grid.time.times()
     check_terminal_dominates(spec, times[-1], xs)
@@ -298,21 +298,8 @@ def _backward_solve(grid, spec, model, n):
     # f passes 0
     matrices = {}
 
-    def interior(matrix, cont, h_int, first, last):
-        """``_policy_lcp`` on the interior with the end values first and last; returns (v, resid)."""
-        nonlocal active, factored, max_policy
-        # 0.0 - x rather than -x: a zero product gives +0.0, not -0.0
-        bc = np.zeros(x_int.shape)
-        bc[0] -= edge_lower * first
-        bc[-1] -= edge_upper * last
-        v, resid, active, iterations, factored = _policy_lcp(
-            matrix, cont + bc, h_int, weight, active, factored, k
-        )
-        max_policy = max(max_policy, iterations)
-        return v, resid
-
     def step(a, b):
-        nonlocal resid, lag
+        nonlocal resid, lag, active, factored, max_policy
         # 1 - a * dt > 0 (|a| <= kappa and kappa * dt < 1) keeps the rows
         # strictly diagonally dominant
         matrix = matrices.get(a)
@@ -322,13 +309,22 @@ def _backward_solve(grid, spec, model, n):
         cont = u[k + 1] + b * dt
         row = np.empty(grid.m_nodes)
         row[ends] = np.maximum(h[ends], cont[ends] / (1.0 - a * dt))
-        if max(np.abs(cont).max(), np.abs(h).max()) <= _LARGE:
-            row[1:-1], resid = interior(matrix, cont[1:-1], h[1:-1], row[0], row[-1])
-        else:
-            v, resid = interior(
-                matrix, cont[1:-1] * _DOWN, h[1:-1] * _DOWN, row[0] * _DOWN, row[-1] * _DOWN
-            )
-            row[1:-1], resid = v * _UP, resid * _UP
+        data = cont[1:-1], h[1:-1], row[0], row[-1]
+        large = max(np.abs(cont).max(), np.abs(h).max()) > _LARGE
+        if large:
+            data = [value * _DOWN for value in data]
+        rhs, h_int, first, last = data
+        # 0.0 - x rather than -x: a zero product gives +0.0, not -0.0
+        bc = np.zeros(x_int.shape)
+        bc[0] -= edge_lower * first
+        bc[-1] -= edge_upper * last
+        v, resid, active, iterations, factored = _policy_lcp(
+            matrix, rhs + bc, h_int, weight, active, factored, k
+        )
+        max_policy = max(max_policy, iterations)
+        if large:
+            v, resid = v * _UP, resid * _UP
+        row[1:-1] = v
         lag += 1
         return row
 

@@ -42,7 +42,7 @@ from .problem import (
     lattice_sup_moment,
     obstacle_layers,
 )
-from .snell import backward_induction, estimate_z, implicit_step, solve_snell
+from .snell import backward_induction, implicit_step, solve_snell
 
 # A root of the y < h branch may sit this far above h (relative to 1 + |h|)
 # before the branch is declared inconsistent: float noise on a tie.
@@ -57,7 +57,7 @@ class BranchSelectionError(ValueError):
 
 
 def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
-    """Exact root of the piecewise one-step equation at step k; returns (y, dk).
+    """Exact root y of the piecewise one-step equation at step k.
 
     ``n`` is a column of intensities, one per row of the batch ``cond``;
     ``rows`` names each row in an error. Each branch root, written for
@@ -89,9 +89,7 @@ def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
             f"{rows[b]} (y >= h branch {y_plus[b, j]!r}, y < h branch {y_minus[b, j]!r}, "
             f"h {h_layer[j]!r})"
         )
-    y = np.where(take_plus, y_plus, y_minus)
-    dk = n * dt * np.maximum(h_layer - y, 0.0)
-    return y, dk
+    return np.where(take_plus, y_plus, y_minus)
 
 
 def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> SolutionTriple:
@@ -107,13 +105,12 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     column = np.array(ns).reshape(-1, 1)
     rows = [f"intensity {n!r}" for n in ns]
 
-    def step(k, cond, y_next, h_k):
-        z = estimate_z(lattice, y_next, k)
-        y, dk = _penalized_step(
+    def step(k, cond, z, h_k):
+        y = _penalized_step(
             spec.generator, lattice.times[k], lattice.nodes[k], z, cond, h_k, lattice.dt,
             column, k, rows,
         )
-        return y, z, dk
+        return y, z, column * lattice.dt * np.maximum(h_k - y, 0.0)
 
     return backward_induction(lattice, spec, step, rows=len(ns))
 

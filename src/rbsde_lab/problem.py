@@ -180,10 +180,11 @@ def _weighted_moment(weights: list, last, power):
     """E[last ** power] for the terminal layer ``last``: a float, or one per row of a batch.
 
     ``power`` is one exponent, or a sequence with one exponent per row.
+    Data past the float range give an inf or nan moment without a warning,
+    as in the solver passes.
     """
-    if np.ndim(power) == 0:
-        return np.sum(weights[-1] * last ** power, axis=-1).tolist()
-    return [float(np.sum(weights[-1] * row ** pw)) for row, pw in zip(last, power, strict=True)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(weights[-1] * last ** np.expand_dims(power, -1), axis=-1).tolist()
 
 
 def accumulated_along(lattice: Lattice, addends, weights: list):

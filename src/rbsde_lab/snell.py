@@ -45,7 +45,7 @@ class DataOverflowError(ValueError):
     """Raised when an exact step or an iterate is not finite: the data overflowed."""
 
 
-def _require_contraction(spec: ProblemSpec, dt: float) -> None:
+def require_contraction(spec: ProblemSpec, dt: float) -> None:
     """Raise unless lipschitz_kappa * dt < 1, which makes the one-step implicit solve contract.
 
     ``ProblemSpec`` bounds an affine generator's |y_coeff| by lipschitz_kappa,
@@ -188,21 +188,20 @@ def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
     """Backward recursion shared by the reflected and the penalized solvers.
 
     Starting from the terminal layer ``y_terminal``, each layer k takes the
-    conditional expectation cond = E_k[Y_{k+1}], evaluates the obstacle
-    h(t_k, .) and calls ``step(k, cond, y_next, h_k)`` with the next layer
-    y_next = Y_{k+1}. The step returns a tuple whose first entry is the
-    layer's y, and only a step that keeps or reads Z estimates it from
-    y_next (``estimate_z``). Yields (k, that tuple) for k = n_steps - 1 down
+    conditional expectation cond = E_k[Y_{k+1}], the integrand estimate
+    z = ``estimate_z`` from the next layer and the obstacle h(t_k, .), and
+    calls ``step(k, cond, z, h_k)``. The step returns a tuple whose first
+    entry is the layer's y. Yields (k, that tuple) for k = n_steps - 1 down
     to 0 and holds only the layer after k, so a caller that keeps nothing
     runs in O(n_steps) memory. A (rows, n_steps + 1) ``y_terminal`` makes
     every layer a batch of rows.
     """
-    _require_contraction(spec, lattice.dt)
+    require_contraction(spec, lattice.dt)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
     y = y_terminal
     for k in range(lattice.n_steps - 1, -1, -1):
         h_k = np.asarray(spec.obstacle(lattice.times[k], lattice.nodes[k]), dtype=float)
-        layer = step(k, lattice_expectation(lattice, y, k), y, h_k)
+        layer = step(k, lattice_expectation(lattice, y, k), estimate_z(lattice, y, k), h_k)
         y = layer[0]
         yield k, layer
 
@@ -228,31 +227,21 @@ def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> 
 
 
 def _reflected_step(generator, t, x, z, cond, h, dt, k):
-    """The value of one reflected lattice step at time t on the states x; returns (y, (a, b)).
+    """The value y of one reflected lattice step at time t on the states x, with integrand z.
 
     Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
     by ``implicit_step``: for f = a * y + b the step is
-    y = max(h, (cond + b * dt) / (1 - a * dt)). (a, b) are the coefficients
-    of the newest step taken, so that c = cond + dt * (a * y + b) is the
-    continuation y was reflected from (with f frozen, a = 0 and y is exactly
-    max(h, c)); ``solve_snell`` splits off dK = (h - c)^+ from it. ``z()``
-    gives Z on the states x and is called once, on the first evaluation of
-    f, so an affine f never estimates Z. A failed solve names step ``k``.
+    y = max(h, (cond + b * dt) / (1 - a * dt)). A failed solve names step
+    ``k``.
     """
-    coeffs = z_x = None
 
     def step(a, b):
-        nonlocal coeffs
-        coeffs = a, b
         return np.maximum(h, (cond + b * dt) / (1.0 - a * dt))
 
     def frozen(y):
-        nonlocal z_x
-        if z_x is None:
-            z_x = z()
-        return np.asarray(generator(t, x, y, z_x), dtype=float)
+        return np.asarray(generator(t, x, y, z), dtype=float)
 
-    return implicit_step(generator, step, frozen, k, ONE_STEP), coeffs
+    return implicit_step(generator, step, frozen, k, ONE_STEP)
 
 
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
@@ -260,20 +249,19 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
 
     Each step solves y = max(h, E_k[Y_{k+1}] + dt * f(t_k, x, y, z)) with z
     estimated explicitly from the next layer, then splits the reflected value
-    into continuation c = E_k[Y_{k+1}] + dt * f(t_k, x, y, z) and increment
-    dK = (h - c)^+. By construction Y >= h exactly, dK >= 0, dK > 0 only
-    where Y = h, and the one-step backward equation holds to solver tolerance.
+    into continuation c = E_k[Y_{k+1}] + dt * f(t_k, x, y, z), with f
+    evaluated at the solved y, and increment dK = (h - c)^+. By
+    construction Y >= h exactly, dK >= 0, dK > 0 only where Y = h, and the
+    one-step backward equation holds to solver tolerance.
     """
     cont_layers = [None] * (lattice.n_steps + 1)
     exercised = [None] * (lattice.n_steps + 1)
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
 
-    def step(k, cond, y_next, h_k):
-        z = estimate_z(lattice, y_next, k)
-        y, (a, b) = _reflected_step(
-            spec.generator, times[k], nodes[k], lambda: z, cond, h_k, dt, k
-        )
-        cont_layers[k] = cont = cond + dt * (a * y + b)
+    def step(k, cond, z, h_k):
+        y = _reflected_step(spec.generator, times[k], nodes[k], z, cond, h_k, dt, k)
+        f = np.asarray(spec.generator(times[k], nodes[k], y, z), dtype=float)
+        cont_layers[k] = cont = cond + dt * f
         exercised[k] = h_k >= cont - TIE_TOL
         return y, z, np.maximum(h_k - cont, 0.0)
 
@@ -294,17 +282,19 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     expression max(h, (p * y[1:] + q * y[:-1] + b * dt) / (1 - a * dt)):
     the operations of ``lattice_expectation`` and ``_reflected_step``, in
     their order, with q = 1 - p, b * dt and 1 - a * dt computed once per
-    pass. Its values are checked once, at the root (``_root_check_suffices``
-    says when that suffices); a root that is not finite runs the checked
-    pass, which names the first non-finite step and node. Any other
-    generator takes the checked pass: each step computes the reflected
-    value alone, and Z only when the generator reads it.
+    pass. Its values are checked once, at the root, where
+    ``_root_check_suffices`` says that this suffices. The checked pass,
+    ``backward_layers`` with steps that compute the reflected value alone,
+    runs instead for any other generator, for data that
+    ``_root_check_suffices`` refuses, and after a root that is not finite,
+    to name the first non-finite step and node. It estimates Z on every
+    layer.
     """
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
     g = terminal_values(spec, lattice)
     f = spec.generator
     if isinstance(f, AffineGenerator):
-        _require_contraction(spec, dt)
+        require_contraction(spec, dt)
         check_terminal_dominates(spec, times[-1], nodes[-1])
         b_dt, denom = f.const * dt, 1.0 - f.y_coeff * dt
         if _root_check_suffices(g, b_dt, denom, lattice.n_steps):
@@ -317,13 +307,10 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
             if math.isfinite(y[0]):
                 return float(y[0])
 
-    def step(k, cond, y_next, h_k):
-        return _reflected_step(
-            spec.generator, times[k], nodes[k], lambda: estimate_z(lattice, y_next, k),
-            cond, h_k, dt, k,
-        )
+    def step(k, cond, z, h_k):
+        return (_reflected_step(spec.generator, times[k], nodes[k], z, cond, h_k, dt, k),)
 
-    for _, (y, _) in backward_layers(lattice, spec, step, g):
+    for _, (y,) in backward_layers(lattice, spec, step, g):
         pass
     return float(y[0])
 

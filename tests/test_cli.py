@@ -778,9 +778,7 @@ def test_a_report_that_json_cannot_hold_exits_1_naming_the_file_and_field(
     # bound.json
     path = write_config(tmp_path, command, generator="constant:1e308")
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["--config", str(path), "--out", str(out), "--quiet"])
-    assert code == 1
+    assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == (
         f"{command}: {name}: {message}, and JSON has no NaN or infinity\n"
     )

@@ -222,6 +222,25 @@ def test_batched_solve_is_bit_identical_to_one_intensity_solves(kind, seed):
     assert all(np.all(layer == 0.0) for layer in batch_row(batch, 0).dk)
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [
+        pytest.param(make_generator("linear_discount:0.06"), id="affine"),
+        pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
+    ],
+)
+def test_penalized_increments_are_the_penalty_at_the_solved_y(generator):
+    # dK = n * dt * (h - Y)^+ on every row, bit for bit
+    lat = build_lattice(put_model(), TimeGrid(64, 1.0))
+    spec = put_problem()._replace(generator=generator)
+    ns = [0.0] + [2.0**i for i in range(11)]
+    batch = solve_penalized(lat, spec, ns)
+    for k, h in zip(range(lat.n_steps), obstacle_layers(spec, lat)):
+        for b, n in enumerate(ns):
+            expected = n * lat.dt * np.maximum(h - batch.y[k][b], 0.0)
+            assert batch.dk[k][b].tobytes() == expected.tobytes(), (k, n)
+
+
 def test_an_inconsistent_row_names_its_intensity(monkeypatch):
     # only the row of intensity 16 gets branches that both miss h; a plain
     # generator, so that each branch root goes through fixed_point

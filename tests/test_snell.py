@@ -18,7 +18,7 @@ from helpers import (
 
 from rbsde_lab import snell
 from rbsde_lab.diagnostics import brute_force_stopping_value, feynman_kac_check
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
+from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice, lattice_expectation
 from rbsde_lab.pde import PdeGrid, solve_pde_projected
 from rbsde_lab.problem import (
     ProblemSpec,
@@ -413,6 +413,31 @@ def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_s
     assert steps == []
     solve_snell(lat, put_spec)
     assert steps == list(range(63, -1, -1))
+
+
+# the README put's generator, and one that is not affine and reads z
+RULE_GENERATORS = [
+    pytest.param(make_generator("linear_discount:0.06"), id="affine"),
+    pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
+]
+
+
+@pytest.mark.parametrize("generator", RULE_GENERATORS)
+def test_the_continuation_is_the_generator_at_the_solved_y(generator):
+    # c = E_k[Y_{k+1}] + dt * f(t, x, Y, Z) and dK = (h - c)^+, bit for bit;
+    # a continuation from f at an earlier iterate of a non-affine f misses
+    # it in the last bits on a few nodes
+    lat = build_lattice(put_model(), TimeGrid(64, 1.0))
+    spec = put_problem()._replace(generator=generator)
+    out = solve_snell(lat, spec)
+    y, z, dk = out.triple.y, out.triple.z, out.triple.dk
+    for k in range(lat.n_steps):
+        t, x = lat.times[k], lat.nodes[k]
+        f = np.asarray(generator(t, x, y[k], z[k]), dtype=float)
+        cont = lattice_expectation(lat, y[k + 1], k) + lat.dt * f
+        h = np.asarray(spec.obstacle(t, x), dtype=float)
+        assert out.continuation[k].tobytes() == cont.tobytes(), k
+        assert dk[k].tobytes() == np.maximum(h - cont, 0.0).tobytes(), k
 
 
 def _peak_traced_bytes(fn):

@@ -9,7 +9,8 @@ oracle, or delete it.
 Every name a module imports must be referenced in that module, unless
 ``bench/tracing.py`` hooks it there: its ``PATCHES`` swap a function under
 the name by which a module imported it, so such an import stays while its
-hook does.
+hook does. No module imports a ``_``-prefixed name from another module of
+the package: what two modules share is public.
 
 The branch law lives in ``lattice.py``: no other module reads a lattice's
 ``up_prob``, except the oracle in ``diagnostics.py``, which re-derives the
@@ -161,6 +162,38 @@ def test_the_import_guard_names_imports_nothing_references(tmp_path):
         "pkg.mod.dead",
         "pkg.mod.hooked",
     ]
+
+
+def private_imports(src=SRC) -> list:
+    """``<module>.<name>`` of each ``_``-prefixed name a module of ``src`` imports relatively."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        module = f"{Path(src).name}.{path.stem}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = private_imports()
+    assert not found, f"private names imported from another module: {', '.join(found)}"
+
+
+def test_the_private_import_guard_names_relative_imports_of_private_names(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy as _np\n"
+        "from numpy import _globals\n"
+        "from .other import _hidden, public\n"
+        "from . import _sibling\n"
+        "def f():\n"
+        "    from .deep.inner import _late as late, shown\n"
+        "    return _hidden, public, _sibling, late, shown, _np, _globals\n"
+    )
+    assert private_imports(src) == ["pkg.mod._hidden", "pkg.mod._sibling", "pkg.mod._late"]
 
 
 BRANCH_LAW_READERS = ("lattice.py", "diagnostics.py")
