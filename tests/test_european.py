@@ -29,10 +29,16 @@ MODELS = {
     # b0 = r * x0 and sigma0 = 0.4 * x0: the geometric model's moves at x0
     "arithmetic": ForwardModel.arithmetic(2.16, 14.4, X0),
 }
-EXACT = {
-    "geometric": black_scholes_put(X0, STRIKE, RATE, 0.4, HORIZON),
-    "arithmetic": bachelier_put(X0, STRIKE, RATE, 2.16, 14.4, HORIZON),
-}
+
+
+def exact_put(kind, x, maturity) -> float:
+    """The exact European put of the model ``kind`` at state x with ``maturity`` left."""
+    if kind == "geometric":
+        return black_scholes_put(x, STRIKE, RATE, 0.4, maturity)
+    return bachelier_put(x, STRIKE, RATE, 2.16, 14.4, maturity)
+
+
+EXACT = {kind: exact_put(kind, X0, HORIZON) for kind in MODELS}
 # relative errors of the root, by lattice steps
 LATTICE_ERRORS = {
     "geometric": {128: 1.54e-3, 512: -3.83e-4},
@@ -74,12 +80,6 @@ def european_put() -> ProblemSpec:
         make_obstacle("zero"),
         RATE,
     )
-
-
-def exact_put(kind, x, maturity) -> float:
-    if kind == "geometric":
-        return black_scholes_put(x, STRIKE, RATE, 0.4, maturity)
-    return bachelier_put(x, STRIKE, RATE, 2.16, 14.4, maturity)
 
 
 def lattice_error(lattice, kind) -> float:

@@ -415,14 +415,14 @@ def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_s
     assert steps == list(range(63, -1, -1))
 
 
-# the README put's generator, and one that is not affine and reads z
-RULE_GENERATORS = [
-    pytest.param(make_generator("linear_discount:0.06"), id="affine"),
-    pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
-]
-
-
-@pytest.mark.parametrize("generator", RULE_GENERATORS)
+@pytest.mark.parametrize(
+    "generator",
+    [
+        # the README put's generator, and one that is not affine and reads z
+        pytest.param(make_generator("linear_discount:0.06"), id="affine"),
+        pytest.param(lambda t, x, y, z: -0.06 * y + 0.05 * z, id="z-reading"),
+    ],
+)
 def test_the_continuation_is_the_generator_at_the_solved_y(generator):
     # c = E_k[Y_{k+1}] + dt * f(t, x, Y, Z) and dK = (h - c)^+, bit for bit;
     # a continuation from f at an earlier iterate of a non-affine f misses
