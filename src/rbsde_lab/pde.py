@@ -223,7 +223,9 @@ def _policy_lcp(matrix, rhs, h, weight, active, factored, step):
         if weight is None:
             v = _sweep(factored[2], np.where(active, h, rhs))
         else:
-            v = _sweep(factored[2], rhs + push * active)
+            # only active rows get the push, so a weight * h past the float
+            # range cannot turn an inactive row into (+-inf) * 0 = nan
+            v = _sweep(factored[2], rhs + np.where(active, push, 0.0))
         resid = diag * v - rhs
         resid[1:] += lower[1:] * v[:-1]
         resid[:-1] += upper[:-1] * v[1:]

@@ -18,8 +18,11 @@ each branch is
     y >= h:  (E_k[Y_{k+1}] + b * dt) / (1 - a * dt),
     y <  h:  (E_k[Y_{k+1}] + b * dt + n * dt * h) / (1 - a * dt + n * dt),
 
-and ``snell.implicit_step`` solves each branch for the generator at hand:
-in one step for an affine f, with f frozen at the iterate for any other.
+and the step takes the y >= h root where it lies at or above h, the y < h
+root elsewhere. ``snell.implicit_step`` solves that one step for the
+generator at hand: once for an affine f, and with f frozen at the iterate
+for any other, selecting at every iterate. Only the selected root is
+checked for finiteness, so a root that is not taken cannot fail the solve.
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
 monotone-convergence diagnostics toward the reflected (Snell) solution;
@@ -44,52 +47,27 @@ from .problem import (
 )
 from .snell import backward_induction, implicit_step, solve_snell
 
-# A root of the y < h branch may sit this far above h (relative to 1 + |h|)
-# before the branch is declared inconsistent: float noise on a tie.
-BRANCH_TIE_TOL = 1e-9
-
-PLUS_BRANCH = "penalized one-step solve (branch y >= h)"
-MINUS_BRANCH = "penalized one-step solve (branch y < h)"
-
-
-class BranchSelectionError(ValueError):
-    """Raised when neither branch of the penalized one-step equation is consistent."""
-
 
 def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
     """Exact root y of the piecewise one-step equation at step k.
 
     ``n`` is a column of intensities, one per row of the batch ``cond``;
-    ``rows`` names each row in an error. Each branch root, written for
-    f = a * y + b, is solved on its own by ``implicit_step``.
+    ``rows`` names each row in an error. The step, written for
+    f = a * y + b, computes both branch roots and returns the one it
+    selects; ``implicit_step`` solves it once and checks only that root.
     """
     push = n * dt * h_layer
 
     def frozen(y):
         return np.asarray(generator(t, x, y, z), dtype=float)
 
-    def plus(a, b):
-        return (cond + b * dt) / (1.0 - a * dt)
+    def step(a, b):
+        plus = (cond + b * dt) / (1.0 - a * dt)
+        minus = (cond + b * dt + push) / (1.0 - a * dt + n * dt)
+        # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
+        return np.where((plus >= h_layer) | (n == 0.0), plus, minus)
 
-    def minus(a, b):
-        return (cond + b * dt + push) / (1.0 - a * dt + n * dt)
-
-    y_plus = implicit_step(generator, plus, frozen, k, PLUS_BRANCH, rows)
-    y_minus = implicit_step(generator, minus, frozen, k, MINUS_BRANCH, rows)
-
-    # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
-    take_plus = (y_plus >= h_layer) | (n == 0.0)
-    # The selected branch must be self-consistent; with kappa*dt < 1 the
-    # equation is strictly increasing in y, so this can only fail on ties.
-    bad = ~take_plus & (y_minus > h_layer + BRANCH_TIE_TOL * (1.0 + np.abs(h_layer)))
-    if bad.any():
-        b, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise BranchSelectionError(
-            f"no consistent branch in penalized one-step solve at step {k}, node {j}, "
-            f"{rows[b]} (y >= h branch {y_plus[b, j]!r}, y < h branch {y_minus[b, j]!r}, "
-            f"h {h_layer[j]!r})"
-        )
-    return np.where(take_plus, y_plus, y_minus)
+    return implicit_step(generator, step, frozen, k, "penalized one-step solve", rows)
 
 
 def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> SolutionTriple:

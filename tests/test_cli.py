@@ -470,32 +470,16 @@ def test_config_accepts_only_the_one_pde_boundary_rule(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_crosscheck_names_the_step_of_an_inconsistent_penalty_branch(
-    tmp_path, capsys, monkeypatch, plain_generators
-):
-    # force the two branches to disagree: y >= h lands below h, y < h above it
-    def disagreeing(update, y0, step, what, rows):
-        return np.full_like(y0, -1e9 if "y >= h" in what else 1e9)
-
-    monkeypatch.setattr(snell, "fixed_point", disagreeing)
-    path = write_config(tmp_path, "crosscheck")
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("crosscheck: no consistent branch in penalized one-step solve")
-    assert "at step 63, node 0" in err
-    assert "Traceback" not in err
-
-
 def test_penalize_names_the_intensity_of_an_unconverged_row(
     tmp_path, capsys, monkeypatch, plain_generators
 ):
-    # only the row of intensity 8 never settles in the y < h branch, at node 3
+    # only the row of intensity 8 never settles in the one-step solve, at node 3
     real = snell.fixed_point
 
     def stuck(update, y0, step, what, rows):
         def update_row_1(y):
             out = update(y)
-            if "y < h" in what:
+            if what == "penalized one-step solve":
                 out[1, 3] = y[1, 3] + 1.0
             return out
 
@@ -505,7 +489,7 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(
     path = write_config(tmp_path, "penalize")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("penalize: penalized one-step solve (branch y < h) did not converge")
+    assert err.startswith("penalize: penalized one-step solve did not converge")
     assert "at step 63, node 3, intensity 8.0 (last change " in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -760,6 +744,69 @@ def test_overflowed_data_is_named_and_not_blamed_on_the_contraction(
     )
     assert "overflowed" in err and "lipschitz" not in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+FAR_COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
+FAR_KINDS = {
+    "geometric": (("x_min = 0.0\nx_max = 160.0\n",) * 2, ()),
+    "arithmetic": (
+        ("x_min = 0.0\nx_max = 160.0\n", "x_min = -40.0\nx_max = 112.0\n"),
+        (ARITHMETIC[0], "kind = arithmetic\nb0 = 2.16\nsigma0 = 14.4\n"),
+    ),
+}
+
+
+def far_config(tmp_path, command, kind, obstacle, penalty_n):
+    """The README put (tol 0.02, default schedule) at 64 lattice steps on a 41x20 PDE grid."""
+    domain, model = FAR_KINDS[kind]
+    text = (
+        BASE_CONFIG.format(command=command)
+        .replace("tol = 0.05\n", "tol = 0.02\n")
+        .replace("obstacle = put_payoff:40\n", f"obstacle = {obstacle}\n")
+        .replace("m_nodes = 81\nn_steps = 60\n", "m_nodes = 41\nn_steps = 20\n")
+        .replace("schedule = 1,8,64,512\n", "schedule = default\n")
+        .replace(*domain)
+    )
+    if model:
+        text = text.replace(*model)
+    if penalty_n is not None:  # read by pde only
+        text = text.replace("n_steps = 20\n", f"n_steps = 20\npenalty_n = {penalty_n}\n")
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, obstacle, penalty_n",
+    [(command, "constant:-1e308", "1000" if command == "pde" else None) for command in FAR_COMMANDS]
+    + [("pde", "constant:-1e301", "1e9")],
+    ids=[*FAR_COMMANDS, "pde-1e9"],
+)
+@pytest.mark.parametrize("kind", FAR_KINDS)
+def test_an_obstacle_that_never_binds_never_fails(
+    tmp_path, capsys, kind, command, obstacle, penalty_n
+):
+    # an obstacle near -1e308 never binds, so every penalty term is 0; the
+    # root the penalized lattice step does not take (n * dt * h = -inf) and
+    # the PDE penalty on an inactive row (1e9 * -1e301 times 0 = nan) once
+    # made penalize, crosscheck and pde exit 1 on these data
+    path = far_config(tmp_path, command, kind, obstacle, penalty_n)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cfg = load_config(path)
+    lattice = build_lattice(cfg.model, cfg.lattice_grid)
+    y0 = float(solve_snell(lattice, cfg.spec).triple.y[0][0])
+    if command == "penalize":
+        rows = (out / "penalization.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [repr(y0)] * len(cfg.schedule)
+    if command == "crosscheck":
+        report = json.loads((out / "crosscheck.json").read_text())
+        assert report["penalized_tail_y0"] == report["snell_y0"] == y0
+    if command == "pde":
+        said = dict(line.split("=", 1) for line in captured.out.splitlines())
+        assert said["u0_penalized"] == said["u0"]
 
 
 @pytest.mark.parametrize(

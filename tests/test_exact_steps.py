@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import batch_row, plain
+from helpers import batch_row, ordered_instance_pair, plain
 
 from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
@@ -25,6 +25,7 @@ from rbsde_lab.problem import (
     make_generator,
     make_obstacle,
     make_terminal,
+    validate_solution,
 )
 from rbsde_lab.snell import snell_root, solve_snell
 
@@ -187,3 +188,26 @@ def test_readme_commands_never_iterate(tmp_path, monkeypatch, command):
     assert cli.main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
     if command == "pde":
         assert json.loads((out / "pde_report.json").read_text())["max_lag_iterations"] == 1
+
+
+def test_the_penalized_equation_holds_on_every_row_of_both_paths():
+    # dK = n * dt * (h - Y)^+, so the backward residual of a penalized row is
+    # its penalized one-step equation; each spec's f = -r * y + shift is a
+    # plain callable, solved next to the same f as an AffineGenerator
+    rng = np.random.default_rng(30)
+    ns = [0.0, 1.0, 64.0, 2.0**14]
+    for _ in range(20):
+        lattice, *specs = ordered_instance_pair(rng)
+        for spec in specs:
+            shift = float(spec.generator(0.0, 0.0, 0.0, 0.0))
+            affine = spec._replace(generator=AffineGenerator(-spec.lipschitz_kappa, shift))
+            general = solve_penalized(lattice, spec, ns)
+            exact = solve_penalized(lattice, affine, ns)
+            for b, n in enumerate(ns):
+                row_general, row_exact = batch_row(general, b), batch_row(exact, b)
+                assert validate_solution(row_general, spec).backward_ok, n
+                assert validate_solution(row_exact, affine).backward_ok, n
+                scale = _scale(row_general.y)
+                for field in ("y", "z", "dk"):
+                    gap = _gap(getattr(row_exact, field), getattr(row_general, field))
+                    assert gap <= AGREE_REL * scale, (n, field)

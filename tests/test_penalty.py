@@ -7,7 +7,6 @@ from helpers import batch_row, far_obstacle, plain, put_model, put_problem
 
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
 from rbsde_lab.penalty import (
-    BranchSelectionError,
     check_uniform_bound,
     penalized_root,
     run_sweep,
@@ -22,7 +21,7 @@ from rbsde_lab.problem import (
     obstacle_layers,
     validate_solution,
 )
-from rbsde_lab.snell import ContractionError, fixed_point, solve_snell
+from rbsde_lab.snell import ContractionError, solve_snell
 
 
 def test_zero_intensity_reduces_to_plain_backward_equation():
@@ -37,7 +36,7 @@ def test_zero_intensity_reduces_to_plain_backward_equation():
 
 
 def test_unconverged_branch_names_the_step_and_node():
-    # kappa * dt = 0.9: the branch fixed point cannot settle in its cap (a
+    # kappa * dt = 0.9: the one-step fixed point cannot settle in its cap (a
     # plain callable: the affine registry form would be solved exactly)
     lat = build_lattice(put_model(), TimeGrid(10, 1.0))
     spec = ProblemSpec(
@@ -47,7 +46,7 @@ def test_unconverged_branch_names_the_step_and_node():
         9.0,
     )
     with pytest.raises(
-        ContractionError, match=r"\(branch y >= h\) did not converge .* at step 9, node \d"
+        ContractionError, match=r"penalized one-step solve did not converge .* at step 9, node \d"
     ):
         solve_penalized(lat, spec, [100.0])
 
@@ -239,23 +238,3 @@ def test_penalized_increments_are_the_penalty_at_the_solved_y(generator):
         for b, n in enumerate(ns):
             expected = n * lat.dt * np.maximum(h - batch.y[k][b], 0.0)
             assert batch.dk[k][b].tobytes() == expected.tobytes(), (k, n)
-
-
-def test_an_inconsistent_row_names_its_intensity(monkeypatch):
-    # only the row of intensity 16 gets branches that both miss h; a plain
-    # generator, so that each branch root goes through fixed_point
-    real = fixed_point
-
-    def split(update, y0, step, what, rows):
-        y = real(update, y0, step, what, rows=rows)
-        y[2] = -1e9 if "y >= h" in what else 1e9
-        return y
-
-    monkeypatch.setattr("rbsde_lab.snell.fixed_point", split)
-    lat = build_lattice(put_model(), TimeGrid(16, 1.0))
-    spec = put_problem()
-    spec = spec._replace(generator=plain(spec.generator))
-    with pytest.raises(
-        BranchSelectionError, match=r"at step 15, node 0, intensity 16\.0 \(y >= h branch"
-    ):
-        solve_penalized(lat, spec, [1.0, 4.0, 16.0])

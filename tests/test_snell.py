@@ -393,10 +393,8 @@ def test_a_root_solve_names_a_minus_inf_layer_that_the_max_hides():
     assert _raised(snell_root, lat, spec) == message
 
 
-def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_spec, put_fwd):
-    # an affine f never reads z, so only a pass that keeps the Z layers
-    # estimates them: the root passes of convergence and the Feynman-Kac
-    # probes make no estimate
+def _count_z_estimates(monkeypatch) -> list:
+    """The step k of every ``estimate_z`` call from now on, in call order."""
     steps = []
     estimate = snell.estimate_z
 
@@ -405,6 +403,17 @@ def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_s
         return estimate(lattice, y_next, k)
 
     monkeypatch.setattr(snell, "estimate_z", counted)
+    return steps
+
+
+def test_the_fast_root_pass_never_estimates_z_for_an_affine_generator(
+    monkeypatch, put_spec, put_fwd
+):
+    # an affine f never reads z, and the fast root pass of an affine
+    # generator computes only Y: the root passes of convergence and the
+    # Feynman-Kac probes make no Z estimate on data the root check accepts,
+    # while solve_snell estimates Z once a layer
+    steps = _count_z_estimates(monkeypatch)
     lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
     snell_root(lat, put_spec)
     grid = PdeGrid(0.0, 160.0, 41, TimeGrid(40, 1.0))
@@ -413,6 +422,19 @@ def test_root_passes_never_estimate_z_for_an_affine_generator(monkeypatch, put_s
     assert steps == []
     solve_snell(lat, put_spec)
     assert steps == list(range(63, -1, -1))
+
+
+def test_the_checked_root_pass_estimates_z_once_a_layer(monkeypatch, put_spec, put_fwd):
+    # g = h = -1e302 lies past the range the root check accepts, so
+    # snell_root runs the checked pass, which estimates Z on every layer
+    # and gives solve_snell's root bit for bit
+    lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
+    far = make_terminal("constant:-1e302")
+    spec = put_spec._replace(terminal=far, obstacle=make_obstacle("constant:-1e302"))
+    steps = _count_z_estimates(monkeypatch)
+    root = snell_root(lat, spec)
+    assert steps == list(range(63, -1, -1))
+    assert root == float(solve_snell(lat, spec).triple.y[0][0])
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,15 @@ the package: what two modules share is public.
 The branch law lives in ``lattice.py``: no other module reads a lattice's
 ``up_prob``, except the oracle in ``diagnostics.py``, which re-derives the
 law on purpose.
+
+Every exception class of the package derives from ``ValueError`` or
+``RuntimeError``, which ``cli.main`` turns into one stderr line and exit 1,
+so no error of a command ends in a traceback.
 """
 
 import ast
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -228,3 +234,49 @@ def test_the_branch_law_guard_names_modules_that_read_up_prob(tmp_path):
     )
     assert branch_law_readers(src) == ["problem.py"]
     assert branch_law_readers(src, ()) == ["diagnostics.py", "lattice.py", "problem.py"]
+
+
+# The families ``cli.main`` turns into one stderr line and exit 1.
+EXIT_FAMILIES = (ValueError, RuntimeError)
+
+
+def errors_outside_the_exit_families(package="rbsde_lab", families=EXIT_FAMILIES) -> list:
+    """``<module>.<class>`` of each exception class of ``package`` outside ``families``."""
+    found = []
+    for info in pkgutil.iter_modules(importlib.import_module(package).__path__):
+        module = importlib.import_module(f"{package}.{info.name}")
+        for name, value in vars(module).items():
+            if (
+                isinstance(value, type)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+                and not issubclass(value, families)
+            ):
+                found.append(f"{module.__name__}.{name}")
+    return found
+
+
+def test_every_error_class_exits_1_through_main():
+    found = errors_outside_the_exit_families()
+    assert not found, f"main would show a traceback for: {', '.join(found)}"
+
+
+def test_the_error_guard_names_classes_outside_the_families(tmp_path, monkeypatch):
+    pkg = tmp_path / "error_guard_pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "from .other import Borrowed\n"
+        "class Fine(ValueError):\n    pass\n"
+        "class Solver(RuntimeError):\n    pass\n"
+        "class Bare(Exception):\n    pass\n"
+        "class Lookup(KeyError):\n    pass\n"
+        "class NotAnError:\n    pass\n"
+    )
+    (pkg / "other.py").write_text("class Borrowed(ArithmeticError):\n    pass\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert errors_outside_the_exit_families("error_guard_pkg") == [
+        "error_guard_pkg.mod.Bare",
+        "error_guard_pkg.mod.Lookup",
+        "error_guard_pkg.other.Borrowed",
+    ]
