@@ -303,7 +303,8 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path, say) -> int:
         say(f"n_steps={n} Y0={y0!r}")
     say(f"refinement_deltas={first!r},{second!r}")
     failed = []
-    if not (second < first or first == 0.0):
+    # a constant root (both deltas 0) has converged; a first delta of 0 alone has not
+    if not (second < first or first == second == 0.0):
         failed.append(
             f"refinement delta {second:.3e} (n_steps {ns[1]} to {ns[2]}) "
             f"is not smaller than {first:.3e} (n_steps {ns[0]} to {ns[1]})"

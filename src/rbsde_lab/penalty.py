@@ -1,8 +1,8 @@
 """Penalization scheme: reflection replaced by the driver term n * (y - h)^-.
 
-``solve_penalized`` runs the same backward induction as the reflected solver
-(``snell.backward_induction``) with another one-step map, for a whole list
-of intensities at once: each layer holds one row per intensity. It never
+``solve_penalized`` runs the same backward loop as the reflected solver
+(``snell.backward_layers``) with another scheme, for a whole list of
+intensities at once: each layer holds one row per intensity. It never
 clips to the obstacle; the constraint is enforced only through the penalty,
 and the pushing increment is read off as dK = n * dt * (y - h)^-.
 The penalty is handled implicitly inside the one-step solve (unconditionally
@@ -19,10 +19,11 @@ each branch is
     y <  h:  (E_k[Y_{k+1}] + b * dt + n * dt * h) / (1 - a * dt + n * dt),
 
 and the step takes the y >= h root where it lies at or above h, the y < h
-root elsewhere. ``snell.implicit_step`` solves that one step for the
-generator at hand: once for an affine f, and with f frozen at the iterate
-for any other, selecting at every iterate. Only the selected root is
-checked for finiteness, so a root that is not taken cannot fail the solve.
+root elsewhere. The backward loop solves that one step by
+``snell.implicit_step`` for the generator at hand: once for an affine f, and
+with f frozen at the iterate for any other, selecting at every iterate.
+Only the selected root is checked for finiteness, so a root that is not
+taken cannot fail the solve.
 
 ``run_sweep`` solves along an increasing penalty schedule and records the
 monotone-convergence diagnostics toward the reflected (Snell) solution;
@@ -44,32 +45,13 @@ from .problem import (
     lattice_expected_total,
     lattice_sup_moment,
     obstacle_layers,
+    terminal_values,
 )
-from .snell import backward_induction, implicit_step, solve_snell
+from .snell import backward_layers, solve_snell
 
 
-def _penalized_step(generator, t, x, z, cond, h_layer, dt, n, k, rows):
-    """Exact root y of the piecewise one-step equation at step k.
-
-    ``n`` is a column of intensities, one per row of the batch ``cond``;
-    ``rows`` names each row in an error. The step, written for
-    f = a * y + b, computes both branch roots and returns the one it
-    selects; ``implicit_step`` solves it once and checks only that root.
-    """
-    push = n * dt * h_layer
-
-    def frozen(y):
-        return np.asarray(generator(t, x, y, z), dtype=float)
-
-    def step(a, b):
-        plus = (cond + b * dt) / (1.0 - a * dt)
-        minus = (cond + b * dt + push) / (1.0 - a * dt + n * dt)
-        # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
-        return np.where((plus >= h_layer) | (n == 0.0), plus, minus)
-
-    return implicit_step(generator, step, frozen, k, "penalized one-step solve", rows)
-
-
+# as in solve_snell, a pass past the float range runs on without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> SolutionTriple:
     """Backward induction for every penalty intensity n >= 0 in one pass (n = 0: no reflection).
 
@@ -80,17 +62,24 @@ def solve_penalized(lattice: Lattice, spec: ProblemSpec, intensities) -> Solutio
     strictly.
     """
     ns = check_schedule(intensities)
-    column = np.array(ns).reshape(-1, 1)
-    rows = [f"intensity {n!r}" for n in ns]
+    n = np.array(ns).reshape(-1, 1)
+    dt, steps = lattice.dt, lattice.n_steps
+    n_dt = n * dt
 
-    def step(k, cond, z, h_k):
-        y = _penalized_step(
-            spec.generator, lattice.times[k], lattice.nodes[k], z, cond, h_k, lattice.dt,
-            column, k, rows,
-        )
-        return y, z, column * lattice.dt * np.maximum(h_k - y, 0.0)
+    def scheme(cond, h, a, b):
+        plus = (cond + b * dt) / (1.0 - a * dt)
+        minus = (cond + b * dt + n_dt * h) / (1.0 - a * dt + n_dt)
+        # An n = 0 row has no y < h branch: it always takes y >= h, with dK = 0.
+        return np.where((plus >= h) | (n == 0.0), plus, minus)
 
-    return backward_induction(lattice, spec, step, rows=len(ns))
+    y_layers = [None] * steps + [np.tile(terminal_values(spec, lattice), (len(ns), 1))]
+    z_layers = [None] * steps
+    dk_layers = [None] * steps
+    rows = [f"intensity {v!r}" for v in ns]
+    layers = backward_layers(lattice, spec, scheme, y_layers[-1], "penalized one-step solve", rows)
+    for k, y, z, _, h_k in layers:
+        y_layers[k], z_layers[k], dk_layers[k] = y, z, n_dt * np.maximum(h_k - y, 0.0)
+    return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
 
 
 class PenalizationTrace(NamedTuple):

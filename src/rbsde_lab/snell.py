@@ -184,66 +184,54 @@ def implicit_step(generator, step, frozen, k, what, rows=None):
     return fixed_point(lambda y: step(0.0, frozen(y)), step(0.0, 0.0), k, what, rows)
 
 
-def backward_layers(lattice: Lattice, spec: ProblemSpec, step, y_terminal):
+def backward_layers(
+    lattice: Lattice, spec: ProblemSpec, scheme, y_terminal, what=ONE_STEP, rows=None
+):
     """Backward recursion shared by the reflected and the penalized solvers.
 
     Starting from the terminal layer ``y_terminal``, each layer k takes the
     conditional expectation cond = E_k[Y_{k+1}], the integrand estimate
-    z = ``estimate_z`` from the next layer and the obstacle h(t_k, .), and
-    calls ``step(k, cond, z, h_k)``. The step returns a tuple whose first
-    entry is the layer's y. Yields (k, that tuple) for k = n_steps - 1 down
-    to 0 and holds only the layer after k, so a caller that keeps nothing
-    runs in O(n_steps) memory. A (rows, n_steps + 1) ``y_terminal`` makes
-    every layer a batch of rows.
+    z = ``estimate_z`` from the next layer and the obstacle h_k = h(t_k, .),
+    and solves the layer's y by one ``implicit_step``: ``scheme(cond, h_k,
+    a, b)`` is the scheme's exact step for f = a * y + b, and ``what`` and
+    ``rows`` name a failed solve. Yields (k, y, z, cond, h_k) for
+    k = n_steps - 1 down to 0 and holds only the layer after k, so a caller
+    that keeps nothing runs in O(n_steps) memory. A (rows, n_steps + 1)
+    ``y_terminal`` makes every layer a batch of rows. A decorator would not
+    cover the iteration, so each caller sets the ``np.errstate``.
     """
     require_contraction(spec, lattice.dt)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
+    f = spec.generator
     y = y_terminal
     for k in range(lattice.n_steps - 1, -1, -1):
-        h_k = np.asarray(spec.obstacle(lattice.times[k], lattice.nodes[k]), dtype=float)
-        layer = step(k, lattice_expectation(lattice, y, k), estimate_z(lattice, y, k), h_k)
-        y = layer[0]
-        yield k, layer
+        t, x = lattice.times[k], lattice.nodes[k]
+        h_k = np.asarray(spec.obstacle(t, x), dtype=float)
+        cond = lattice_expectation(lattice, y, k)
+        z = estimate_z(lattice, y, k)
+
+        def frozen(v):
+            return np.asarray(f(t, x, v, z), dtype=float)
+
+        y = implicit_step(f, lambda a, b: scheme(cond, h_k, a, b), frozen, k, what, rows)
+        yield k, y, z, cond, h_k
+
+
+def _reflected_scheme(dt: float):
+    """The reflected lattice step y = max(h, c), c = cond + dt * f, for f = a * y + b.
+
+    Its exact step is y = max(h, (cond + b * dt) / (1 - a * dt)).
+    """
+
+    def scheme(cond, h, a, b):
+        return np.maximum(h, (cond + b * dt) / (1.0 - a * dt))
+
+    return scheme
 
 
 # Data past the float range run on to inf or nan without a warning, and the
 # step's finiteness check names the first such step and node.
 @np.errstate(over="ignore", invalid="ignore")
-def backward_induction(lattice: Lattice, spec: ProblemSpec, step, rows=None) -> SolutionTriple:
-    """Every layer of ``backward_layers``, collected into a SolutionTriple.
-
-    ``step`` returns each layer's (y, z, dk). With ``rows`` set, every
-    layer is a (rows, k+1) batch that starts from one copy of the terminal
-    payoff per row.
-    """
-    n = lattice.n_steps
-    g = terminal_values(spec, lattice)
-    y_layers = [None] * n + [g if rows is None else np.tile(g, (rows, 1))]
-    z_layers = [None] * n
-    dk_layers = [None] * n
-    for k, layer in backward_layers(lattice, spec, step, y_layers[-1]):
-        y_layers[k], z_layers[k], dk_layers[k] = layer
-    return SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
-
-
-def _reflected_step(generator, t, x, z, cond, h, dt, k):
-    """The value y of one reflected lattice step at time t on the states x, with integrand z.
-
-    Solves y = max(h, c) with the continuation c = cond + dt * f(t, x, y, z)
-    by ``implicit_step``: for f = a * y + b the step is
-    y = max(h, (cond + b * dt) / (1 - a * dt)). A failed solve names step
-    ``k``.
-    """
-
-    def step(a, b):
-        return np.maximum(h, (cond + b * dt) / (1.0 - a * dt))
-
-    def frozen(y):
-        return np.asarray(generator(t, x, y, z), dtype=float)
-
-    return implicit_step(generator, step, frozen, k, ONE_STEP)
-
-
 def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     """Solve the discrete reflected equation by backward induction.
 
@@ -254,41 +242,40 @@ def solve_snell(lattice: Lattice, spec: ProblemSpec) -> SnellOutput:
     construction Y >= h exactly, dK >= 0, dK > 0 only where Y = h, and the
     one-step backward equation holds to solver tolerance.
     """
-    cont_layers = [None] * (lattice.n_steps + 1)
-    exercised = [None] * (lattice.n_steps + 1)
+    n = lattice.n_steps
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
-
-    def step(k, cond, z, h_k):
-        y = _reflected_step(spec.generator, times[k], nodes[k], z, cond, h_k, dt, k)
+    g = terminal_values(spec, lattice)
+    y_layers = [None] * n + [g]
+    z_layers = [None] * n
+    dk_layers = [None] * n
+    cont_layers = [None] * n + [g]
+    exercised = [None] * (n + 1)
+    for k, y, z, cond, h_k in backward_layers(lattice, spec, _reflected_scheme(dt), g):
         f = np.asarray(spec.generator(times[k], nodes[k], y, z), dtype=float)
         cont_layers[k] = cont = cond + dt * f
         exercised[k] = h_k >= cont - TIE_TOL
-        return y, z, np.maximum(h_k - cont, 0.0)
-
-    triple = backward_induction(lattice, spec, step)
-    g = triple.y[-1]
-    h_T = np.asarray(spec.obstacle(lattice.times[-1], lattice.nodes[-1]), dtype=float)
-    cont_layers[-1] = g
+        y_layers[k], z_layers[k], dk_layers[k] = y, z, np.maximum(h_k - cont, 0.0)
+    h_T = np.asarray(spec.obstacle(times[-1], nodes[-1]), dtype=float)
     exercised[-1] = np.abs(g - h_T) <= TIE_TOL
+    triple = SolutionTriple(tuple(y_layers), tuple(z_layers), tuple(dk_layers), lattice)
     return SnellOutput(triple, tuple(cont_layers), tuple(exercised))
 
 
-# as in backward_induction, a pass past the float range runs on without a warning
+# as in solve_snell, a pass past the float range runs on without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     """Y0 of ``solve_snell`` bit for bit, keeping no layer: O(n_steps) memory.
 
     For an ``AffineGenerator`` f = a * y + b each layer is the one
     expression max(h, (p * y[1:] + q * y[:-1] + b * dt) / (1 - a * dt)):
-    the operations of ``lattice_expectation`` and ``_reflected_step``, in
+    the operations of ``lattice_expectation`` and the reflected scheme, in
     their order, with q = 1 - p, b * dt and 1 - a * dt computed once per
     pass. Its values are checked once, at the root, where
-    ``_root_check_suffices`` says that this suffices. The checked pass,
-    ``backward_layers`` with steps that compute the reflected value alone,
-    runs instead for any other generator, for data that
-    ``_root_check_suffices`` refuses, and after a root that is not finite,
-    to name the first non-finite step and node. It estimates Z on every
-    layer.
+    ``_root_check_suffices`` says that this suffices. The checked pass, the
+    reflected ``backward_layers`` with nothing kept but the last y, runs
+    instead for any other generator, for data that ``_root_check_suffices``
+    refuses, and after a root that is not finite, to name the first
+    non-finite step and node. It estimates Z on every layer.
     """
     times, nodes, dt = lattice.times, lattice.nodes, lattice.dt
     g = terminal_values(spec, lattice)
@@ -307,10 +294,7 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
             if math.isfinite(y[0]):
                 return float(y[0])
 
-    def step(k, cond, z, h_k):
-        return (_reflected_step(spec.generator, times[k], nodes[k], z, cond, h_k, dt, k),)
-
-    for _, (y,) in backward_layers(lattice, spec, step, g):
+    for _, y, _, _, _ in backward_layers(lattice, spec, _reflected_scheme(dt), g):
         pass
     return float(y[0])
 

@@ -549,31 +549,62 @@ def test_verify_artifacts_are_unchanged(tmp_path):
 # since the contract report dropped its K_0 keys; pde_report.json: since a
 # residual inside its row's noise floor counts as 0, which makes
 # complementarity and min_operator_residual 0.0 on this grid).
+# run: (command, config edits, sha256 of each artifact the run writes)
 ARTIFACT_DIGESTS = {
-    "solve": {
-        "snell.csv": "90cd90eb515454d3b11e3b6c4c4506a72dd7df0308909f3ef39d27ecd9919900",
-        "validation.json": "6de5a06781e91397b711be9b4366cc4a2f7b61576174ba02a914e8a873faaf6e",
-    },
-    "dirichlet-obstacle": {
-        "pde.csv": "0e0b49dde0fc5b225cb59ac2250c97d9dff10c47f9b068f0e7413dc2420e190f",
-        "pde_penalized.csv": "3fae87db3d287d216f9519e662ad7f6cafb7ce49d13e329e6487120330190dde",
-        "pde_report.json": "622cc7d1adc316737c86d828aad571950fe280da9574a553e6db9815053552a3",
-    },
+    "solve": (
+        "solve",
+        {"n_steps": "16"},
+        {
+            "snell.csv": "90cd90eb515454d3b11e3b6c4c4506a72dd7df0308909f3ef39d27ecd9919900",
+            "validation.json": "6de5a06781e91397b711be9b4366cc4a2f7b61576174ba02a914e8a873faaf6e",
+        },
+    ),
+    "solve-arithmetic": (
+        "solve",
+        {"n_steps": "16", "kind": "arithmetic"},
+        {
+            "snell.csv": "3970ac15d5f9781704f76bb6978f61ee603bf005dfceeb764002b0fa2c545bbe",
+            "validation.json": "6de5a06781e91397b711be9b4366cc4a2f7b61576174ba02a914e8a873faaf6e",
+        },
+    ),
+    "penalize": (
+        "penalize",
+        {"n_steps": "16"},
+        {
+            "bound.json": "31e21a53053529e89e268295f1bd85d4dbd96104e2860bcf99fa14181f1d9a81",
+            "penalization.csv": "b098c2aa22a87d87cd72b5913ef30b28cf67766f46dde98f61648ea53d9e7329",
+        },
+    ),
+    "crosscheck": (
+        "crosscheck",
+        {"n_steps": "16"},
+        {"crosscheck.json": "f98dd70fd95b17fae0545a54006571490d9563e04a21c70a5a765af2d48f8497"},
+    ),
+    "convergence": (
+        "convergence",
+        {"n_steps": "16"},
+        {"convergence.csv": "3d0232e607e3d4ccdb0c29bb328465866bdc4b416d3825986f2f73c6904a0ccf"},
+    ),
+    "dirichlet-obstacle": (
+        "pde",
+        {"m_nodes": "41", "n_steps": "20", "penalty_n": "1000", "boundary": "dirichlet-obstacle"},
+        {
+            "pde.csv": "0e0b49dde0fc5b225cb59ac2250c97d9dff10c47f9b068f0e7413dc2420e190f",
+            "pde_penalized.csv": "3fae87db3d287d216f9519e662ad7f6cafb7ce49d13e329e6487120330190dde",
+            "pde_report.json": "622cc7d1adc316737c86d828aad571950fe280da9574a553e6db9815053552a3",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(ARTIFACT_DIGESTS))
 def test_solve_and_pde_artifacts_are_unchanged(tmp_path, run):
-    if run == "solve":
-        path = write_config(tmp_path, "solve", n_steps="16")
-    else:
-        path = write_config(
-            tmp_path, "pde", m_nodes="41", n_steps="20", penalty_n="1000", boundary=run
-        )
+    command, edits, expected = ARTIFACT_DIGESTS[run]
+    path = write_config(tmp_path, command, **edits)
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-    assert digests == ARTIFACT_DIGESTS[run]
+    assert digests == expected
 
 
 def test_penalize_names_a_failed_uniform_bound(tmp_path, capsys, monkeypatch):
@@ -1249,3 +1280,26 @@ def test_convergence_names_both_refinement_deltas(tmp_path, capsys):
         "convergence: refinement delta 3.011e-03 (n_steps 128 to 256) "
         "is not smaller than 8.418e-04 (n_steps 64 to 128)\n"
     )
+
+
+def test_convergence_fails_a_delta_that_grows_from_zero(tmp_path, capsys):
+    # README put with x0 = 24.95 and 8 steps: the 8- and 16-step roots are
+    # both the payoff 15.05, and the 32-step root lies above it
+    path = write_config(tmp_path, "convergence", x0="24.95", n_steps="8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "refinement_deltas=0.0,0.0005986347865025721" in captured.out
+    assert captured.err == (
+        "convergence: refinement delta 5.986e-04 (n_steps 16 to 32) "
+        "is not smaller than 0.000e+00 (n_steps 8 to 16)\n"
+    )
+
+
+def test_convergence_passes_a_constant_root(tmp_path, capsys):
+    # terminal = obstacle = 100: the discounted continuation lies below the
+    # obstacle, so every root is 100 and both deltas are 0
+    path = write_config(
+        tmp_path, "convergence", terminal="constant:100", obstacle="constant:100", n_steps="8"
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "refinement_deltas=0.0,0.0" in capsys.readouterr().out

@@ -20,6 +20,7 @@ from rbsde_lab import snell
 from rbsde_lab.diagnostics import brute_force_stopping_value, feynman_kac_check
 from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice, lattice_expectation
 from rbsde_lab.pde import PdeGrid, solve_pde_projected
+from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
     ProblemSpec,
     make_generator,
@@ -393,17 +394,23 @@ def test_a_root_solve_names_a_minus_inf_layer_that_the_max_hides():
     assert _raised(snell_root, lat, spec) == message
 
 
-def _count_z_estimates(monkeypatch) -> list:
-    """The step k of every ``estimate_z`` call from now on, in call order."""
-    steps = []
-    estimate = snell.estimate_z
+def _count_layer_calls(monkeypatch) -> tuple:
+    """The step k of every ``estimate_z`` call and the (k, what) of every
+    ``implicit_step`` call from now on, each list in call order."""
+    steps, solves = [], []
+    estimate, solve = snell.estimate_z, snell.implicit_step
 
-    def counted(lattice, y_next, k):
+    def counted_estimate(lattice, y_next, k):
         steps.append(k)
         return estimate(lattice, y_next, k)
 
-    monkeypatch.setattr(snell, "estimate_z", counted)
-    return steps
+    def counted_solve(generator, step, frozen, k, what, rows=None):
+        solves.append((k, what))
+        return solve(generator, step, frozen, k, what, rows)
+
+    monkeypatch.setattr(snell, "estimate_z", counted_estimate)
+    monkeypatch.setattr(snell, "implicit_step", counted_solve)
+    return steps, solves
 
 
 def test_the_fast_root_pass_never_estimates_z_for_an_affine_generator(
@@ -411,30 +418,42 @@ def test_the_fast_root_pass_never_estimates_z_for_an_affine_generator(
 ):
     # an affine f never reads z, and the fast root pass of an affine
     # generator computes only Y: the root passes of convergence and the
-    # Feynman-Kac probes make no Z estimate on data the root check accepts,
-    # while solve_snell estimates Z once a layer
-    steps = _count_z_estimates(monkeypatch)
+    # Feynman-Kac probes make no Z estimate and no implicit solve on data
+    # the root check accepts, while solve_snell makes one of each a layer
+    steps, solves = _count_layer_calls(monkeypatch)
     lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
     snell_root(lat, put_spec)
     grid = PdeGrid(0.0, 160.0, 41, TimeGrid(40, 1.0))
     field = solve_pde_projected(grid, put_spec, put_fwd)
     feynman_kac_check(field, put_fwd, put_spec, [(0.0, 36.0), (0.5, 40.0)], lattice_steps=64)
-    assert steps == []
+    assert steps == [] and solves == []
     solve_snell(lat, put_spec)
     assert steps == list(range(63, -1, -1))
+    assert solves == [(k, snell.ONE_STEP) for k in range(63, -1, -1)]
 
 
 def test_the_checked_root_pass_estimates_z_once_a_layer(monkeypatch, put_spec, put_fwd):
     # g = h = -1e302 lies past the range the root check accepts, so
-    # snell_root runs the checked pass, which estimates Z on every layer
-    # and gives solve_snell's root bit for bit
+    # snell_root runs the checked pass, which estimates Z and solves once
+    # on every layer and gives solve_snell's root bit for bit
     lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
     far = make_terminal("constant:-1e302")
     spec = put_spec._replace(terminal=far, obstacle=make_obstacle("constant:-1e302"))
-    steps = _count_z_estimates(monkeypatch)
+    steps, solves = _count_layer_calls(monkeypatch)
     root = snell_root(lat, spec)
     assert steps == list(range(63, -1, -1))
+    assert solves == [(k, snell.ONE_STEP) for k in range(63, -1, -1)]
     assert root == float(solve_snell(lat, spec).triple.y[0][0])
+
+
+def test_the_penalized_pass_estimates_z_and_solves_once_a_layer(monkeypatch, put_spec, put_fwd):
+    # three intensities are one batch: one Z estimate and one implicit
+    # solve a layer, not one per intensity
+    lat = build_lattice(put_fwd, TimeGrid(64, 1.0))
+    steps, solves = _count_layer_calls(monkeypatch)
+    solve_penalized(lat, put_spec, [1.0, 8.0, 64.0])
+    assert steps == list(range(63, -1, -1))
+    assert solves == [(k, "penalized one-step solve") for k in range(63, -1, -1)]
 
 
 @pytest.mark.parametrize(
