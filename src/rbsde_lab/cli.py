@@ -12,31 +12,56 @@ pairs it with. Outputs are a pure function of the config: re-running the
 same experiment produces byte-identical files.
 Any invariant failure yields exit status 1 and one stderr line that names
 each failed check.
+
+Each command is a fresh process, so it compiles only the modules it runs.
+Importing this module loads what loading a config needs: ``config``,
+``lattice`` and ``problem``. ``run`` then loads the solver modules of its
+command: ``snell`` for ``solve`` and ``convergence``, ``snell`` and
+``estimates`` for ``verify``, ``penalty`` for ``penalize``, ``pde`` for
+``pde``, and ``snell``, ``penalty`` and ``pde`` for ``crosscheck``
+(``penalty`` and ``pde`` import ``snell`` themselves). Loading a module
+binds here the names this module calls from it (``_SOLVER_NAMES``), and the
+commands call them as globals of this module, because ``bench/tracing.py``
+swaps them for wrappers here. Reading such a name from outside before its
+module has loaded loads the module (``__getattr__``, PEP 562), and loading
+never rebinds a name that is already bound, so a wrapper installed first is
+what the command calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from collections import deque
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimates import (
-    check_k_estimate,
-    check_stability,  # noqa: F401  (bench/tracing.py hooks the estimates under this name)
-    check_y_estimate,
-    check_z_estimate,
-    solution_moments,
-)
 from .lattice import build_lattice
-from .pde import PdeField, solve_pde_penalized, solve_pde_projected
-from .penalty import PenalizationTrace, check_uniform_bound, penalized_root, run_sweep
 from .problem import SKOROKHOD_TOL, ProblemSpec, ValidationReport, validate_solution
-from .snell import SnellOutput, snell_root, solve_snell
+
+if TYPE_CHECKING:
+    from .pde import PdeField
+    from .penalty import PenalizationTrace
+    from .snell import SnellOutput
+
+# the names this module calls from each solver module, bound when it loads
+_SOLVER_NAMES = {
+    "snell": ("snell_root", "solve_snell"),
+    "penalty": ("check_uniform_bound", "penalized_root", "run_sweep"),
+    "pde": ("solve_pde_penalized", "solve_pde_projected"),
+    "estimates": (
+        "check_k_estimate",
+        "check_stability",  # no command calls it; bench/tracing.py hooks it under this name
+        "check_y_estimate",
+        "check_z_estimate",
+        "solution_moments",
+    ),
+}
 
 
 MONOTONICITY_TOL = 1e-10
@@ -353,6 +378,35 @@ _DISPATCH = {
     "convergence": _cmd_convergence,
     "crosscheck": _cmd_crosscheck,
 }
+# the solver modules each command runs
+_COMMAND_SOLVERS = {
+    "solve": ("snell",),
+    "penalize": ("penalty",),
+    "pde": ("pde",),
+    "verify": ("snell", "estimates"),
+    "convergence": ("snell",),
+    "crosscheck": ("snell", "penalty", "pde"),
+}
+
+
+def _load(module: str) -> None:
+    """Import solver ``module`` and bind each of its names that this module does not hold yet.
+
+    A name already bound is kept: it may be a wrapper that
+    ``bench/tracing.py`` installed before the module loaded.
+    """
+    solver = importlib.import_module(f".{module}", __package__)
+    for name in _SOLVER_NAMES[module]:
+        globals().setdefault(name, getattr(solver, name))
+
+
+def __getattr__(name: str):
+    """A solver's name read from outside before its module has loaded: load it (PEP 562)."""
+    for module, names in _SOLVER_NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run(config: ExperimentConfig, out_dir, quiet: bool) -> int:
@@ -363,6 +417,8 @@ def run(config: ExperimentConfig, out_dir, quiet: bool) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     say = (lambda message: None) if quiet else print
+    for module in _COMMAND_SOLVERS[config.command]:
+        _load(module)
     return _DISPATCH[config.command](config, out, say)
 
 

@@ -22,14 +22,12 @@ import contextlib
 import math
 from typing import NamedTuple
 
-from .lattice import ForwardModel, TimeGrid
-from .pde import PdeGrid
-from .penalty import check_schedule
-from .problem import ProblemSpec, make_generator, make_obstacle, make_terminal
+from .lattice import ForwardModel, PdeGrid, TimeGrid
+from .problem import ProblemSpec, check_schedule, make_generator, make_obstacle, make_terminal
 
 COMMANDS = ("solve", "penalize", "pde", "verify", "convergence", "crosscheck")
 DEFAULT_SCHEDULE = tuple(float(2**i) for i in range(11))
-# the PDE's one boundary rule (``pde.PdeGrid``); the key may name it
+# the PDE's one boundary rule (``lattice.PdeGrid``); the key may name it
 BOUNDARY = "dirichlet-obstacle"
 
 _REQUIRED = object()
@@ -109,7 +107,7 @@ def _check_all_read(cp) -> None:
 
 
 def _parse_schedule(raw: str) -> tuple:
-    """'default' or comma-separated intensities, checked as ``penalty`` checks them."""
+    """'default' or comma-separated intensities, checked by ``problem.check_schedule``."""
     raw = raw.strip()
     if raw == "default":
         return DEFAULT_SCHEDULE

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ForwardModel, Lattice, TimeGrid, build_lattice
-from .pde import PdeField, PdeGrid
+from .lattice import ForwardModel, Lattice, PdeGrid, TimeGrid, build_lattice
+from .pde import PdeField
 from .problem import AffineGenerator, ProblemSpec, obstacle_layers, terminal_values
 from .snell import snell_root
 

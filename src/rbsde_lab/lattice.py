@@ -7,6 +7,9 @@ over the lattice is an exact probability-weighted sum: nothing is sampled.
 
 Driving noise is one-dimensional; multi-dimensional drivers are a documented
 extension point, not built.
+
+The grids a config describes live here too: ``TimeGrid`` and the obstacle
+PDE's ``PdeGrid``. So loading a config compiles no solver module.
 """
 
 from __future__ import annotations
@@ -73,6 +76,43 @@ class TimeGrid(Validated, _TimeGridFields):
     def times(self) -> np.ndarray:
         n = self.n_steps
         return self.horizon * np.arange(n + 1) / n
+
+
+class _PdeGridFields(NamedTuple):
+    x_min: float
+    x_max: float
+    m_nodes: int
+    time: TimeGrid
+
+
+class PdeGrid(Validated, _PdeGridFields):
+    """Uniform space-time grid on [x_min, x_max] x [0, horizon].
+
+    The space points are ``xs()``, the time points ``time.times()``.
+
+    The two end nodes carry Dirichlet data with one rule: the state is held
+    there (the lateral operator is not available), so each time step takes
+    the one-point reflected step max(h, u_next + dt * f) at the end node,
+    solved with the interior in the same implicit step. For a linear
+    discounting generator that is the discounted payoff, pinned to the
+    obstacle where it binds (a deep in-the-money put end), so u >= h holds
+    at both ends in either scheme.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
+        if self.m_nodes < 3:
+            raise ValueError("m_nodes must be >= 3")
+        if not self.x_min < self.x_max:
+            raise ValueError("x_min must be < x_max")
+
+    @property
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / (self.m_nodes - 1)
+
+    def xs(self) -> np.ndarray:
+        return np.linspace(self.x_min, self.x_max, self.m_nodes)
 
 
 class _ForwardModelFields(NamedTuple):

@@ -32,7 +32,6 @@ monotone-convergence diagnostics toward the reflected (Snell) solution;
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +40,7 @@ from .lattice import Lattice
 from .problem import (
     ProblemSpec,
     SolutionTriple,
+    check_schedule,
     lattice_accumulation_moment,
     lattice_expected_total,
     lattice_sup_moment,
@@ -98,18 +98,6 @@ class PenalizationTrace(NamedTuple):
     k_t_root: tuple
     bound_quantity: tuple
     snell_y0: float
-
-
-def check_schedule(schedule) -> list:
-    """The schedule as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
-    ns = [float(v) for v in schedule]
-    if not ns:
-        raise ValueError("schedule must be nonempty")
-    if not all(0.0 <= n < math.inf for n in ns):
-        raise ValueError(f"penalty intensities must be finite and >= 0, got {ns!r}")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    return ns
 
 
 def penalized_root(lattice: Lattice, spec: ProblemSpec, n: float) -> float:

@@ -24,6 +24,7 @@ equally-shaped state/value arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,6 +85,22 @@ def check_terminal_dominates(spec: ProblemSpec, t_end: float, states) -> float:
             f"(violated by {violation:.3e})"
         )
     return violation
+
+
+def check_schedule(schedule) -> list:
+    """The schedule as floats; it must be nonempty, finite, >= 0 and strictly increasing.
+
+    The one copy of the penalty-intensity rule: the config, the lattice
+    penalization and the penalized PDE scheme all check through it.
+    """
+    ns = [float(v) for v in schedule]
+    if not ns:
+        raise ValueError("schedule must be nonempty")
+    if not all(0.0 <= n < math.inf for n in ns):
+        raise ValueError(f"penalty intensities must be finite and >= 0, got {ns!r}")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    return ns
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import put_model, put_problem  # noqa: E402
 
-from rbsde_lab.lattice import TimeGrid, build_lattice  # noqa: E402
-from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected  # noqa: E402
+from rbsde_lab.lattice import PdeGrid, TimeGrid, build_lattice  # noqa: E402
+from rbsde_lab.pde import solve_pde_penalized, solve_pde_projected  # noqa: E402
 from rbsde_lab.penalty import run_sweep, solve_penalized  # noqa: E402
 from rbsde_lab.snell import solve_snell  # noqa: E402
 

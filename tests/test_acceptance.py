@@ -22,8 +22,8 @@ from rbsde_lab.diagnostics import (
     growth_class_check,
 )
 from rbsde_lab.estimates import check_stability, solution_moments
-from rbsde_lab.lattice import ForwardModel, TimeGrid
-from rbsde_lab.pde import PdeGrid, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid
+from rbsde_lab.pde import solve_pde_projected
 from rbsde_lab.penalty import run_sweep
 from rbsde_lab.problem import ProblemSpec, validate_solution
 from rbsde_lab.snell import solve_snell

@@ -8,11 +8,16 @@ attributing that layer; these tests fail instead.
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import rbsde_lab
 from rbsde_lab.cli import main
 from rbsde_lab.config import load_config
 
@@ -136,3 +141,84 @@ def test_every_bench_config_loads(workloads, tmp_path, size):
             path = tmp_path / f"{workload}-{exp.ident}.cfg"
             path.write_text(exp.config)
             assert load_config(path).command == exp.command, path.name
+
+
+# The tests above run in this process, where every solver module has long
+# been imported. A command's process loads a solver module only when it runs
+# it, so the order of hooking and loading is checked in fresh processes.
+# argv: a config path and an output directory for each command; prints the
+# span counts of each run, and whether a solver module had loaded before the
+# tracer was installed
+FRESH_TRACE = """\
+import json, sys
+from collections import Counter
+import tracing
+from rbsde_lab.cli import main
+
+solvers = ("snell", "penalty", "pde", "estimates")
+early = [m for m in solvers if f"rbsde_lab.{m}" in sys.modules]
+counts = []
+with tracing.instrument(tracing.Tracer()) as tracer:
+    for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+        first = len(tracer.spans)
+        assert main(["--config", path, "--out", out, "--quiet"]) == 0
+        counts.append(Counter(span.name for span in tracer.spans[first:]))
+print(json.dumps({"early": early, "counts": counts}))
+"""
+# as bench/run.py --trace 1 replays an experiment: plain first, then traced
+PLAIN_THEN_TRACED = """\
+import json, sys
+from collections import Counter
+import tracing
+from rbsde_lab import cli, snell
+
+argv = ["--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]
+assert cli.main(argv) == 0
+with tracing.instrument(tracing.Tracer()) as tracer:
+    assert tracer.wrap("cli", cli.main)(argv) == 0
+restored = cli.solve_snell is snell.solve_snell
+print(json.dumps({"counts": Counter(span.name for span in tracer.spans), "restored": restored}))
+"""
+
+
+def fresh_run(script, tmp_path, commands):
+    """Run ``script`` in a fresh process on ``CROSSCHECK_CONFIG`` under each command."""
+    argv = []
+    for command in commands:
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(CROSSCHECK_CONFIG.replace("command = crosscheck", f"command = {command}"))
+        argv += [str(path), str(tmp_path / f"{command}-out")]
+    package_root = Path(rbsde_lab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), str(BENCH), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_hooks_installed_before_the_solvers_load_trace_every_layer(tmp_path):
+    # the tracer resolves the hooks in cli, which loads every solver module;
+    # the command's own load must keep the wrappers it finds there
+    found = fresh_run(FRESH_TRACE, tmp_path, ["penalize", "crosscheck"])
+    assert found["early"] == []
+    penalize, crosscheck = found["counts"]
+    for layer in ("penalty.solve", "snell.solve", "lattice.node_weights"):
+        assert penalize[layer] == 1, layer
+    assert penalize["problem.sup_moment"] == penalize["problem.accumulation_moment"] == 1
+    # run_sweep and check_uniform_bound, both hooked in cli
+    assert penalize["penalty.sweep"] == 2
+    assert crosscheck["penalty.solve"] == crosscheck["snell.solve"] == 1
+    assert crosscheck["pde.projected"] == 1
+    for layer in ("penalty.sweep", "problem.sup_moment", "lattice.node_weights"):
+        assert crosscheck.get(layer, 0) == 0, layer
+
+
+def test_a_plain_run_then_a_traced_one_traces_every_layer(tmp_path):
+    found = fresh_run(PLAIN_THEN_TRACED, tmp_path, ["solve"])
+    counts = found["counts"]
+    for layer in ("snell.solve", "problem.validate", "lattice.node_weights", "snell.csv"):
+        assert counts.get(layer) == 1, layer
+    assert found["restored"]

@@ -9,8 +9,8 @@ import pytest
 from rbsde_lab import cli, config, pde, problem, snell
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice
+from rbsde_lab.pde import solve_pde_penalized, solve_pde_projected
 from rbsde_lab.penalty import run_sweep
 from rbsde_lab.snell import solve_snell
 

@@ -15,8 +15,8 @@ import pytest
 from rbsde_lab import pde
 from rbsde_lab.config import DEFAULT_SCHEDULE
 from rbsde_lab.diagnostics import feynman_kac_check
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.pde import PdeGrid, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice
+from rbsde_lab.pde import solve_pde_projected
 from rbsde_lab.penalty import penalized_root
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
 from rbsde_lab.snell import snell_root

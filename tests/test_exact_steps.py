@@ -16,8 +16,8 @@ from helpers import batch_row, ordered_instance_pair, plain
 
 from rbsde_lab import cli, snell
 from rbsde_lab.config import DEFAULT_SCHEDULE
-from rbsde_lab.lattice import TimeGrid, build_lattice
-from rbsde_lab.pde import PdeGrid, solve_pde_penalized, solve_pde_projected
+from rbsde_lab.lattice import PdeGrid, TimeGrid, build_lattice
+from rbsde_lab.pde import solve_pde_penalized, solve_pde_projected
 from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
     AffineGenerator,

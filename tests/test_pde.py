@@ -12,8 +12,8 @@ from rbsde_lab.diagnostics import (
     feynman_kac_check,
     growth_class_check,
 )
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice
-from rbsde_lab.pde import LcpConvergenceError, PdeGrid, solve_pde_penalized, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice
+from rbsde_lab.pde import LcpConvergenceError, solve_pde_penalized, solve_pde_projected
 from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
 from rbsde_lab.snell import ContractionError, DataOverflowError, snell_root
 

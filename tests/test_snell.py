@@ -18,8 +18,8 @@ from helpers import (
 
 from rbsde_lab import snell
 from rbsde_lab.diagnostics import brute_force_stopping_value, feynman_kac_check
-from rbsde_lab.lattice import ForwardModel, TimeGrid, build_lattice, lattice_expectation
-from rbsde_lab.pde import PdeGrid, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice, lattice_expectation
+from rbsde_lab.pde import solve_pde_projected
 from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
     ProblemSpec,

@@ -2,9 +2,10 @@
 
 Every ``rbsde-lab`` command is a fresh process, and with
 ``PYTHONDONTWRITEBYTECODE=1`` that process compiles each module it imports.
-``import rbsde_lab.cli`` must therefore load only the modules a command can
-run: the diagnostics that only the acceptance criteria and the tests call
-live in ``rbsde_lab.diagnostics``, which no command imports.
+So ``import rbsde_lab.cli`` loads only what loading a config needs, and
+each command then loads only the solver modules it runs. The diagnostics
+that only the acceptance criteria and the tests call live in
+``rbsde_lab.diagnostics``, which no command imports.
 
 Creating a frozen dataclass execs six generated methods, and the
 ``dataclasses`` module (with ``copy``, which only it pulls in) costs an
@@ -33,8 +34,8 @@ from rbsde_lab.estimates import (
     check_y_estimate,
     solution_moments,
 )
-from rbsde_lab.lattice import ForwardModel, Lattice, TimeGrid, build_lattice
-from rbsde_lab.pde import PdeField, PdeGrid, solve_pde_projected
+from rbsde_lab.lattice import ForwardModel, Lattice, PdeGrid, TimeGrid, build_lattice
+from rbsde_lab.pde import PdeField, solve_pde_projected
 from rbsde_lab.penalty import BoundReport, PenalizationTrace, check_uniform_bound, run_sweep
 from rbsde_lab.problem import (
     AffineGenerator,
@@ -46,17 +47,17 @@ from rbsde_lab.problem import (
 )
 from rbsde_lab.snell import SnellOutput, solve_snell
 
-CLI_MODULES = [
-    "rbsde_lab",
-    "rbsde_lab.cli",
-    "rbsde_lab.config",
-    "rbsde_lab.estimates",
-    "rbsde_lab.lattice",
-    "rbsde_lab.pde",
-    "rbsde_lab.penalty",
-    "rbsde_lab.problem",
-    "rbsde_lab.snell",
-]
+# what loading a config needs; every process of the CLI loads these
+CONFIG_MODULES = {"rbsde_lab", "cli", "config", "lattice", "problem"}
+# the solver modules each command runs (penalty and pde import snell)
+COMMAND_MODULES = {
+    "solve": {"snell"},
+    "convergence": {"snell"},
+    "verify": {"snell", "estimates"},
+    "penalize": {"penalty", "snell"},
+    "pde": {"pde", "snell"},
+    "crosscheck": {"snell", "penalty", "pde"},
+}
 # names that moved to rbsde_lab.diagnostics
 DIAGNOSTICS = (
     "brute_force_stopping_value",
@@ -86,11 +87,18 @@ RECORDS = (
     SolutionMoments,
 )
 
+# argv: "load" and a config path, or "run", a config path and an output directory
 PROBE = (
     "import sys\n"
-    "import rbsde_lab.cli\n"
+    "from rbsde_lab.cli import load_config, main\n"
+    "if sys.argv[1] == 'load':\n"
+    "    load_config(sys.argv[2])\n"
+    "    code = 0\n"
+    "else:\n"
+    "    code = main(['--config', sys.argv[2], '--out', sys.argv[3], '--quiet'])\n"
     "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'rbsde_lab')\n"
-    "print(rbsde_lab.__file__)\n"
+    "print(sys.modules['rbsde_lab'].__file__)\n"
+    "print(code)\n"
     "print(' '.join(loaded))\n"
     "print(' '.join(sorted({n for m in loaded for n in vars(sys.modules[m])})))\n"
     "print(sorted(m for m in ('copy', 'dataclasses') if m in sys.modules))\n"
@@ -123,18 +131,52 @@ n_steps = 8
 """
 
 
-def test_the_cli_loads_only_the_modules_a_command_runs():
+def _probe(*args) -> tuple:
+    """Run ``PROBE`` in a fresh process; its exit code and the ``rbsde_lab`` modules it loaded.
+
+    The process compiles what it imports, as a command's process does, and
+    must load neither a name of ``rbsde_lab.diagnostics`` nor the
+    ``dataclasses`` machinery.
+    """
     package_root = Path(rbsde_lab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", PROBE, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    origin, loaded, names, builders = done.stdout.splitlines()
+    origin, code, loaded, names, builders = done.stdout.splitlines()
     assert Path(origin).resolve() == Path(rbsde_lab.__file__).resolve()
-    assert loaded.split() == CLI_MODULES
     assert not set(DIAGNOSTICS) & set(names.split())
     assert builders == "[]"
+    modules = {name.partition(".")[2] or name for name in loaded.split()}
+    return int(code), modules
+
+
+def _write_config(tmp_path, command: str) -> Path:
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(CONFIG.replace("command = pde", f"command = {command}"))
+    return path
+
+
+def test_the_cli_loads_only_the_modules_a_command_runs(tmp_path):
+    # importing the CLI and loading a config compiles no solver module
+    assert _probe("load", _write_config(tmp_path, "crosscheck")) == (0, CONFIG_MODULES)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_solver_modules(tmp_path, command):
+    path = _write_config(tmp_path, command)
+    assert _probe("run", path, tmp_path / "out") == (0, CONFIG_MODULES | COMMAND_MODULES[command])
+
+
+def test_a_config_error_loads_no_solver_module(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace("kappa = 0.06", "kapa = 0.06"))
+    assert _probe("run", path, tmp_path / "out") == (2, CONFIG_MODULES)
 
 
 def test_no_record_is_a_dataclass():
