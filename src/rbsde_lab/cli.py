@@ -19,7 +19,7 @@ Importing this module loads what loading a config needs: ``config``,
 command: ``snell`` for ``solve`` and ``convergence``, ``snell`` and
 ``estimates`` for ``verify``, ``penalty`` for ``penalize``, ``pde`` for
 ``pde``, and ``snell``, ``penalty`` and ``pde`` for ``crosscheck``
-(``penalty`` and ``pde`` import ``snell`` themselves). Loading a module
+(``penalty`` imports ``snell`` itself). Loading a module
 binds here the names this module calls from it (``_SOLVER_NAMES``), and the
 commands call them as globals of this module, because ``bench/tracing.py``
 swaps them for wrappers here. Reading such a name from outside before its

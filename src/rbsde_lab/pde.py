@@ -22,10 +22,11 @@ which makes each iteration a Newton step for the piecewise-linear equation.
 The active set is warm-started from the previous solve, so most solves take
 one iteration, and the matrix of an active set is factored once: while the
 set holds, a solve only sweeps its right-hand side. Each time step is one
-``snell.implicit_step``: for f = a * y + b, -a * dt joins the diagonal and
-b * dt the right-hand side of one LCP solve. An affine generator takes
-that solve once; any other f is lagged, frozen at the previous iterate with
-z = sigma * u_x, so each solve of the iteration stays (piecewise) linear.
+``problem.implicit_step``, the kernel the lattice schemes share: for
+f = a * y + b, -a * dt joins the diagonal and b * dt the right-hand side of
+one LCP solve. An affine generator takes that solve once; any other f is
+lagged, frozen at the previous iterate with z = sigma * u_x, so each solve
+of the iteration stays (piecewise) linear.
 """
 
 from __future__ import annotations
@@ -35,8 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import ForwardModel, PdeGrid
-from .problem import ProblemSpec, check_schedule, check_terminal_dominates
-from .snell import FP_TOL, implicit_step, require_contraction
+from .problem import (
+    FP_TOL,
+    ProblemSpec,
+    check_schedule,
+    check_terminal_dominates,
+    implicit_step,
+    require_contraction,
+)
 
 POLICY_MAX_ITER = 100
 
@@ -226,7 +233,7 @@ _UP = 2.0**64
 def _backward_solve(grid, spec, model, n):
     """Backward time loop shared by the projected (n None) and penalized schemes.
 
-    Each time step is one ``snell.implicit_step`` on the full space row, so
+    Each time step is one ``implicit_step`` on the full space row, so
     an error names a grid node. Its step for f = a * y + b takes, at the two
     end nodes, the held state's reflected step max(h, (u_next + b * dt) /
     (1 - a * dt)), and on the interior one ``_policy_lcp`` call with -a * dt
@@ -238,7 +245,8 @@ def _backward_solve(grid, spec, model, n):
     2**1000 is solved on scaled data.
     """
     dt = grid.time.dt
-    require_contraction(spec, dt)
+    what = "PDE time step"
+    require_contraction(spec, dt, what)
     xs = grid.xs()
     times = grid.time.times()
     check_terminal_dominates(spec, times[-1], xs)
@@ -301,7 +309,7 @@ def _backward_solve(grid, spec, model, n):
         t = times[k]
         h = np.asarray(spec.obstacle(t, xs), dtype=float)
         lag = 0
-        u[k] = implicit_step(spec.generator, step, frozen, k, "PDE time step")
+        u[k] = implicit_step(spec.generator, step, frozen, k, what)
         max_lag = max(max_lag, lag)
         gap = u[k][1:-1] - h[1:-1]
         worst_resid = min(worst_resid, float(np.min(resid)))

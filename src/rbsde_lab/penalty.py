@@ -20,8 +20,8 @@ each branch is
 
 and the step takes the y >= h root where it lies at or above h, the y < h
 root elsewhere. The backward loop solves that one step by
-``snell.implicit_step`` for the generator at hand: once for an affine f, and
-with f frozen at the iterate for any other, selecting at every iterate.
+``problem.implicit_step`` for the generator at hand: once for an affine f,
+and with f frozen at the iterate for any other, selecting at every iterate.
 Only the selected root is checked for finiteness, so a root that is not
 taken cannot fail the solve.
 

@@ -11,6 +11,12 @@ K is nondecreasing with K_0 = 0 and acts only where Y touches the obstacle,
 and the backward one-step equation holds at every node. ``validate_solution``
 turns that contract into computed residuals.
 
+All three schemes (the reflected and the penalized lattice pass and the PDE
+time step) solve each backward step by ``implicit_step``: once, exactly,
+for an ``AffineGenerator``, and by ``fixed_point`` for any other f. Its
+hypothesis has two halves: ``ProblemSpec`` bounds an affine generator's
+|y_coeff| by kappa, and ``require_contraction`` asks kappa * dt < 1.
+
 Expectations of path functionals over a lattice are evaluated noise-free by
 forward induction with the lattice's branch probabilities. Running suprema
 and accumulated integrals are propagated per node by conditional averaging
@@ -133,7 +139,7 @@ def _parse_form(name: str):
 class AffineGenerator(NamedTuple):
     """Generator f(t, x, y, z) = y_coeff * y + const, affine in y with constant coefficients.
 
-    It is called like any generator. ``snell.implicit_step`` reads its
+    It is called like any generator. ``implicit_step`` reads its
     coefficients and takes each scheme's implicit step once, in closed form,
     where any other callable iterates that step with f frozen at the iterate.
     """
@@ -187,6 +193,126 @@ def make_obstacle(name: str) -> Callable:
     """Obstacle h(t, x): a terminal payoff form of the registry, read at x whatever t."""
     payoff = _payoff(name, "an obstacle")
     return lambda t, x: payoff(x)
+
+
+# ---------------------------------------------------------------------------
+# The implicit step every scheme shares
+# ---------------------------------------------------------------------------
+
+FP_TOL = 1e-14
+FP_MAX_ITER = 100
+
+
+class ContractionError(ValueError):
+    """Raised when a scheme's implicit step is not a contraction."""
+
+
+class DataOverflowError(ValueError):
+    """Raised when an exact step or an iterate is not finite: the data overflowed."""
+
+
+def require_contraction(spec: ProblemSpec, dt: float, what: str) -> None:
+    """Raise unless lipschitz_kappa * dt < 1, which makes the implicit step ``what`` contract.
+
+    ``ProblemSpec`` bounds an affine generator's |y_coeff| by lipschitz_kappa,
+    so this also keeps the divisor 1 - y_coeff * dt of its exact step > 0.
+    """
+    if spec.lipschitz_kappa * dt >= 1.0:
+        raise ContractionError(
+            f"{what} requires lipschitz_kappa * dt < 1; "
+            f"got {spec.lipschitz_kappa} * {dt} = {spec.lipschitz_kappa * dt:.6g}"
+        )
+
+
+def fixed_point(update, y0, step, what, rows=None):
+    """Iterate y <- update(y) from y0 until successive iterates settle.
+
+    The stop test is relative to the iterate scale, above the float noise
+    floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|), the maxima taken
+    over the last axis. A leading axis makes y0 a batch of rows, each with
+    its own stop test: a settled row is frozen, so it ends on exactly the
+    iterate it would end on alone. Returns the last iterate.
+
+    A row not yet frozen whose largest change is not finite (its iterate or
+    the one before is not) raises DataOverflowError at once; after
+    FP_MAX_ITER updates ContractionError is raised. Both messages name
+    ``what``, the caller's ``step``, a node and, for a batch, the row by
+    its name in ``rows``.
+    """
+    y = y0
+    done = np.zeros(np.shape(y0)[:-1], dtype=bool)
+    for _ in range(FP_MAX_ITER):
+        y_new = update(y)
+        change = np.abs(y_new - y)
+        delta = change.max(axis=-1)
+        settled = delta <= FP_TOL * (1.0 + np.abs(y_new).max(axis=-1))
+        if not delta.max() < math.inf:
+            blown = ~done & ~(delta < math.inf)
+            if blown.any():
+                b, row = _row(blown, rows)
+                raise _overflow_error(y[b], y_new[b], step, what, row)
+        if done.any():
+            y_new = np.where(done[..., None], y, y_new)
+        done |= settled
+        if done.all():
+            return y_new
+        y = y_new
+    b, row = _row(~done, rows)
+    raise ContractionError(
+        f"{what} did not converge in {FP_MAX_ITER} iterations at step {step}, "
+        f"node {int(np.argmax(change[b]))}{row} (last change {delta[b]:.3e}); lipschitz_kappa "
+        f"* dt must lie well below 1 for the fixed point to contract"
+    )
+
+
+def _row(bad, rows):
+    """(index, message suffix) of the first row flagged in ``bad``: ((), "") for a single row."""
+    if not np.ndim(bad):
+        return (), ""
+    b = int(np.argmax(bad))
+    return (b,), f", {rows[b]}"
+
+
+def _overflow_error(y, y_new, step, what, row) -> DataOverflowError:
+    """The error at the first non-finite node of the iterate y_new, else of its predecessor y."""
+    value = y if np.isfinite(y_new).all() else y_new
+    j = int(np.argmin(np.isfinite(value)))
+    return DataOverflowError(
+        f"{what} reached the non-finite value {float(value[j])!r} at step {step}, node {j}{row}; "
+        f"the terminal, obstacle or generator values overflowed the float range"
+    )
+
+
+def _require_finite(y, step, what, rows) -> None:
+    """Raise DataOverflowError at the first non-finite value of a layer or of a batch of rows.
+
+    An exact step has no iterate for ``fixed_point`` to test, so
+    ``implicit_step`` tests its value with this; the message is the one
+    ``fixed_point`` raises.
+    """
+    finite = np.isfinite(y)
+    if finite.all():
+        return
+    b, row = _row(~finite.all(axis=-1), rows)
+    raise _overflow_error(y[b], y[b], step, what, row)
+
+
+def implicit_step(generator, step, frozen, k, what, rows=None):
+    """Solve one implicit step of a scheme for the generator f; returns the step's value.
+
+    ``step(a, b)`` is the scheme's exact step for the affine generator
+    f = a * y + b, and ``frozen(y)`` is f at the iterate y. An
+    ``AffineGenerator`` takes one exact step at its coefficients. Any other
+    f is the exact step with f frozen at the iterate, iterated by
+    ``fixed_point`` from the step with f = 0. ``k``, ``what`` and ``rows``
+    name the step, as in ``fixed_point``, when a value is not finite or
+    the iteration does not settle.
+    """
+    if isinstance(generator, AffineGenerator):
+        y = step(generator.y_coeff, generator.const)
+        _require_finite(y, k, what, rows)
+        return y
+    return fixed_point(lambda y: step(0.0, frozen(y)), step(0.0, 0.0), k, what, rows)
 
 
 # ---------------------------------------------------------------------------

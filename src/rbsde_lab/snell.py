@@ -2,7 +2,8 @@
 
 ``solve_snell`` runs the discrete analogue of the smallest-supermartingale
 construction: backward through the lattice it solves the one-step equation
-implicitly in y, reflects at the obstacle, and reads the pushing increment
+implicitly in y (by ``problem.implicit_step``, the kernel the penalized and
+PDE schemes share), reflects at the obstacle, and reads the pushing increment
 off the reflection gap (the discrete decomposition of the resulting
 supermartingale into martingale minus nondecreasing part). ``snell_root``
 runs the same pass for callers that read only Y0: it keeps no layer and
@@ -28,34 +29,13 @@ from .problem import (
     ProblemSpec,
     SolutionTriple,
     check_terminal_dominates,
+    implicit_step,
+    require_contraction,
     terminal_values,
 )
 
-FP_TOL = 1e-14
-FP_MAX_ITER = 100
 TIE_TOL = 1e-12
 ONE_STEP = "implicit one-step solve"
-
-
-class ContractionError(ValueError):
-    """Raised when the one-step implicit solve is not a contraction."""
-
-
-class DataOverflowError(ValueError):
-    """Raised when an exact step or an iterate is not finite: the data overflowed."""
-
-
-def require_contraction(spec: ProblemSpec, dt: float) -> None:
-    """Raise unless lipschitz_kappa * dt < 1, which makes the one-step implicit solve contract.
-
-    ``ProblemSpec`` bounds an affine generator's |y_coeff| by lipschitz_kappa,
-    so this also keeps the divisor 1 - y_coeff * dt of its exact step > 0.
-    """
-    if spec.lipschitz_kappa * dt >= 1.0:
-        raise ContractionError(
-            f"one-step implicit solve requires lipschitz_kappa * dt < 1; "
-            f"got {spec.lipschitz_kappa} * {dt} = {spec.lipschitz_kappa * dt:.6g}"
-        )
 
 
 class SnellOutput(NamedTuple):
@@ -91,99 +71,6 @@ def estimate_z(lattice: Lattice, y_next: np.ndarray, k: int) -> np.ndarray:
     return slope * sigma
 
 
-def fixed_point(update, y0, step=None, what=ONE_STEP, rows=None):
-    """Iterate y <- update(y) from y0 until successive iterates settle.
-
-    The stop test is relative to the iterate scale, above the float noise
-    floor: max|y_new - y| <= FP_TOL * (1 + max|y_new|), the maxima taken
-    over the last axis. A leading axis makes y0 a batch of rows, each with
-    its own stop test: a settled row is frozen, so it ends on exactly the
-    iterate it would end on alone. Returns the last iterate.
-
-    A row not yet frozen whose largest change is not finite (its iterate or
-    the one before is not) raises DataOverflowError at once; after
-    FP_MAX_ITER updates ContractionError is raised. Both messages name
-    ``what``, the caller's ``step``, a node and, for a batch, the row by
-    its name in ``rows``.
-    """
-    y = y0
-    done = np.zeros(np.shape(y0)[:-1], dtype=bool)
-    for _ in range(FP_MAX_ITER):
-        y_new = update(y)
-        change = np.abs(y_new - y)
-        delta = change.max(axis=-1)
-        settled = delta <= FP_TOL * (1.0 + np.abs(y_new).max(axis=-1))
-        if not delta.max() < math.inf:
-            blown = ~done & ~(delta < math.inf)
-            if blown.any():
-                b, row = _row(blown, rows)
-                raise _overflow_error(y[b], y_new[b], step, what, row)
-        if done.any():
-            y_new = np.where(done[..., None], y, y_new)
-        done |= settled
-        if done.all():
-            return y_new
-        y = y_new
-    at = "" if step is None else f" at step {step}"
-    b, row = _row(~done, rows)
-    raise ContractionError(
-        f"{what} did not converge in {FP_MAX_ITER} iterations{at}, "
-        f"node {int(np.argmax(change[b]))}{row} (last change {delta[b]:.3e}); lipschitz_kappa "
-        f"* dt must lie well below 1 for the fixed point to contract"
-    )
-
-
-def _row(bad, rows):
-    """(index, message suffix) of the first row flagged in ``bad``: ((), "") for a single row."""
-    if not np.ndim(bad):
-        return (), ""
-    b = int(np.argmax(bad))
-    return (b,), f", {rows[b]}"
-
-
-def _overflow_error(y, y_new, step, what, row) -> DataOverflowError:
-    """The error at the first non-finite node of the iterate y_new, else of its predecessor y."""
-    value = y if np.isfinite(y_new).all() else y_new
-    j = int(np.argmin(np.isfinite(value)))
-    at = "" if step is None else f" at step {step}"
-    return DataOverflowError(
-        f"{what} reached the non-finite value {float(value[j])!r}{at}, node {j}{row}; "
-        f"the terminal, obstacle or generator values overflowed the float range"
-    )
-
-
-def _require_finite(y, step, what, rows=None) -> None:
-    """Raise DataOverflowError at the first non-finite value of a layer or of a batch of rows.
-
-    An exact step has no iterate for ``fixed_point`` to test, so
-    ``implicit_step`` tests its value with this; the message is the one
-    ``fixed_point`` raises.
-    """
-    finite = np.isfinite(y)
-    if finite.all():
-        return
-    b, row = _row(~finite.all(axis=-1), rows)
-    raise _overflow_error(y[b], y[b], step, what, row)
-
-
-def implicit_step(generator, step, frozen, k, what, rows=None):
-    """Solve one implicit step of a scheme for the generator f; returns the step's value.
-
-    ``step(a, b)`` is the scheme's exact step for the affine generator
-    f = a * y + b, and ``frozen(y)`` is f at the iterate y. An
-    ``AffineGenerator`` takes one exact step at its coefficients. Any other
-    f is the exact step with f frozen at the iterate, iterated by
-    ``fixed_point`` from the step with f = 0. ``k``, ``what`` and ``rows``
-    name the step, as in ``fixed_point``, when a value is not finite or
-    the iteration does not settle.
-    """
-    if isinstance(generator, AffineGenerator):
-        y = step(generator.y_coeff, generator.const)
-        _require_finite(y, k, what, rows)
-        return y
-    return fixed_point(lambda y: step(0.0, frozen(y)), step(0.0, 0.0), k, what, rows)
-
-
 def backward_layers(
     lattice: Lattice, spec: ProblemSpec, scheme, y_terminal, what=ONE_STEP, rows=None
 ):
@@ -193,14 +80,15 @@ def backward_layers(
     conditional expectation cond = E_k[Y_{k+1}], the integrand estimate
     z = ``estimate_z`` from the next layer and the obstacle h_k = h(t_k, .),
     and solves the layer's y by one ``implicit_step``: ``scheme(cond, h_k,
-    a, b)`` is the scheme's exact step for f = a * y + b, and ``what`` and
-    ``rows`` name a failed solve. Yields (k, y, z, cond, h_k) for
+    a, b)`` is the scheme's exact step for f = a * y + b. ``what`` names
+    the step in the contraction check and, with ``rows``, in a failed
+    solve. Yields (k, y, z, cond, h_k) for
     k = n_steps - 1 down to 0 and holds only the layer after k, so a caller
     that keeps nothing runs in O(n_steps) memory. A (rows, n_steps + 1)
     ``y_terminal`` makes every layer a batch of rows. A decorator would not
     cover the iteration, so each caller sets the ``np.errstate``.
     """
-    require_contraction(spec, lattice.dt)
+    require_contraction(spec, lattice.dt, what)
     check_terminal_dominates(spec, lattice.times[-1], lattice.nodes[-1])
     f = spec.generator
     y = y_terminal
@@ -281,7 +169,7 @@ def snell_root(lattice: Lattice, spec: ProblemSpec) -> float:
     g = terminal_values(spec, lattice)
     f = spec.generator
     if isinstance(f, AffineGenerator):
-        require_contraction(spec, dt)
+        require_contraction(spec, dt, ONE_STEP)
         check_terminal_dominates(spec, times[-1], nodes[-1])
         b_dt, denom = f.const * dt, 1.0 - f.y_coeff * dt
         if _root_check_suffices(g, b_dt, denom, lattice.n_steps):

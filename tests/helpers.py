@@ -26,7 +26,7 @@ def far_obstacle(t, x):
 
 
 def plain(generator):
-    """``generator`` as a plain callable: ``snell.implicit_step`` iterates its steps.
+    """``generator`` as a plain callable: ``problem.implicit_step`` iterates its steps.
 
     The registry's generators are affine, and an affine step is taken once,
     in closed form; wrapping one hides its coefficients, not its values, so

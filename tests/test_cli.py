@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde_lab import cli, config, pde, problem, snell
+from rbsde_lab import cli, config, pde, problem
 from rbsde_lab.cli import emit_convergence_table, main, pde_field_to_csv, snell_to_csv
 from rbsde_lab.config import ConfigError, load_config
 from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice
@@ -474,7 +474,7 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(
     tmp_path, capsys, monkeypatch, plain_generators
 ):
     # only the row of intensity 8 never settles in the one-step solve, at node 3
-    real = snell.fixed_point
+    real = problem.fixed_point
 
     def stuck(update, y0, step, what, rows):
         def update_row_1(y):
@@ -485,7 +485,7 @@ def test_penalize_names_the_intensity_of_an_unconverged_row(
 
         return real(update_row_1, y0, step, what, rows=rows)
 
-    monkeypatch.setattr(snell, "fixed_point", stuck)
+    monkeypatch.setattr(problem, "fixed_point", stuck)
     path = write_config(tmp_path, "penalize")
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -742,6 +742,45 @@ def test_solve_names_the_step_and_node_of_an_unconverged_fixed_point(
     err = capsys.readouterr().err
     assert err.startswith("solve: implicit one-step solve did not converge")
     assert "at step 9, node 5 (last change" in err
+
+
+def contraction_error(command, what, kappa, n_steps):
+    dt = 1.0 / n_steps
+    return (
+        f"{command}: {what} requires lipschitz_kappa * dt < 1; "
+        f"got {kappa} * {dt} = {kappa * dt:.6g}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, what, n_steps",
+    [
+        ("solve", "implicit one-step solve", 64),
+        ("convergence", "implicit one-step solve", 64),
+        ("verify", "implicit one-step solve", 64),
+        # the sweep solves the reflected equation before the penalized rows
+        ("penalize", "implicit one-step solve", 64),
+        ("pde", "PDE time step", 60),
+        ("crosscheck", "implicit one-step solve", 64),
+    ],
+    ids=["solve", "convergence", "verify", "penalize", "pde", "crosscheck"],
+)
+def test_a_kappa_too_large_for_both_grids_exits_1_naming_the_check(
+    tmp_path, capsys, command, what, n_steps
+):
+    # kappa * dt = 70/64 on the lattice and 70/60 on the PDE grid
+    path = write_config(tmp_path, command, kappa="70")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == contraction_error(command, what, 70.0, n_steps)
+
+
+@pytest.mark.parametrize("command, code", [("solve", 0), ("pde", 1), ("crosscheck", 1)])
+def test_a_pde_grid_too_coarse_for_kappa_is_the_one_named(tmp_path, capsys, command, code):
+    # kappa * dt = 61/64 < 1 on the lattice, but 61/60 >= 1 on the PDE grid
+    path = write_config(tmp_path, command, kappa="61")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == code
+    expected = contraction_error(command, "PDE time step", 61.0, 60) if code else ""
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize(

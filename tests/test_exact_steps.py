@@ -1,9 +1,9 @@
 """Exact one-step solves of affine generators against the general path.
 
-Every registry generator is an ``AffineGenerator``: ``snell.implicit_step``
+Every registry generator is an ``AffineGenerator``: ``problem.implicit_step``
 takes each scheme's exact step at its coefficients. The same f wrapped as a
 plain callable takes the same step with f frozen at the iterate, iterated by
-``snell.fixed_point``, so it is the reference for the exact steps. With
+``problem.fixed_point``, so it is the reference for the exact steps. With
 y_coeff = 0 the two paths evaluate one formula and agree bit for bit.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from helpers import batch_row, ordered_instance_pair, plain
 
-from rbsde_lab import cli, snell
+from rbsde_lab import cli, problem
 from rbsde_lab.config import DEFAULT_SCHEDULE
 from rbsde_lab.lattice import PdeGrid, TimeGrid, build_lattice
 from rbsde_lab.pde import solve_pde_penalized, solve_pde_projected
@@ -180,7 +180,7 @@ def test_readme_commands_never_iterate(tmp_path, monkeypatch, command):
     def no_fixed_point(*args, **kwargs):
         raise AssertionError("an affine generator reached fixed_point")
 
-    monkeypatch.setattr(snell, "fixed_point", no_fixed_point)
+    monkeypatch.setattr(problem, "fixed_point", no_fixed_point)
     path = tmp_path / "put.cfg"
     penalty_n = "penalty_n = 1000\n" if command == "pde" else ""
     path.write_text(README_CONFIG.format(command=command, penalty_n=penalty_n))

@@ -14,8 +14,15 @@ from rbsde_lab.diagnostics import (
 )
 from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice
 from rbsde_lab.pde import LcpConvergenceError, solve_pde_penalized, solve_pde_projected
-from rbsde_lab.problem import ProblemSpec, make_generator, make_obstacle, make_terminal
-from rbsde_lab.snell import ContractionError, DataOverflowError, snell_root
+from rbsde_lab.problem import (
+    ContractionError,
+    DataOverflowError,
+    ProblemSpec,
+    make_generator,
+    make_obstacle,
+    make_terminal,
+)
+from rbsde_lab.snell import snell_root
 
 
 def frozen_model():

@@ -13,6 +13,7 @@ from rbsde_lab.penalty import (
     solve_penalized,
 )
 from rbsde_lab.problem import (
+    ContractionError,
     ProblemSpec,
     lattice_expected_total,
     make_generator,
@@ -21,7 +22,7 @@ from rbsde_lab.problem import (
     obstacle_layers,
     validate_solution,
 )
-from rbsde_lab.snell import ContractionError, solve_snell
+from rbsde_lab.snell import solve_snell
 
 
 def test_zero_intensity_reduces_to_plain_backward_equation():
@@ -47,6 +48,15 @@ def test_unconverged_branch_names_the_step_and_node():
     )
     with pytest.raises(
         ContractionError, match=r"penalized one-step solve did not converge .* at step 9, node \d"
+    ):
+        solve_penalized(lat, spec, [100.0])
+
+
+def test_the_contraction_check_names_the_penalized_step():
+    lat = build_lattice(put_model(), TimeGrid(10, 1.0))
+    spec = put_problem()._replace(lipschitz_kappa=10.0)
+    with pytest.raises(
+        ContractionError, match=r"^penalized one-step solve requires lipschitz_kappa \* dt < 1;"
     ):
         solve_penalized(lat, spec, [100.0])
 

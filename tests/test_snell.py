@@ -16,26 +16,22 @@ from helpers import (
     sample_node_paths,
 )
 
-from rbsde_lab import snell
+from rbsde_lab import problem, snell
 from rbsde_lab.diagnostics import brute_force_stopping_value, feynman_kac_check
 from rbsde_lab.lattice import ForwardModel, PdeGrid, TimeGrid, build_lattice, lattice_expectation
 from rbsde_lab.pde import solve_pde_projected
 from rbsde_lab.penalty import solve_penalized
 from rbsde_lab.problem import (
+    ContractionError,
+    DataOverflowError,
     ProblemSpec,
+    fixed_point,
     make_generator,
     make_obstacle,
     make_terminal,
     validate_solution,
 )
-from rbsde_lab.snell import (
-    ContractionError,
-    DataOverflowError,
-    estimate_z,
-    fixed_point,
-    snell_root,
-    solve_snell,
-)
+from rbsde_lab.snell import estimate_z, snell_root, solve_snell
 
 
 def constant_one_instance(n_steps=16):
@@ -258,7 +254,9 @@ def test_comparison_raising_data_never_lowers_y():
 def test_contraction_guard():
     lat = build_lattice(ForwardModel.arithmetic(0.0, 1.0, 0.0), TimeGrid(2, 1.0))
     spec = ProblemSpec(make_generator("zero"), make_terminal("zero"), make_obstacle("zero"), 2.1)
-    with pytest.raises(ContractionError, match="lipschitz_kappa \\* dt < 1"):
+    with pytest.raises(
+        ContractionError, match="^implicit one-step solve requires lipschitz_kappa \\* dt < 1"
+    ):
         solve_snell(lat, spec)
 
 
@@ -269,10 +267,10 @@ ONE_ROW = pytest.mark.parametrize(
 )
 
 
-def _fixed_point_on(rows, update, y0, *args):
+def _fixed_point_on(rows, update, y0, step):
     if rows is None:
-        return fixed_point(update, y0, *args)
-    return fixed_point(update, y0[None], *args, rows=rows)[0]
+        return fixed_point(update, y0, step, snell.ONE_STEP)
+    return fixed_point(update, y0[None], step, snell.ONE_STEP, rows=rows)[0]
 
 
 @ONE_ROW
@@ -281,19 +279,19 @@ def test_fixed_point_settles_or_raises(rows, suffix):
     y = 0.0
     while True:
         y_new = 1.0 - 0.5 * y
-        if abs(y_new - y) <= snell.FP_TOL * (1.0 + abs(y_new)):
+        if abs(y_new - y) <= problem.FP_TOL * (1.0 + abs(y_new)):
             break
         y = y_new
-    assert _fixed_point_on(rows, lambda y: 1.0 - 0.5 * y, np.zeros(3)).tolist() == [y_new] * 3
+    assert _fixed_point_on(rows, lambda y: 1.0 - 0.5 * y, np.zeros(3), 2).tolist() == [y_new] * 3
     # contraction factor 0.9: 0.9^100 is far above the relative stop test
     y = 0.0
-    for _ in range(snell.FP_MAX_ITER):
+    for _ in range(problem.FP_MAX_ITER):
         y_new = 1.0 - 0.9 * y
         change, y = abs(y_new - y), y_new
     with pytest.raises(ContractionError) as err:
-        _fixed_point_on(rows, lambda y: 1.0 - 0.9 * y, np.zeros(1))
+        _fixed_point_on(rows, lambda y: 1.0 - 0.9 * y, np.zeros(1), 2)
     assert str(err.value) == (
-        f"implicit one-step solve did not converge in 100 iterations, node 0{suffix} "
+        f"implicit one-step solve did not converge in 100 iterations at step 2, node 0{suffix} "
         f"(last change {change:.3e}); lipschitz_kappa * dt must lie well below 1 for the "
         f"fixed point to contract"
     )
@@ -320,7 +318,7 @@ def test_fixed_point_names_the_overflowed_row_of_a_batch():
 
     with np.errstate(over="ignore"):
         with pytest.raises(DataOverflowError, match=r"value inf at step 7, node 2, row b;") as err:
-            fixed_point(update, np.zeros((3, 4)), 7, rows=["row a", "row b", "row c"])
+            fixed_point(update, np.zeros((3, 4)), 7, snell.ONE_STEP, ["row a", "row b", "row c"])
     assert "lipschitz" not in str(err.value)
 
 

@@ -49,13 +49,13 @@ from rbsde_lab.snell import SnellOutput, solve_snell
 
 # what loading a config needs; every process of the CLI loads these
 CONFIG_MODULES = {"rbsde_lab", "cli", "config", "lattice", "problem"}
-# the solver modules each command runs (penalty and pde import snell)
+# the solver modules each command runs (penalty imports snell)
 COMMAND_MODULES = {
     "solve": {"snell"},
     "convergence": {"snell"},
     "verify": {"snell", "estimates"},
     "penalize": {"penalty", "snell"},
-    "pde": {"pde", "snell"},
+    "pde": {"pde"},
     "crosscheck": {"snell", "penalty", "pde"},
 }
 # names that moved to rbsde_lab.diagnostics
